@@ -5,12 +5,14 @@ A configuration file holds a single JSON object with flat sections
 ``schedule``, ``output``, ``seed``). Every key is optional; an empty
 document reproduces the reference setup: 200 x 200 grid, 10 x 10
 subdomains, overlap 4, tau = 0.5, eps = 1e-6, eps_loc = 0.25, the
-default channel geometry and port schedule. Unknown keys are rejected
-with a diagnostic naming the key path.
+default channel geometry and port schedule. Unknown keys and
+non-finite numbers (JSON ``Infinity``, ``NaN``) are rejected with a
+diagnostic naming the key path.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .fem import DEFAULT_SCHEDULE, ChannelGeometry, ModificationSchedule
@@ -52,7 +54,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"solver.strategy must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.eps <= 0:
+        if not (self.eps > 0):
             raise ConfigError("solver.eps must be positive")
         if self.eps_loc < 0:
             raise ConfigError("solver.eps_loc must be nonnegative")
@@ -125,6 +127,13 @@ def _reject_unknown(section, prefix, known):
         _require(key in known, f"unknown key {prefix}.{key}" if prefix else f"unknown key {key}")
 
 
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _typed(section, prefix, key, default, kind):
     if key not in section:
         return default
@@ -140,6 +149,7 @@ def _typed(section, prefix, key, default, kind):
         _require(
             isinstance(v, (int, float)) and not isinstance(v, bool), f"{path} must be a number"
         )
+        _require(_finite(v), f"{path} must be finite")
         return float(v)
     if kind is str:
         _require(isinstance(v, str), f"{path} must be a string")
@@ -157,6 +167,7 @@ def _number_list(section, prefix, key, default):
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
         f"{path} must be a list of numbers",
     )
+    _require(all(_finite(x) for x in v), f"{path} must hold finite numbers")
     return tuple(float(x) for x in v)
 
 

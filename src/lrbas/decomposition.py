@@ -215,26 +215,26 @@ class LocalOperators:
     version: object = None
 
     @classmethod
-    def build(cls, A, index_sets, coarse, version=None, pivot_tol=1e-12):
-        factors = [factorize(A.submatrix(idx), pivot_tol) for idx in index_sets]
-        return cls(index_sets, factors, coarse, _coarse_factor(A, coarse, pivot_tol), version)
+    def build(cls, A, index_sets, coarse, version=None):
+        factors = [factorize(A.submatrix(idx)) for idx in index_sets]
+        return cls(index_sets, factors, coarse, _coarse_factor(A, coarse), version)
 
-    def refresh(self, A, coarse, changed, version=None, pivot_tol=1e-12):
+    def refresh(self, A, coarse, changed, version=None):
         """Refactor changed subdomains and the coarse matrix for a new system."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
-            self.factors[i] = factorize(A.submatrix(self.index_sets[i]), pivot_tol)
+            self.factors[i] = factorize(A.submatrix(self.index_sets[i]))
         self.coarse = coarse
-        self.coarse_factor = _coarse_factor(A, coarse, pivot_tol)
+        self.coarse_factor = _coarse_factor(A, coarse)
         self.version = version
         return self
 
 
-def _coarse_factor(A, coarse, pivot_tol):
+def _coarse_factor(A, coarse):
     if coarse is None or coarse.n0 == 0:
-        return factorize(np.zeros((0, 0)), pivot_tol)
+        return factorize(np.zeros((0, 0)))
     R0T = coarse.matrix
     A0 = (R0T.T @ (A.to_scipy() @ R0T)).toarray()
-    return factorize(A0, pivot_tol)
+    return factorize(A0)
 
 
 def apply_as_preconditioner(r, ops, version=None):

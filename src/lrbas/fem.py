@@ -215,8 +215,8 @@ class CoefficientField:
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.grid.m, self.grid.m):
             raise ValueError(f"values shape {v.shape} does not match grid {self.grid.m}")
-        if not (v > 0).all():
-            raise ValueError("invalid coefficient: conductivity values must be positive")
+        if not (np.isfinite(v) & (v > 0)).all():
+            raise ValueError("invalid coefficient: conductivity values must be positive and finite")
         object.__setattr__(self, "values", v)
 
 

@@ -4,16 +4,18 @@ The reduced solver keeps one orthonormal basis per subdomain and solves
 the Galerkin system over the coarse space plus the lifted local bases.
 Whenever the reduced solution is not accurate enough, subdomains whose
 local residual energy exceeds an adaptive threshold are enriched by one
-Schwarz correction each, the affected reduced blocks are recomputed,
-and the reduced system is solved again. Between consecutive systems of
-a sequence the bases are either reset to the previous initial basis
-plus the local piece of the converged solution, or kept in full.
+Schwarz correction each, the dense reduced matrix is bordered with the
+new columns (no existing entry is recomputed), and the reduced system
+is solved again. Between consecutive systems of a sequence the bases
+are either reset to the previous initial basis plus the local piece of
+the converged solution, or kept in full.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .decomposition import (
     LocalOperators,
@@ -70,120 +72,77 @@ class LocalBasis:
 class ReducedSystem:
     """Galerkin system over coarse space plus lifted local bases.
 
-    Off-diagonal blocks exist only between neighboring subdomains; all
-    blocks are kept separately so that enriching a subdomain recomputes
-    exactly the blocks in its row and column.
+    ``W`` holds the coarse columns followed by each subdomain's basis
+    columns, in subdomain order; ``M = W^T A W`` and ``rhs = W^T f``
+    follow the same order. Enrichment only appends basis columns, so
+    ``update`` borders M with the new columns and recomputes no
+    existing entry.
     """
 
-    def __init__(self, system, dec, coarse, bases, pivot_tol=1e-12):
+    def __init__(self, system, dec, coarse, bases):
         if len(bases) != dec.n_subdomains:
             raise ValueError("one basis per subdomain required")
         self.system = system
         self.dec = dec
         self.coarse = coarse
         self.bases = bases
-        self.pivot_tol = pivot_tol
-        csr = system.A.to_scipy()
-        # sparse couplings A[idx_i, idx_j] for neighbor pairs, i <= j
-        self.pairs = {}
-        for i, nbs in enumerate(dec.neighbors):
-            rows = csr[dec.subdomains[i].indices]
-            for j in nbs:
-                if i <= j:
-                    self.pairs[(i, j)] = rows[:, dec.subdomains[j].indices].tocsr()
-        self.blocks = {}
-        self.coarse_blocks = [None] * dec.n_subdomains
-        self.rhs_local = [None] * dec.n_subdomains
-        self._coarse_coarse()
-        for i in range(dec.n_subdomains):
-            self._recompute_row(i)
-
-    def _pair(self, i, j):
-        """A[idx_i, idx_j] as something supporting @ with a dense matrix."""
-        return self.pairs[(i, j)] if i <= j else self.pairs[(j, i)].T
-
-    def _coarse_coarse(self):
-        n0 = self.coarse.n0
-        A00 = np.zeros((n0, n0))
-        rhs0 = np.zeros(n0)
-        off = self.coarse.offsets
-        for s in range(self.dec.n_subdomains):
-            Cs = self.coarse.blocks[s]
-            if Cs.shape[1] == 0:
-                continue
-            rhs0[off[s]:off[s + 1]] = Cs.T @ self.system.f[self.dec.subdomains[s].indices]
-            for t in self.dec.neighbors[s]:
-                Ct = self.coarse.blocks[t]
-                if t < s or Ct.shape[1] == 0:
-                    continue
-                blk = Cs.T @ (self._pair(s, t) @ Ct)
-                A00[off[s]:off[s + 1], off[t]:off[t + 1]] = blk
-                if t != s:
-                    A00[off[t]:off[t + 1], off[s]:off[s + 1]] = blk.T
-        self.A00 = 0.5 * (A00 + A00.T)
-        self.rhs0 = rhs0
-
-    def _recompute_row(self, i):
-        """Recompute all blocks coupling subdomain i (basis of i changed)."""
-        Bi = self.bases[i].vectors
-        idx = self.dec.subdomains[i].indices
-        self.rhs_local[i] = Bi.T @ self.system.f[idx]
-        off = self.coarse.offsets
-        cb = np.zeros((self.coarse.n0, Bi.shape[1]))
-        for s in self.dec.neighbors[i]:
-            Cs = self.coarse.blocks[s]
-            if Cs.shape[1]:
-                cb[off[s]:off[s + 1], :] = Cs.T @ (self._pair(s, i) @ Bi)
-        self.coarse_blocks[i] = cb
-        for j in self.dec.neighbors[i]:
-            Bj = self.bases[j].vectors
-            a, b = min(i, j), max(i, j)
-            blk = self.bases[a].vectors.T @ (self._pair(a, b) @ self.bases[b].vectors)
-            if a == b:
-                blk = 0.5 * (blk + blk.T)
-            self.blocks[(a, b)] = blk
+        self.W = coarse.matrix.tocsc()
+        M = (self.W.T @ (system.A.to_scipy() @ self.W)).toarray()
+        self.M = 0.5 * (M + M.T)
+        self.rhs = self.W.T @ system.f
+        self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)  # columns of each basis in W
+        self.update(range(dec.n_subdomains))
 
     def update(self, enriched):
-        """Refresh the blocks touched by the enriched subdomains."""
-        for i in np.asarray(enriched, dtype=np.int64).ravel():
-            self._recompute_row(int(i))
+        """Border M and rhs with the basis columns added since the last update."""
+        N = len(self.rhs)
+        ends = self.coarse.n0 + np.cumsum(self.counts)
+        rows, cols, data, at = [], [], [], []
+        for i in np.unique(np.asarray(enriched, dtype=np.int64)):
+            new = self.bases[i].vectors[:, self.counts[i]:]
+            idx = self.dec.subdomains[i].indices
+            k = len(at)
+            rows.append(np.tile(idx, new.shape[1]))
+            cols.append(np.repeat(np.arange(k, k + new.shape[1]), len(idx)))
+            data.append(new.T.ravel())
+            at += [ends[i]] * new.shape[1]
+            self.counts[i] += new.shape[1]
+        if not at:
+            return self
+        k = len(at)
+        Y = sp.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(self.system.n, k)
+        )
+        AY = self.system.A.to_scipy() @ Y
+        # symmetrized while sparse: dense k x k temporaries raised the peak
+        # memory of long snapshot bases by about 20 MB
+        YAY = Y.T @ AY
+        # old column j moves past every new column inserted at or before it
+        at = np.asarray(at, dtype=np.int64)
+        old = np.arange(N) + np.searchsorted(at, np.arange(N), side="right")
+        added = at + np.arange(k)
+        border = (self.W.T @ AY).toarray()
+        M = np.empty((N + k, N + k))
+        M[np.ix_(old, old)] = self.M
+        M[np.ix_(old, added)] = border
+        M[np.ix_(added, old)] = border.T
+        M[np.ix_(added, added)] = (0.5 * (YAY + YAY.T)).toarray()
+        rhs = np.empty(N + k)
+        rhs[old] = self.rhs
+        rhs[added] = Y.T @ self.system.f
+        order = np.argsort(np.concatenate([old, added]))
+        self.W = sp.hstack([self.W, Y], format="csc")[:, order]
+        self.M, self.rhs = M, rhs
         return self
 
     def dimensions(self):
-        dims = [self.coarse.n0] + [b.dim for b in self.bases]
-        return np.array(dims, dtype=np.int64)
-
-    def assemble_dense(self):
-        dims = self.dimensions()
-        off = np.concatenate([[0], np.cumsum(dims)])
-        nred = int(off[-1])
-        M = np.zeros((nred, nred))
-        rhs = np.zeros(nred)
-        M[: dims[0], : dims[0]] = self.A00
-        rhs[: dims[0]] = self.rhs0
-        for i in range(self.dec.n_subdomains):
-            si = slice(off[i + 1], off[i + 2])
-            rhs[si] = self.rhs_local[i]
-            cb = self.coarse_blocks[i]
-            M[: dims[0], si] = cb
-            M[si, : dims[0]] = cb.T
-            for j in self.dec.neighbors[i]:
-                if j < i:
-                    continue
-                blk = self.blocks[(i, j)]
-                sj = slice(off[j + 1], off[j + 2])
-                M[si, sj] = blk
-                if j != i:
-                    M[sj, si] = blk.T
-        return M, rhs, off
+        return np.r_[self.coarse.n0, self.counts]
 
     def solve(self):
         """Solve the reduced system; returns the global iterate and coefficients."""
-        M, rhs, off = self.assemble_dense()
-        if M.shape[0] == 0:
-            return np.zeros(self.dec.grid.n_free), _Coefficients(np.zeros(0), [np.zeros(0)] * self.dec.n_subdomains)
+        M, rhs = self.M, self.rhs
         try:
-            F = factorize(M, self.pivot_tol)
+            F = factorize(M)
         except IndefiniteMatrixError as exc:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
         c = F.solve(rhs)
@@ -198,15 +157,9 @@ class ReducedSystem:
             if np.linalg.norm(res[kept]) <= 1e-13 * nrm:
                 break
             c += F.solve(res)
-        c0 = c[: off[1]]
-        parts = [c[off[i + 1]:off[i + 2]] for i in range(self.dec.n_subdomains)]
-        x = np.zeros(self.dec.grid.n_free)
-        if self.coarse.n0:
-            x += self.coarse.prolong(c0)
-        for i, ci in enumerate(parts):
-            if len(ci):
-                x[self.dec.subdomains[i].indices] += self.bases[i].vectors @ ci
-        return x, _Coefficients(c0, parts)
+        n0 = self.coarse.n0
+        parts = np.split(c[n0:], np.cumsum(self.counts)[:-1])
+        return self.W @ c, _Coefficients(c[:n0], parts)
 
 
 @dataclass
@@ -242,14 +195,12 @@ class SolverOptions:
     keep_full_bases: bool = False
     max_iter: int = 200
     tau: float = 0.5
-    pivot_tol: float = 1e-12
-    drop_tol: float = 1e-10
     trace: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.eps <= 0 or self.eps_loc < 0 or self.max_iter < 1:
+        if not (self.eps > 0) or self.eps_loc < 0 or self.max_iter < 1:
             raise ValueError("eps must be positive, eps_loc nonnegative, max_iter at least 1")
 
 
@@ -311,7 +262,7 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
     """
     f = system.f
     nf = np.linalg.norm(f)
-    rs = ReducedSystem(system, dec, coarse, bases, opts.pivot_tol)
+    rs = ReducedSystem(system, dec, coarse, bases)
     x, coeff = rs.solve()
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
@@ -321,7 +272,7 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
         trace.iterates.append(x.copy())
         trace.residuals.append(r.copy())
         trace.reduced_dims.append(rs.dimensions().sum())
-    while history[-1] > opts.eps:
+    while not (history[-1] <= opts.eps):
         if iterations >= opts.max_iter:
             raise ConvergenceFailure(
                 f"reduced solve stalled at relative residual {history[-1]:.3e} "
@@ -336,7 +287,7 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
             corrections[i] += 1
             if trace is not None:
                 raw[int(i)] = y.copy()
-            if bases[i].append(y, opts.drop_tol):
+            if bases[i].append(y):
                 appended.append(i)
         rs.update(appended)
         x, coeff = rs.solve()
@@ -408,7 +359,7 @@ def pcg(system, ops, x0, eps, max_iter, version=None):
     )
 
 
-def pou_snapshot_guess(system, dec, pou, coarse, previous, pivot_tol=1e-12, drop_tol=1e-10):
+def pou_snapshot_guess(system, dec, pou, coarse, previous):
     """Initial guess from partition-of-unity snapshots of previous solutions.
 
     Builds per-subdomain bases from D_i R_i x for every previous
@@ -419,8 +370,8 @@ def pou_snapshot_guess(system, dec, pou, coarse, previous, pivot_tol=1e-12, drop
     snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
     for x in previous:
         for i, s in enumerate(dec.subdomains):
-            snaps[i].append(pou.weight_of(i) * x[s.indices], drop_tol)
-    rs = ReducedSystem(system, dec, coarse, snaps, pivot_tol)
+            snaps[i].append(pou.weight_of(i) * x[s.indices])
+    rs = ReducedSystem(system, dec, coarse, snaps)
     x0, _ = rs.solve()
     return x0
 
@@ -453,9 +404,9 @@ def run_sequence(problems, dec, pou=None, opts=None):
         }
         coarse = build_geneo_coarse(dec, pou, prob.system, neumanns, opts.tau, previous=coarse, recompute=changed)
         if ops is None:
-            ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=k, pivot_tol=opts.pivot_tol)
+            ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=k)
         else:
-            ops.refresh(prob.system.A, coarse, changed, version=k, pivot_tol=opts.pivot_tol)
+            ops.refresh(prob.system.A, coarse, changed, version=k)
         trace = Trace() if opts.trace else None
         try:
             if opts.strategy == "lrbas":
@@ -467,9 +418,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 coarse_solves = iters + 1
             else:
                 if opts.strategy == "pcg-guess":
-                    x0 = pou_snapshot_guess(
-                        prob.system, dec, pou, coarse, previous_solutions, opts.pivot_tol, opts.drop_tol
-                    )
+                    x0 = pou_snapshot_guess(prob.system, dec, pou, coarse, previous_solutions)
                     guess_solves = 1
                 else:
                     x0 = np.zeros(prob.system.n)

@@ -191,7 +191,7 @@ def test_criterion_3_invariant_suite(small_scale):
                     got = trace.raw_vectors[l][int(i)]
                     rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
                     worst_enrich = max(worst_enrich, rel)
-                    replay[i].append(got, opts.drop_tol)
+                    replay[i].append(got)
         for a, b in zip(errs, errs[1:]):
             if b > a * (1 + 1e-10):
                 monotone = False

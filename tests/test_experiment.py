@@ -103,6 +103,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="channel_centers must be a list"):
             config_from_dict({"geometry": {"channel_centers": 0.5}})
 
+    def test_non_finite_numbers_name_the_key(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"geometry": {"sigma_high": Infinity}}')
+        with pytest.raises(ConfigError, match="geometry.sigma_high must be finite"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="solver.eps must be finite"):
+            config_from_dict({"solver": {"eps": float("nan")}})
+        with pytest.raises(ConfigError, match="coarse.tau must be finite"):
+            config_from_dict({"coarse": {"tau": 10**400}})
+        with pytest.raises(ConfigError, match="geometry.block_y must hold finite numbers"):
+            config_from_dict({"geometry": {"block_y": [0.3, float("inf")]}})
+
+    def test_nan_eps_override_rejected(self):
+        with pytest.raises(ConfigError, match="solver.eps must be positive"):
+            config_from_dict({}).with_overrides(eps=float("nan"))
+
     def test_geometry_errors_are_wrapped(self):
         with pytest.raises(ConfigError, match="geometry: "):
             config_from_dict({"geometry": {"x_left": 0.9, "x_right": 0.1}})

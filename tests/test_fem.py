@@ -182,6 +182,11 @@ class TestBuildCoefficient:
         with pytest.raises(ValueError, match="invalid coefficient"):
             CoefficientField(Grid(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_non_finite_values_rejected(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="invalid coefficient"):
+                CoefficientField(Grid(2), np.array([[1.0, 1.0], [bad, 1.0]]))
+
 
 class TestScheduleFields:
     def test_default_schedule_port_sets(self):

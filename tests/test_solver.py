@@ -1,4 +1,6 @@
 """Tests for the reduced basis solver, its enrichment loop, and the CG baselines."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,11 +241,10 @@ class TestReducedSystem:
         system, dec, _, coarse, _ = _CACHE20()
         bases = empty_bases(dec)
         rs = ReducedSystem(system, dec, coarse, bases)
-        before, rhs_before, _ = rs.assemble_dense()
+        before, rhs_before = rs.M.copy(), rs.rhs.copy()
         rs.update([])
-        after, rhs_after, _ = rs.assemble_dense()
-        assert np.array_equal(before, after)
-        assert np.array_equal(rhs_before, rhs_after)
+        assert np.array_equal(before, rs.M)
+        assert np.array_equal(rhs_before, rs.rhs)
 
     def test_single_enrichment_touches_only_its_blocks(self):
         system, dec, _, coarse, _ = _CACHE20()
@@ -252,19 +253,21 @@ class TestReducedSystem:
         for i, s in enumerate(dec.subdomains):
             bases[i].append(rng.standard_normal(len(s.indices)))
         rs = ReducedSystem(system, dec, coarse, bases)
-        pairs_before = {k: v.copy() for k, v in rs.blocks.items()}
-        coarse_before = [b.copy() for b in rs.coarse_blocks]
-        rhs_before = [v.copy() for v in rs.rhs_local]
+        M_before, rhs_before = rs.M.copy(), rs.rhs.copy()
         target = 2
         bases[target].append(rng.standard_normal(len(dec.subdomains[target].indices)))
         rs.update([target])
-        for (i, j), blk in rs.blocks.items():
-            if target not in (i, j):
-                assert np.array_equal(pairs_before[(i, j)], blk)
-        for i, b in enumerate(rs.coarse_blocks):
-            if i != target:
-                assert np.array_equal(coarse_before[i], b)
-                assert np.array_equal(rhs_before[i], rs.rhs_local[i])
+        # the new column closes the target's block: coarse, then one column per subdomain
+        pos = coarse.n0 + target + 1
+        old = np.delete(np.arange(len(rs.rhs)), pos)
+        assert rs.M.shape == (len(old) + 1, len(old) + 1)
+        assert np.array_equal(rs.M[np.ix_(old, old)], M_before)
+        assert np.array_equal(rs.rhs[old], rhs_before)
+        phi = reduced_space_matrix(dec, coarse, bases)
+        col = phi.T @ system.A.matvec(phi[:, pos])
+        assert np.max(np.abs(rs.M[:, pos] - col)) <= 1e-12 * np.abs(col).max()
+        assert np.array_equal(rs.M[:, pos], rs.M[pos, :])
+        assert rs.rhs[pos] == pytest.approx(phi[:, pos] @ system.f, rel=1e-12)
 
     def test_incremental_update_matches_fresh_assembly(self):
         system, dec, _, coarse, _ = _CACHE20()
@@ -279,16 +282,14 @@ class TestReducedSystem:
                     enriched.append(i)
             rs.update(enriched)
         fresh = ReducedSystem(system, dec, coarse, bases)
-        M1, rhs1, _ = rs.assemble_dense()
-        M2, rhs2, _ = fresh.assemble_dense()
-        scale = np.abs(M2).max()
-        assert np.max(np.abs(M1 - M2)) <= 1e-12 * scale
-        assert np.max(np.abs(rhs1 - rhs2)) <= 1e-12 * np.abs(rhs2).max()
+        scale = np.abs(fresh.M).max()
+        assert np.max(np.abs(rs.M - fresh.M)) <= 1e-12 * scale
+        assert np.max(np.abs(rs.rhs - fresh.rhs)) <= 1e-12 * np.abs(fresh.rhs).max()
 
     def test_corrupted_system_reports_indefiniteness(self):
         system, dec, _, coarse, _ = _CACHE20()
         rs = ReducedSystem(system, dec, coarse, empty_bases(dec))
-        rs.A00 = -np.eye(coarse.n0)
+        rs.M = -rs.M
         with pytest.raises(IndefiniteMatrixError, match="reduced system not positive semidefinite"):
             rs.solve()
 
@@ -450,7 +451,7 @@ class TestSolveOne:
                     want = np.linalg.solve(Ai, rt[idx])
                     got = trace.raw_vectors[l][int(i)]
                     assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
-                    replay[i].append(got, opts.drop_tol)
+                    replay[i].append(got)
         # exhaustive enrichment: every subdomain with residual mass is selected
         for l, sel in enumerate(trace.selections):
             nz = np.flatnonzero(local_residual_norms(trace.residuals[l], dec) > 0)
@@ -485,6 +486,14 @@ class TestSolveOne:
         assert iters == 1
         assert len(history) == 2
         assert corrections.sum() > 0
+
+    def test_nan_residual_is_not_converged(self):
+        system, dec, _, coarse, ops = _CACHE20()
+        f = system.f.copy()
+        f[0] = np.nan
+        opts = SolverOptions(max_iter=2)
+        with pytest.raises(ConvergenceFailure, match="stalled at relative residual nan"):
+            lrbas_solve_one(replace(system, f=f), dec, ops, coarse, empty_bases(dec), opts)
 
 
 class TestRunSequence:
@@ -594,6 +603,8 @@ class TestSolverOptions:
             SolverOptions(eps_loc=-1.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+        with pytest.raises(ValueError):
+            SolverOptions(eps=float("nan"))
 
 
 _CACHE = {}
