@@ -41,7 +41,6 @@ from .linalg import (
     IndefiniteMatrixError,
     SparseSymMatrix,
     factorize,
-    reference_solve,
     sym_gen_eig,
 )
 from .solver import (
@@ -100,7 +99,6 @@ __all__ = [
     "pcg",
     "pou_snapshot_guess",
     "problem_sequence",
-    "reference_solve",
     "run",
     "run_sequence",
     "schedule_fields",

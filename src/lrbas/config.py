@@ -2,7 +2,7 @@
 
 A configuration file holds a single JSON object with flat sections
 (``grid``, ``decomposition``, ``coarse``, ``solver``, ``geometry``,
-``schedule``, ``output``, ``seed``). Every key is optional; an empty
+``schedule``, ``output``). Every key is optional; an empty
 document reproduces the reference setup: 200 x 200 grid, 10 x 10
 subdomains, overlap 4, tau = 0.5, eps = 1e-6, eps_loc = 0.25, the
 default channel geometry and port schedule. Unknown keys and
@@ -37,7 +37,6 @@ class ExperimentConfig:
     geometry: ChannelGeometry = field(default_factory=ChannelGeometry)
     schedule: ModificationSchedule = DEFAULT_SCHEDULE
     output_dir: str = "results"
-    seed: int = 0  # reserved; no component draws random numbers today
 
     def __post_init__(self):
         if self.grid_size < 2:
@@ -67,7 +66,7 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"schedule: {exc}") from None
 
-    def solver_options(self, trace=False):
+    def solver_options(self):
         return SolverOptions(
             strategy=self.strategy,
             eps=self.eps,
@@ -75,7 +74,6 @@ class ExperimentConfig:
             keep_full_bases=self.keep_full_bases,
             max_iter=self.max_iter,
             tau=self.tau,
-            trace=trace,
         )
 
     def to_json_dict(self):
@@ -103,7 +101,6 @@ class ExperimentConfig:
             },
             "schedule": [sorted(ports) for ports in self.schedule],
             "output": {"directory": self.output_dir},
-            "seed": self.seed,
         }
 
     def with_overrides(self, **kwargs):
@@ -138,7 +135,7 @@ def _typed(section, prefix, key, default, kind):
     if key not in section:
         return default
     v = section[key]
-    path = f"{prefix}.{key}" if prefix else key
+    path = f"{prefix}.{key}"
     if kind is bool:
         _require(isinstance(v, bool), f"{path} must be a boolean")
         return v
@@ -177,7 +174,7 @@ def config_from_dict(data):
     _reject_unknown(
         data,
         "",
-        {"grid", "decomposition", "coarse", "solver", "geometry", "schedule", "output", "seed"},
+        {"grid", "decomposition", "coarse", "solver", "geometry", "schedule", "output"},
     )
     base = ExperimentConfig()
 
@@ -245,7 +242,6 @@ def config_from_dict(data):
         geometry=geometry,
         schedule=schedule,
         output_dir=_typed(output, "output", "directory", base.output_dir, str),
-        seed=_typed(data, "", "seed", base.seed, int),
     )
 
 

@@ -100,9 +100,6 @@ class PartitionOfUnity:
     weights: np.ndarray  # full free-node vector
     local: list  # weights restricted to each index set
 
-    def weight_of(self, i):
-        return self.local[i]
-
 
 def build_partition_of_unity(dec):
     n = dec.grid.n_free
@@ -132,10 +129,8 @@ def detect_changed_subdomains(changed_elements, dec):
 class CoarseSpace:
     """Per-subdomain coarse vector blocks, concatenated column-wise."""
 
-    def __init__(self, dec, blocks, tau):
-        self.dec = dec
+    def __init__(self, dec, blocks):
         self.blocks = blocks  # list of (n_i, m_i) arrays
-        self.tau = tau
         self.counts = np.array([b.shape[1] for b in blocks], dtype=np.int64)
         self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
         self.n0 = int(self.offsets[-1])
@@ -189,7 +184,7 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
         K_neu, nidx = neumanns[i]
         if not np.array_equal(nidx, idx):
             raise ValueError(f"neumann matrix of subdomain {i} is over a different index set")
-        D = pou.weight_of(i)
+        D = pou.local[i]
         A_i = system.A.submatrix(idx)
         B = A_i * D[:, None] * D[None, :]
         delta = 1e-12 * max(B.diagonal().max(), 0.0)
@@ -198,7 +193,7 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
         w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
         sel = w < tau
         blocks.append(D[:, None] * P[:, sel])
-    coarse = CoarseSpace(dec, blocks, tau)
+    coarse = CoarseSpace(dec, blocks)
     if coarse.n0 == 0:
         warnings.warn("GenEO selected no vectors; coarse space is empty", stacklevel=2)
     return coarse

@@ -20,7 +20,8 @@ class IndefiniteMatrixError(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """Raised when an iterative solve exhausts its iteration budget.
+    """Raised when an iterative solve exhausts its iteration budget, or
+    when a step of a sequence fails numerically.
 
     Carries an optional ``report`` attribute with whatever partial
     results the caller attached.
@@ -51,7 +52,7 @@ class SparseSymMatrix:
     (j, i) in the same order.
     """
 
-    def __init__(self, csr, validate=False):
+    def __init__(self, csr):
         if not sp.issparse(csr) or csr.format != "csr":
             raise ValueError("expected a scipy CSR matrix")
         if csr.shape[0] != csr.shape[1]:
@@ -60,11 +61,9 @@ class SparseSymMatrix:
         if not csr.has_sorted_indices:
             csr.sort_indices()
         self._csr = csr
-        if validate:
-            self.check()
 
     @classmethod
-    def from_coo(cls, n, rows, cols, vals, validate=False):
+    def from_coo(cls, n, rows, cols, vals):
         """Build from COO triplets, summing duplicates deterministically.
 
         Duplicates are grouped by (row, col) with a stable sort, so the
@@ -88,29 +87,14 @@ class SparseSymMatrix:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ru, minlength=n), out=indptr[1:])
         csr = sp.csr_matrix((data, cu.astype(np.int32, copy=False) if n < 2**31 else cu, indptr), shape=(n, n))
-        return cls(csr, validate=validate)
-
-    @classmethod
-    def from_dense(cls, M, validate=True):
-        M = _require_symmetric(M)
-        return cls(sp.csr_matrix(M), validate=validate)
+        return cls(csr)
 
     @property
     def n(self):
         return self._csr.shape[0]
 
-    @property
-    def nnz(self):
-        return self._csr.nnz
-
     def to_scipy(self):
         return self._csr
-
-    def toarray(self):
-        return self._csr.toarray()
-
-    def diagonal(self):
-        return self._csr.diagonal()
 
     def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -120,53 +104,12 @@ class SparseSymMatrix:
 
     def submatrix(self, rows):
         """Dense principal submatrix over the strictly increasing index list."""
-        rows = self._check_index(rows)
-        return self._slice(rows, rows).toarray()
-
-    def submatrix_pair(self, rows, cols):
-        """Sparse rectangular block A[rows, cols], both lists strictly increasing."""
-        return self._slice(self._check_index(rows), self._check_index(cols))
-
-    def _check_index(self, idx):
-        idx = np.asarray(idx, dtype=np.int64).ravel()
-        if len(idx) == 0:
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        if len(rows) == 0:
             raise ValueError("empty index list")
-        if idx[0] < 0 or idx[-1] >= self.n or (len(idx) > 1 and (np.diff(idx) <= 0).any()):
+        if rows[0] < 0 or rows[-1] >= self.n or (len(rows) > 1 and (np.diff(rows) <= 0).any()):
             raise ValueError("indices must be strictly increasing and in range")
-        return idx
-
-    def _slice(self, rows, cols):
-        out = self._csr[rows][:, cols].tocsr()
-        out.sort_indices()
-        return out
-
-    def check(self):
-        """Validate the structural invariants; raises ValueError on violation."""
-        csr = self._csr
-        n = csr.shape[0]
-        if (np.diff(csr.indptr) < 0).any():
-            raise ValueError("row offsets must be non-decreasing")
-        for_row = np.repeat(np.arange(n), np.diff(csr.indptr))
-        same_row = for_row[1:] == for_row[:-1] if csr.nnz > 1 else np.array([], bool)
-        if csr.nnz > 1 and (np.diff(csr.indices)[same_row] <= 0).any():
-            raise ValueError("column indices must be strictly increasing within rows")
-        t = csr.T.tocsr()
-        t.sort_indices()
-        if not (np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)):
-            raise ValueError("sparsity structure is not symmetric")
-        if not np.array_equal(t.data, csr.data):
-            raise ValueError("values are not symmetric")
-        # structural diagonal must be present with a positive value
-        cnt_left = np.bincount(for_row[csr.indices < for_row], minlength=n)
-        pos = csr.indptr[:-1] + cnt_left
-        in_row = pos < csr.indptr[1:]
-        present = np.zeros(n, dtype=bool)
-        present[in_row] = csr.indices[pos[in_row]] == np.arange(n)[in_row]
-        if not present.all():
-            raise ValueError("diagonal entries must be structurally present")
-        if (csr.diagonal() <= 0).any():
-            raise ValueError("diagonal entries must be positive")
-        return self
+        return self._csr[rows][:, rows].toarray()
 
 
 @dataclass
@@ -210,13 +153,6 @@ class Factorization:
         w = sla.solve_triangular(L11, z, lower=True, trans=1, check_finite=False)
         x[self.perm[:r]] = w
         return x
-
-    def reconstruct(self):
-        """Return P L L^T P^T as a dense matrix (testing aid)."""
-        M = self.lower @ self.lower.T
-        out = np.empty((self.n, self.n))
-        out[np.ix_(self.perm, self.perm)] = M
-        return out
 
 
 def factorize(M, pivot_tol=1e-12):
@@ -277,40 +213,3 @@ def sym_gen_eig(A, B, upper=None):
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError(f"invalid right-hand matrix: {exc}") from exc
     return w, V
-
-
-def reference_solve(A, f, tol=1e-12, max_iter=None):
-    """Unpreconditioned conjugate gradients on a SparseSymMatrix.
-
-    The residual is recomputed from scratch every iteration, and the
-    solve stops once ||f - A x|| <= tol * ||f||. Exceeding the budget
-    (default 10 n) raises ConvergenceFailure.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    n = A.n
-    if f.shape != (n,):
-        raise ValueError(f"right-hand side length {f.shape} does not match dimension {n}")
-    nf = np.linalg.norm(f)
-    x = np.zeros(n)
-    if nf == 0.0:
-        return x
-    if max_iter is None:
-        max_iter = 10 * n
-    r = f.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    if np.sqrt(rs) <= tol * nf:
-        return x
-    for _ in range(max_iter):
-        Ap = A.matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise IndefiniteMatrixError("matrix not positive definite in reference solve")
-        x += (rs / pAp) * p
-        r = f - A.matvec(x)
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * nf:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceFailure(f"reference solve did not converge in {max_iter} iterations")

@@ -195,24 +195,12 @@ class SolverOptions:
     keep_full_bases: bool = False
     max_iter: int = 200
     tau: float = 0.5
-    trace: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if not (self.eps > 0) or self.eps_loc < 0 or self.max_iter < 1:
             raise ValueError("eps must be positive, eps_loc nonnegative, max_iter at least 1")
-
-
-@dataclass
-class Trace:
-    """Per-step debugging record, filled when tracing is enabled."""
-
-    iterates: list = dc_field(default_factory=list)  # global iterate per reduced solve
-    residuals: list = dc_field(default_factory=list)  # residual vector per reduced solve
-    selections: list = dc_field(default_factory=list)  # enriched subdomain ids per sweep
-    raw_vectors: list = dc_field(default_factory=list)  # dict i -> correction before GS, per sweep
-    reduced_dims: list = dc_field(default_factory=list)
 
 
 @dataclass
@@ -226,7 +214,6 @@ class StepReport:
     final_relative_residual: float
     geneo_counts: np.ndarray
     solution: np.ndarray
-    trace: Trace | None = None
 
     @property
     def total_corrections(self):
@@ -236,8 +223,6 @@ class StepReport:
 @dataclass
 class SolveReport:
     strategy: str
-    options: SolverOptions
-    layout: int
     entries: list = dc_field(default_factory=list)
 
     @property
@@ -253,7 +238,7 @@ class SolveReport:
         return sum(e.coarse_solves for e in self.entries)
 
 
-def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
+def lrbas_solve_one(system, dec, ops, coarse, bases, opts):
     """One reduced basis solve with adaptive enrichment.
 
     Mutates ``bases`` (appends enrichment vectors). Returns the final
@@ -268,10 +253,6 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
     history = [np.linalg.norm(r) / nf if nf else 0.0]
     corrections = np.zeros(dec.n_subdomains, dtype=np.int64)
     iterations = 0
-    if trace is not None:
-        trace.iterates.append(x.copy())
-        trace.residuals.append(r.copy())
-        trace.reduced_dims.append(rs.dimensions().sum())
     while not (history[-1] <= opts.eps):
         if iterations >= opts.max_iter:
             raise ConvergenceFailure(
@@ -281,12 +262,9 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
             )
         selected = select_enrichment(r, dec, opts.eps_loc)
         appended = []
-        raw = {}
         for i in selected:
             y = ops.factors[i].solve(r[dec.subdomains[i].indices])
             corrections[i] += 1
-            if trace is not None:
-                raw[int(i)] = y.copy()
             if bases[i].append(y):
                 appended.append(i)
         rs.update(appended)
@@ -294,12 +272,6 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts, trace=None):
         r = f - system.A.matvec(x)
         history.append(np.linalg.norm(r) / nf if nf else 0.0)
         iterations += 1
-        if trace is not None:
-            trace.selections.append(np.asarray(selected))
-            trace.raw_vectors.append(raw)
-            trace.iterates.append(x.copy())
-            trace.residuals.append(r.copy())
-            trace.reduced_dims.append(rs.dimensions().sum())
     return x, coeff, iterations, corrections, history
 
 
@@ -370,7 +342,7 @@ def pou_snapshot_guess(system, dec, pou, coarse, previous):
     snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
     for x in previous:
         for i, s in enumerate(dec.subdomains):
-            snaps[i].append(pou.weight_of(i) * x[s.indices])
+            snaps[i].append(pou.local[i] * x[s.indices])
     rs = ReducedSystem(system, dec, coarse, snaps)
     x0, _ = rs.solve()
     return x0
@@ -381,7 +353,10 @@ def run_sequence(problems, dec, pou=None, opts=None):
 
     Refreshes local factorizations and the GenEO coarse space only for
     subdomains whose extended block meets the change set of each step;
-    step 1 builds everything.
+    step 1 builds everything. A numerical failure anywhere in a step
+    (stalled iteration, indefinite matrix, LAPACK error) is raised as
+    ConvergenceFailure naming the step, with the report of the steps
+    completed before it.
     """
     if opts is None:
         opts = SolverOptions()
@@ -392,27 +367,26 @@ def run_sequence(problems, dec, pou=None, opts=None):
     previous_solutions = []
     ops = None
     coarse = None
-    report = SolveReport(opts.strategy, opts, dec.layout)
+    report = SolveReport(opts.strategy)
     for k, prob in enumerate(problems, start=1):
-        if k == 1:
-            changed = np.arange(I)
-        else:
-            changed = detect_changed_subdomains(prob.changed_elements, dec)
-        neumanns = {
-            int(i): assemble_local_neumann(dec.grid, prob.coefficient, dec.extended_elements(int(i)))
-            for i in changed
-        }
-        coarse = build_geneo_coarse(dec, pou, prob.system, neumanns, opts.tau, previous=coarse, recompute=changed)
-        if ops is None:
-            ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=k)
-        else:
-            ops.refresh(prob.system.A, coarse, changed, version=k)
-        trace = Trace() if opts.trace else None
         try:
+            if k == 1:
+                changed = np.arange(I)
+            else:
+                changed = detect_changed_subdomains(prob.changed_elements, dec)
+            neumanns = {
+                int(i): assemble_local_neumann(dec.grid, prob.coefficient, dec.extended_elements(int(i)))
+                for i in changed
+            }
+            coarse = build_geneo_coarse(dec, pou, prob.system, neumanns, opts.tau, previous=coarse, recompute=changed)
+            if ops is None:
+                ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=k)
+            else:
+                ops.refresh(prob.system.A, coarse, changed, version=k)
             if opts.strategy == "lrbas":
                 initial = [b.copy() for b in bases]
                 x, coeff, iters, corrections, history = lrbas_solve_one(
-                    prob.system, dec, ops, coarse, bases, opts, trace
+                    prob.system, dec, ops, coarse, bases, opts
                 )
                 bases = transition_bases(initial, bases, coeff, opts.keep_full_bases)
                 coarse_solves = iters + 1
@@ -427,7 +401,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 previous_solutions.append(x)
                 corrections = np.full(I, iters, dtype=np.int64)
                 coarse_solves = iters + guess_solves
-        except ConvergenceFailure as exc:
+        except (ConvergenceFailure, IndefiniteMatrixError, np.linalg.LinAlgError) as exc:
             raise ConvergenceFailure(f"step {k}: {exc}", report=report) from exc
         report.entries.append(
             StepReport(
@@ -440,7 +414,6 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 final_relative_residual=history[-1],
                 geneo_counts=coarse.counts.copy(),
                 solution=x,
-                trace=trace,
             )
         )
     return report

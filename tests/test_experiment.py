@@ -9,6 +9,8 @@ from lrbas import (
     ConfigError,
     ConvergenceFailure,
     ExperimentConfig,
+    IndefiniteMatrixError,
+    LocalOperators,
     compare,
     config_from_dict,
     load_config,
@@ -73,6 +75,8 @@ class TestConfig:
     def test_unknown_top_level_key_named(self):
         with pytest.raises(ConfigError, match="unknown key grdi"):
             config_from_dict({"grdi": {}})
+        with pytest.raises(ConfigError, match="unknown key seed"):
+            config_from_dict({"seed": 7})
 
     def test_unknown_section_key_named_with_path(self):
         with pytest.raises(ConfigError, match="unknown key solver.verbose"):
@@ -156,7 +160,6 @@ class TestConfig:
                 "solver": {"strategy": "pcg-guess", "eps": 1e-8},
                 "geometry": dict(MILD),
                 "schedule": [[1], [1, 4]],
-                "seed": 7,
             }
         )
         assert config_from_dict(cfg.to_json_dict()) == cfg
@@ -442,6 +445,22 @@ class TestCli:
         path = self.write_config(tmp_path, solver={"eps": 1e-16, "max_iter": 1})
         assert main(["solve", "--config", str(path)]) == 2
         assert "step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [IndefiniteMatrixError, np.linalg.LinAlgError])
+    def test_numerical_failure_exit_two_with_partial_artifacts(
+        self, tmp_path, capsys, monkeypatch, error
+    ):
+        def failing_refresh(*args, **kwargs):  # refresh runs from step 2 on
+            raise error("injected")
+
+        monkeypatch.setattr(LocalOperators, "refresh", failing_refresh)
+        path = self.write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "step 2: injected" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert "step 2: injected" in (out / "FAILED").read_text()
+        _, rows = read_csv(out / "summary.csv")
+        assert [row[0] for row in rows] == ["1", "total"]
 
     def test_compare_exit_zero(self, tmp_path, capsys, monkeypatch):
         path = self.write_config(tmp_path)

@@ -1,16 +1,10 @@
-"""Sparse storage, factorization, eigensolver, and reference CG tests."""
+"""Sparse storage, factorization, and eigensolver tests."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from lrbas.linalg import (
-    ConvergenceFailure,
-    IndefiniteMatrixError,
-    SparseSymMatrix,
-    factorize,
-    reference_solve,
-    sym_gen_eig,
-)
+from lrbas.linalg import IndefiniteMatrixError, SparseSymMatrix, factorize, sym_gen_eig
 
 
 def tridiag(n, d=2.0, o=-1.0):
@@ -27,42 +21,46 @@ def random_spd(rng, n, shift=1.0):
     return G @ G.T + shift * np.eye(n)
 
 
+def sparse_sym(M):
+    return SparseSymMatrix(sp.csr_matrix(M))
+
+
 # ---------------------------------------------------------------- storage
 
 
 class TestSparseSymMatrix:
     def test_matvec_identity(self):
-        A = SparseSymMatrix.from_dense(np.eye(2))
+        A = sparse_sym(np.eye(2))
         assert np.array_equal(A.matvec(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_matvec_row_sums(self):
-        A = SparseSymMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        A = sparse_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.array_equal(A.matvec(np.array([1.0, 1.0])), [3.0, 3.0])
 
     def test_matvec_tridiagonal(self):
-        A = SparseSymMatrix.from_dense(tridiag(3))
+        A = sparse_sym(tridiag(3))
         assert np.array_equal(A.matvec(np.array([1.0, 2.0, 3.0])), [0.0, 0.0, 4.0])
 
     def test_matvec_dimension_mismatch(self):
-        A = SparseSymMatrix.from_dense(np.eye(2))
+        A = sparse_sym(np.eye(2))
         with pytest.raises(ValueError):
             A.matvec(np.ones(3))
 
     def test_submatrix_adjacent_rows(self):
-        A = SparseSymMatrix.from_dense(tridiag(3))
+        A = sparse_sym(tridiag(3))
         assert np.array_equal(A.submatrix(np.array([0, 1])), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_submatrix_full_is_dense_copy(self):
         M = tridiag(4)
-        A = SparseSymMatrix.from_dense(M)
+        A = sparse_sym(M)
         assert np.array_equal(A.submatrix(np.arange(4)), M)
 
     def test_submatrix_skipping_a_row_zeroes_coupling(self):
-        A = SparseSymMatrix.from_dense(tridiag(3))
+        A = sparse_sym(tridiag(3))
         assert np.array_equal(A.submatrix(np.array([0, 2])), [[2.0, 0.0], [0.0, 2.0]])
 
     def test_submatrix_out_of_range(self):
-        A = SparseSymMatrix.from_dense(tridiag(3))
+        A = sparse_sym(tridiag(3))
         with pytest.raises(ValueError):
             A.submatrix(np.array([0, 3]))
 
@@ -80,28 +78,22 @@ class TestSparseSymMatrix:
         A = SparseSymMatrix.from_coo(n, rows, cols, vals)
         D = A.submatrix(np.arange(n))
         assert np.array_equal(D, D.T)
-        A.check()
-
-    def test_check_rejects_asymmetric_values(self):
-        import scipy.sparse as sp
-
-        M = sp.csr_matrix(np.array([[2.0, 1.0], [1.5, 2.0]]))
-        with pytest.raises(ValueError):
-            SparseSymMatrix(M).check()
-
-    def test_check_rejects_missing_diagonal(self):
-        import scipy.sparse as sp
-
-        M = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 0.0]]))
-        M.eliminate_zeros()
-        with pytest.raises(ValueError):
-            SparseSymMatrix(M).check()
+        csr = A.to_scipy()
+        # column indices strictly increasing within each row
+        row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
+        assert (np.diff(row_of * n + csr.indices) > 0).all()
+        # structure and values bitwise symmetric, diagonal present and positive
+        t = csr.T.tocsr()
+        t.sort_indices()
+        assert np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)
+        assert np.array_equal(t.data, csr.data)
+        assert (csr.diagonal() > 0).all()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     def test_matvec_linearity(self, n, seed):
         rng = np.random.default_rng(seed)
-        A = SparseSymMatrix.from_dense(random_spd(rng, n))
+        A = sparse_sym(random_spd(rng, n))
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         a, b = rng.standard_normal(2)
         lhs = A.matvec(a * x + b * y)
@@ -114,7 +106,7 @@ class TestSparseSymMatrix:
     def test_submatrix_matches_explicit_restriction(self, n, seed):
         rng = np.random.default_rng(seed)
         M = random_spd(rng, n)
-        A = SparseSymMatrix.from_dense(M)
+        A = sparse_sym(M)
         k = int(rng.integers(1, n + 1))
         rows = np.sort(rng.choice(n, size=k, replace=False))
         R = np.zeros((k, n))
@@ -176,7 +168,9 @@ class TestFactorize:
         rng = np.random.default_rng(3)
         M = random_spd(rng, 8)
         F = factorize(M, 1e-12)
-        err = np.abs(F.reconstruct() - M).max()
+        LLt = np.empty_like(M)
+        LLt[np.ix_(F.perm, F.perm)] = F.lower @ F.lower.T  # P L L^T P^T
+        err = np.abs(LLt - M).max()
         assert err <= 1e-10 * np.abs(M).max()
 
     @settings(max_examples=50, deadline=None)
@@ -250,47 +244,3 @@ class TestSymGenEig:
         res = A @ P - B @ P * w
         bound = 1e-8 * (np.abs(A).max() + np.abs(w).max() * np.abs(B).max()) * n
         assert np.abs(res).max() <= bound
-
-
-# ---------------------------------------------------------------- reference CG
-
-
-class TestReferenceSolve:
-    def test_identity_single_iteration(self):
-        A = SparseSymMatrix.from_dense(np.eye(4))
-        f = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.allclose(reference_solve(A, f), f, atol=1e-12)
-
-    def test_diagonal_inversion(self):
-        A = SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 4.0]))
-        x = reference_solve(A, np.array([1.0, 2.0, 4.0]))
-        assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-10)
-
-    def test_grid_laplacian_matches_dense_solve(self):
-        # 5x5 interior-point Laplacian of the unit square
-        n = 5
-        N = n * n
-        M = np.zeros((N, N))
-        for j in range(n):
-            for i in range(n):
-                p = j * n + i
-                M[p, p] = 4.0
-                for q in (p - 1 if i > 0 else None, p + 1 if i < n - 1 else None,
-                          p - n if j > 0 else None, p + n if j < n - 1 else None):
-                    if q is not None:
-                        M[p, q] = -1.0
-        A = SparseSymMatrix.from_dense(M)
-        f = np.ones(N)
-        x = reference_solve(A, f)
-        assert np.linalg.norm(x - np.linalg.solve(M, f)) <= 1e-10
-
-    def test_indefinite_matrix_rejected(self):
-        # positive diagonal but indefinite (eigenvalues 3 and -1)
-        A = SparseSymMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        with pytest.raises(IndefiniteMatrixError):
-            reference_solve(A, np.array([1.0, -1.0]))
-
-    def test_iteration_cap_raises(self):
-        A = SparseSymMatrix.from_dense(np.diag([1.0, 1e14]))
-        with pytest.raises(ConvergenceFailure, match="did not converge"):
-            reference_solve(A, np.array([1.0, 1.0]), tol=1e-15, max_iter=2)

@@ -58,7 +58,7 @@ MILD_GEOMETRY = ChannelGeometry(
 
 
 def empty_coarse(dec):
-    return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets], 0.5)
+    return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets])
 
 
 def empty_bases(dec):
@@ -414,25 +414,24 @@ def _coeff(local):
 
 
 class TestSolveOne:
-    def test_invariants_along_the_iteration(self):
+    def test_invariants_along_the_iteration(self, spy_solver):
         # Galerkin orthogonality, exhaustive-enrichment identity, and
         # energy-norm monotonicity, checked against a dense solve.
         system, dec, pou, coarse, ops = _MILD20()
-        opts = SolverOptions(eps=1e-6, eps_loc=0.0, trace=True)
-        from lrbas.solver import Trace
-
-        trace = Trace()
+        opts = SolverOptions(eps=1e-6, eps_loc=0.0)
         bases = empty_bases(dec)
-        x, coeff, iters, corrections, history = lrbas_solve_one(
-            system, dec, ops, coarse, bases, opts, trace
+        (x, coeff, iters, corrections, history), log = spy_solver(
+            lrbas_solve_one, system, dec, ops, coarse, bases, opts
         )
         A = system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, system.f)
         anorm = lambda v: np.sqrt(max(v @ (A @ v), 0.0))
 
+        residuals = [system.f - system.A.matvec(xt) for xt in log.iterates]
+        raw = iter(log.raw_vectors)
         replay = empty_bases(dec)
         errs = []
-        for l, (xt, rt) in enumerate(zip(trace.iterates, trace.residuals)):
+        for l, (xt, rt) in enumerate(zip(log.iterates, residuals)):
             e = x_exact - xt
             errs.append(anorm(e))
             phi = reduced_space_matrix(dec, coarse, replay)
@@ -441,26 +440,26 @@ class TestSolveOne:
                 col_norms = np.sqrt(np.maximum(np.sum(phi * (A @ phi), axis=0), 1e-300))
                 ortho = np.abs(phi.T @ (A @ e)) / (col_norms * max(errs[-1], 1e-300))
                 assert np.max(ortho) < 1e-8
-            if l < len(trace.selections):
-                sel = trace.selections[l]
+            if l < len(log.selections):
+                sel = log.selections[l]
                 # every applied correction equals the local solve of the
-                # traced residual, recomputed independently
+                # recomputed residual
                 for i in sel:
                     idx = dec.subdomains[i].indices
                     Ai = A[np.ix_(idx, idx)]
                     want = np.linalg.solve(Ai, rt[idx])
-                    got = trace.raw_vectors[l][int(i)]
+                    got = next(raw)
                     assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1e-300)
                     replay[i].append(got)
         # exhaustive enrichment: every subdomain with residual mass is selected
-        for l, sel in enumerate(trace.selections):
-            nz = np.flatnonzero(local_residual_norms(trace.residuals[l], dec) > 0)
+        for l, sel in enumerate(log.selections):
+            nz = np.flatnonzero(local_residual_norms(residuals[l], dec) > 0)
             assert np.array_equal(sel, nz)
         # nested spaces give non-increasing energy error
         for a, b in zip(errs, errs[1:]):
             assert b <= a * (1 + 1e-10)
         assert history[-1] <= 1e-6
-        assert corrections.sum() == sum(len(s) for s in trace.selections)
+        assert corrections.sum() == sum(len(s) for s in log.selections) == len(log.raw_vectors)
         assert iters == len(history) - 1
 
     def test_single_subdomain_converges_in_one_sweep(self):
@@ -567,18 +566,18 @@ class TestRunSequence:
         with pytest.raises(ConvergenceFailure, match="step 1"):
             run_sequence(probs, dec, opts=opts)
 
-    def test_keep_full_bases_never_shrink(self):
+    def test_keep_full_bases_never_shrink(self, spy_solver):
         grid = Grid(20)
         dec = build_decomposition(grid, 2, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
-        opts = SolverOptions(strategy="lrbas", keep_full_bases=True, trace=True)
-        report = run_sequence(probs, dec, opts=opts)
-        # compare the basis part only: the coarse dimension moves when
-        # changed subdomains recompute their spectral vectors
-        dims = [
-            np.asarray(e.trace.reduced_dims) - e.geneo_counts.sum()
-            for e in report.entries
-        ]
+        opts = SolverOptions(strategy="lrbas", keep_full_bases=True)
+        report, log = spy_solver(run_sequence, probs, dec, opts=opts)
+        # each step makes one reduced solve per coarse solve; compare the
+        # basis part only: the coarse dimension moves when changed
+        # subdomains recompute their spectral vectors
+        ends = np.cumsum([e.coarse_solves for e in report.entries])[:-1]
+        steps = np.split(np.asarray(log.reduced_dims), ends)
+        dims = [d - e.geneo_counts.sum() for d, e in zip(steps, report.entries)]
         for prev, cur in zip(dims, dims[1:]):
             assert cur[0] >= prev[-1]
 
