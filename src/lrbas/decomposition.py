@@ -185,8 +185,7 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
         if not np.array_equal(nidx, idx):
             raise ValueError(f"neumann matrix of subdomain {i} is over a different index set")
         D = pou.local[i]
-        A_i = system.A.submatrix(idx)
-        B = A_i * D[:, None] * D[None, :]
+        B = (sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)).toarray()
         delta = 1e-12 * max(B.diagonal().max(), 0.0)
         B[np.diag_indices_from(B)] += delta
         w, P = sym_gen_eig(K_neu, B, upper=tau)
@@ -201,7 +200,12 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
 
 @dataclass
 class LocalOperators:
-    """Factorized local Dirichlet matrices plus the coarse matrix."""
+    """Factorized local Dirichlet matrices plus the coarse matrix.
+
+    Each local matrix A_i is factored by banded Cholesky in the natural
+    (ascending) node order of its index set, where its bandwidth is about
+    the subdomain's width in nodes; the coarse matrix is dense.
+    """
 
     index_sets: list
     factors: list

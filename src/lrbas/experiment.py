@@ -152,11 +152,24 @@ def _load_report_dir(directory):
         raise ConfigError(f"{directory} has no config.json")
     if (directory / "FAILED").is_file():
         raise ConfigError(f"{directory} holds a failed run")
-    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
-    header, rows = read_csv(directory / "summary.csv")
-    if tuple(header) != SUMMARY_HEADER or not rows or rows[-1][0] != "total":
+    try:
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{directory}/config.json is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{directory}/config.json is not a JSON object")
+    summary = directory / "summary.csv"
+    if not summary.is_file():
+        raise ConfigError(f"{directory} has no summary.csv")
+    header, rows = read_csv(summary)
+    totals = rows[-1] if rows else []
+    if (
+        tuple(header) != SUMMARY_HEADER
+        or len(totals) != len(SUMMARY_HEADER)
+        or totals[0] != "total"
+        or not all(v.isdigit() for v in totals[1:4])
+    ):
         raise ConfigError(f"{directory}/summary.csv is not a summary table")
-    totals = rows[-1]
     solver = cfg.get("solver", {})
     return cfg, ComparisonRow(
         strategy=solver.get("strategy", ""),

@@ -2,8 +2,10 @@
 
 Dense symmetric matrices and vectors are plain float64 ndarrays; the
 classes here add the two structures the solvers rely on: a CSR matrix
-that stores both triangles of a symmetric matrix, and a semidefinite
-Cholesky factorization with threshold pivoting.
+that stores both triangles of a symmetric matrix, and a Cholesky
+factorization. A dense matrix (the coarse and reduced systems) gets a
+semidefinite factor with threshold pivoting; a sparse one (the local
+Dirichlet matrices) gets a banded factor in its own index order.
 """
 from __future__ import annotations
 
@@ -103,13 +105,13 @@ class SparseSymMatrix:
         return self._csr @ x
 
     def submatrix(self, rows):
-        """Dense principal submatrix over the strictly increasing index list."""
+        """Sparse CSR principal submatrix over the strictly increasing index list."""
         rows = np.asarray(rows, dtype=np.int64).ravel()
         if len(rows) == 0:
             raise ValueError("empty index list")
         if rows[0] < 0 or rows[-1] >= self.n or (len(rows) > 1 and (np.diff(rows) <= 0).any()):
             raise ValueError("indices must be strictly increasing and in range")
-        return self._csr[rows][:, rows].toarray()
+        return self._csr[rows][:, rows]
 
 
 @dataclass
@@ -121,13 +123,18 @@ class Factorization:
     or below ``pivot_tol`` times the largest initial diagonal entry are
     dropped; ``rank`` counts the kept pivots and ``dropped`` lists the
     original indices of the discarded directions.
+
+    A ``banded`` factor, from a sparse input, is positive definite with
+    the identity permutation and full rank; ``lower`` then holds L in
+    LAPACK lower band storage, ``lower[d, j] = L[j + d, j]``.
     """
 
     n: int
-    lower: np.ndarray  # (n, rank), rows in pivot order
+    lower: np.ndarray  # (n, rank), rows in pivot order; banded: (bandwidth + 1, n)
     perm: np.ndarray  # (n,)
     rank: int
     pivot_tol: float
+    banded: bool = False
 
     @property
     def dropped(self):
@@ -143,6 +150,8 @@ class Factorization:
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side length {b.shape[0]} does not match dimension {self.n}")
+        if self.banded:
+            return sla.cho_solve_banded((self.lower, True), b, check_finite=False)
         r = self.rank
         x = np.zeros_like(b)
         if r == 0:
@@ -158,14 +167,22 @@ class Factorization:
 def factorize(M, pivot_tol=1e-12):
     """Factor a symmetric positive semidefinite matrix.
 
-    Plain Cholesky is attempted first (identity permutation); if any
-    pivot falls at or below pivot_tol * max(diag(M)) the factorization
-    restarts with diagonal pivoting and drops the deficient directions.
-    A pivot below the negated threshold raises IndefiniteMatrixError.
+    For a dense M, plain Cholesky is attempted first (identity
+    permutation); if any pivot falls at or below pivot_tol * max(diag(M))
+    the factorization restarts with diagonal pivoting and drops the
+    deficient directions. A pivot below the negated threshold raises
+    IndefiniteMatrixError.
+
+    A scipy sparse M must be exactly symmetric and positive definite: it
+    gets a banded Cholesky factor in its own index order, and a failed
+    factorization or a pivot at or below the threshold raises
+    IndefiniteMatrixError.
     """
-    M = _require_symmetric(M)
     if pivot_tol < 0:
         raise ValueError("pivot_tol must be nonnegative")
+    if sp.issparse(M):
+        return _factorize_banded(M, pivot_tol)
+    M = _require_symmetric(M)
     n = M.shape[0]
     if n == 0:
         return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0, pivot_tol)
@@ -190,6 +207,27 @@ def factorize(M, pivot_tol=1e-12):
         if tail.size and tail.min() < -max(tol_abs, 64 * np.finfo(np.float64).eps * max(diag.max(), 0.0)):
             raise IndefiniteMatrixError("matrix not positive semidefinite")
     return Factorization(n, L, perm, int(rank), pivot_tol)
+
+
+def _factorize_banded(M, pivot_tol):
+    M = sp.csr_matrix(M, dtype=np.float64)
+    n = M.shape[0]
+    if M.shape != (n, n):
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    if (M != M.T).nnz:
+        raise ValueError("matrix is not symmetric")
+    low = sp.tril(M, format="coo")
+    low.sum_duplicates()
+    offset = low.row - low.col
+    band = np.zeros((int(offset.max(initial=0)) + 1, n))
+    band[offset, low.col] = low.data
+    try:
+        L = sla.cholesky_banded(band, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise IndefiniteMatrixError(f"matrix not positive definite: {exc}") from exc
+    if not (L[0] ** 2 > pivot_tol * band[0].max(initial=0.0)).all():
+        raise IndefiniteMatrixError("matrix not positive definite: pivot below threshold")
+    return Factorization(n, L, np.arange(n, dtype=np.int64), n, pivot_tol, banded=True)
 
 
 def sym_gen_eig(A, B, upper=None):

@@ -32,7 +32,7 @@ def read_csv(path):
     if lines and lines[-1] == "":
         lines.pop()
     rows = [line.split(",") for line in lines]
-    return rows[0], rows[1:]
+    return (rows[0] if rows else []), rows[1:]
 
 
 def write_summary(path, entries):

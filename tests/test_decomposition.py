@@ -34,6 +34,21 @@ def empty_coarse(dec):
     return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets])
 
 
+def band_to_dense(band):
+    """The lower triangular matrix held in LAPACK lower band storage."""
+    n = band.shape[1]
+    L = np.zeros((n, n))
+    for d in range(min(band.shape[0], n)):
+        L[np.arange(d, n), np.arange(n - d)] = band[d, : n - d]
+    return L
+
+
+def bandwidth(M):
+    """Largest |i - j| over the stored entries of a sparse matrix."""
+    coo = M.tocoo()
+    return int(np.abs(coo.row - coo.col).max(initial=0))
+
+
 def neumann_matrices(grid, field, dec):
     return {
         i: assemble_local_neumann(grid, field, dec.extended_elements(i))
@@ -227,6 +242,27 @@ class TestGeneoCoarse:
         for i in unchanged:
             assert cs2.blocks[i] is cs1.blocks[i]
 
+    def test_weighted_local_matrix_matches_dense_formula(self):
+        # the weighted pencil matrix D A_i D is formed from the sparse
+        # block; the coarse vectors must be bitwise those of the dense one
+        from lrbas.linalg import sym_gen_eig
+
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        pou = build_partition_of_unity(dec)
+        field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
+        system = assemble(grid, field)
+        neumanns = neumann_matrices(grid, field, dec)
+        cs = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        A = system.A.to_scipy()
+        for i, idx in enumerate(dec.index_sets):
+            D = pou.local[i]
+            B = A[idx][:, idx].toarray() * D[:, None] * D[None, :]
+            B[np.diag_indices_from(B)] += 1e-12 * max(B.diagonal().max(), 0.0)
+            w, P = sym_gen_eig(neumanns[i][0], B, upper=0.5)
+            sel = np.maximum(w, 0.0) < 0.5
+            assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
+
     def test_partial_recompute_requires_previous(self):
         grid = Grid(12)
         dec = build_decomposition(grid, 3, 2)
@@ -259,10 +295,20 @@ class TestLocalOperators:
         dec = build_decomposition(grid, 2, 2)
         ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec), version=1)
         for idx, F in zip(dec.index_sets, ops.factors):
-            want = system.A.submatrix(idx)
+            want = system.A.submatrix(idx).toarray()
             got = np.empty_like(want)
-            got[np.ix_(F.perm, F.perm)] = F.lower @ F.lower.T  # P L L^T P^T
+            L = band_to_dense(F.lower)
+            got[np.ix_(F.perm, F.perm)] = L @ L.T  # P L L^T P^T
             assert np.allclose(got, want, atol=1e-10 * np.abs(want).max())
+
+    def test_local_factors_take_band_storage(self):
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5}))
+        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        A = system.A.to_scipy()
+        for idx, F in zip(dec.index_sets, ops.factors):
+            assert F.lower.nbytes <= (bandwidth(A[idx][:, idx]) + 1) * len(idx) * 8
 
     def test_single_subdomain_preconditioner_is_exact_inverse(self):
         grid = Grid(10)
@@ -350,6 +396,6 @@ class TestChangeSoundness:
                 if i in changed:
                     continue
                 idx = dec.index_sets[i]
-                before = prev.system.A.submatrix(idx)
-                after = cur.system.A.submatrix(idx)
+                before = prev.system.A.submatrix(idx).toarray()
+                after = cur.system.A.submatrix(idx).toarray()
                 assert np.array_equal(before, after)

@@ -17,6 +17,7 @@ from lrbas import (
     run,
 )
 from lrbas.cli import main
+from lrbas.experiment import SUMMARY_HEADER
 from lrbas.reporting import (
     format_float,
     read_corrections_grid,
@@ -475,6 +476,28 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "local solutions" in printed
         assert (tmp_path / "comparison.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "config_text, summary_text, message",
+        [
+            ("{}", None, "has no summary.csv"),
+            ("{}", ",".join(SUMMARY_HEADER) + "\ntotal,1\n", "is not a summary table"),
+            ("{}", ",".join(SUMMARY_HEADER) + "\ntotal,1,x,1,0.5\n", "is not a summary table"),
+            ("{}", "", "is not a summary table"),
+            ("{not json", None, "is not valid JSON"),
+            ("[]", None, "is not a JSON object"),
+        ],
+        ids=["no-summary", "short-totals", "non-integer-totals", "empty-summary", "invalid-json", "json-array"],
+    )
+    def test_compare_incomplete_report_exit_one(self, tmp_path, capsys, config_text, summary_text, message):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "config.json").write_text(config_text)
+        if summary_text is not None:
+            (bad / "summary.csv").write_text(summary_text)
+        assert main(["compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and message in err
 
     def test_compare_mismatch_exit_one(self, tmp_path, capsys, monkeypatch):
         a = self.write_config(tmp_path)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from lrbas.linalg import IndefiniteMatrixError, SparseSymMatrix, factorize, sym_gen_eig
@@ -19,6 +20,14 @@ def tridiag(n, d=2.0, o=-1.0):
 def random_spd(rng, n, shift=1.0):
     G = rng.standard_normal((n, n))
     return G @ G.T + shift * np.eye(n)
+
+
+def random_banded_spd(rng, n, bw):
+    """Diagonally dominant, exactly symmetric CSR matrix of bandwidth bw."""
+    G = rng.standard_normal((n, n))
+    upper = np.triu(G, 1) - np.triu(G, bw + 1)
+    off = upper + upper.T
+    return sp.csr_matrix(off + np.diag(np.abs(off).sum(axis=1) + 1.0))
 
 
 def sparse_sym(M):
@@ -48,16 +57,16 @@ class TestSparseSymMatrix:
 
     def test_submatrix_adjacent_rows(self):
         A = sparse_sym(tridiag(3))
-        assert np.array_equal(A.submatrix(np.array([0, 1])), [[2.0, -1.0], [-1.0, 2.0]])
+        assert np.array_equal(A.submatrix(np.array([0, 1])).toarray(), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_submatrix_full_is_dense_copy(self):
         M = tridiag(4)
         A = sparse_sym(M)
-        assert np.array_equal(A.submatrix(np.arange(4)), M)
+        assert np.array_equal(A.submatrix(np.arange(4)).toarray(), M)
 
     def test_submatrix_skipping_a_row_zeroes_coupling(self):
         A = sparse_sym(tridiag(3))
-        assert np.array_equal(A.submatrix(np.array([0, 2])), [[2.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(A.submatrix(np.array([0, 2])).toarray(), [[2.0, 0.0], [0.0, 2.0]])
 
     def test_submatrix_out_of_range(self):
         A = sparse_sym(tridiag(3))
@@ -76,7 +85,7 @@ class TestSparseSymMatrix:
         cols = np.concatenate([np.stack([j, i], axis=1).ravel(), np.arange(n)])
         vals = np.concatenate([np.repeat(v, 2), np.full(n, 10.0)])
         A = SparseSymMatrix.from_coo(n, rows, cols, vals)
-        D = A.submatrix(np.arange(n))
+        D = A.submatrix(np.arange(n)).toarray()
         assert np.array_equal(D, D.T)
         csr = A.to_scipy()
         # column indices strictly increasing within each row
@@ -111,7 +120,7 @@ class TestSparseSymMatrix:
         rows = np.sort(rng.choice(n, size=k, replace=False))
         R = np.zeros((k, n))
         R[np.arange(k), rows] = 1.0
-        assert np.array_equal(A.submatrix(rows), R @ M @ R.T)
+        assert np.array_equal(A.submatrix(rows).toarray(), R @ M @ R.T)
 
 
 # ---------------------------------------------------------------- factorize
@@ -194,6 +203,39 @@ class TestFactorize:
         b = M @ rng.standard_normal(n)  # consistent rhs
         x = F.solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1.0)
+
+
+class TestFactorizeSparse:
+    @pytest.mark.parametrize("n, bw", [(1, 0), (12, 3), (60, 5), (40, 39)])
+    def test_solve_matches_spsolve(self, n, bw):
+        rng = np.random.default_rng(n + bw)
+        M = random_banded_spd(rng, n, bw)
+        b = rng.standard_normal(n)
+        want = spla.spsolve(M.tocsc(), b)
+        assert np.abs(factorize(M).solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_banded_factor_has_identity_permutation_and_full_rank(self):
+        M = random_banded_spd(np.random.default_rng(1), 30, 4)
+        F = factorize(M)
+        assert np.array_equal(F.perm, np.arange(30))
+        assert F.rank == 30 and len(F.dropped) == 0
+        assert F.lower.shape == (5, 30)
+
+    def test_asymmetric_input_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            factorize(sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]])))
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3, -1
+            [[1.0, 1.0], [1.0, 1.0]],  # singular
+            [[1.0, 0.0], [0.0, 1e-14]],  # pivot below the threshold
+        ],
+    )
+    def test_not_positive_definite_raises(self, M):
+        with pytest.raises(IndefiniteMatrixError, match="not positive definite"):
+            factorize(sp.csr_matrix(np.array(M)), 1e-12)
 
 
 # ---------------------------------------------------------------- eigensolver
