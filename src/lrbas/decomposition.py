@@ -166,9 +166,12 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
     ``K_neu p = lambda (D A_i D + delta I) p`` with delta a 1e-12
     relative diagonal regularization, keeps eigenvectors with snapped
     eigenvalue strictly below tau, and stores the weighted vectors
-    D_i p as coarse columns. ``neumanns`` maps subdomain id to the
-    (matrix, index list) pair from the local Neumann assembly; with
-    ``previous`` given, blocks outside ``recompute`` are carried over.
+    D_i p as coarse columns. Both pencil matrices stay sparse, so that
+    ``sym_gen_eig`` can take its ARPACK path on large subdomains; the
+    vectors are B-orthonormal and ordered by ascending eigenvalue on
+    either path. ``neumanns`` maps subdomain id to the (sparse matrix,
+    index list) pair from the local Neumann assembly; with ``previous``
+    given, blocks outside ``recompute`` are carried over.
     """
     if recompute is None:
         recompute = np.arange(dec.n_subdomains)
@@ -185,10 +188,9 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
         if not np.array_equal(nidx, idx):
             raise ValueError(f"neumann matrix of subdomain {i} is over a different index set")
         D = pou.local[i]
-        B = (sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)).toarray()
+        B = sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)
         delta = 1e-12 * max(B.diagonal().max(), 0.0)
-        B[np.diag_indices_from(B)] += delta
-        w, P = sym_gen_eig(K_neu, B, upper=tau)
+        w, P = sym_gen_eig(K_neu, B + delta * sp.identity(len(idx)), upper=tau)
         w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
         sel = w < tau
         blocks.append(D[:, None] * P[:, sel])

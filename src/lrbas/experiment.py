@@ -171,9 +171,16 @@ def _load_report_dir(directory):
     ):
         raise ConfigError(f"{directory}/summary.csv is not a summary table")
     solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ConfigError(f"{directory}/config.json: solver is not a JSON object")
+    strategy, eps_loc = solver.get("strategy", ""), solver.get("eps_loc", 0.0)
+    if not isinstance(strategy, str):
+        raise ConfigError(f"{directory}/config.json: solver.strategy is not a string")
+    if isinstance(eps_loc, bool) or not isinstance(eps_loc, (int, float)):
+        raise ConfigError(f"{directory}/config.json: solver.eps_loc is not a number")
     return cfg, ComparisonRow(
-        strategy=solver.get("strategy", ""),
-        eps_loc=float(solver.get("eps_loc", 0.0)),
+        strategy=strategy,
+        eps_loc=float(eps_loc),
         keep_full_bases=bool(solver.get("keep_full_bases", False)),
         iterations=int(totals[1]),
         local_solutions=int(totals[2]),

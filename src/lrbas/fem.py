@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import SparseSymMatrix
 
@@ -314,7 +315,10 @@ def assemble_local_neumann(grid, coefficient, elements):
     """Stiffness over an element subset with no boundary treatment.
 
     Global Dirichlet nodes are dropped; rows and columns follow the
-    returned ascending list of free-node indices.
+    returned ascending list of free-node indices. The matrix is a scipy
+    CSR matrix, bitwise symmetric, banded with bandwidth about the width
+    of the element subset in nodes, and its entries are bitwise those of
+    adding the element matrices into a dense array in element order.
     """
     elements = np.asarray(elements, dtype=np.int64).ravel()
     if len(elements) == 0:
@@ -328,14 +332,20 @@ def assemble_local_neumann(grid, coefficient, elements):
     local = np.full(grid.n_nodes, -1, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
 
-    K = np.zeros((len(nodes), len(nodes)))
     loc = local[enodes]  # (ne, 4), -1 marks dropped Dirichlet nodes
     sigma = coefficient.values.ravel()[elements]
     lr = np.broadcast_to(loc[:, :, None], loc.shape + (4,))
     lc = np.broadcast_to(loc[:, None, :], loc.shape + (4,))
     vals = sigma[:, None, None] * K_REF[None, :, :]
     m = (lr >= 0) & (lc >= 0)
-    np.add.at(K, (lr[m], lc[m]), vals[m])
+    # np.add.at sums each entry's element contributions in element order,
+    # as a dense accumulation does; from_coo's reduceat may pair them
+    # differently and change the last bit
+    n = len(nodes)
+    key, at = np.unique(lr[m] * n + lc[m], return_inverse=True)
+    data = np.zeros(len(key))
+    np.add.at(data, at, vals[m])
+    K = sp.csr_matrix((data, (key // n, key % n)), shape=(n, n))
 
     i = nodes % (grid.m + 1)
     j = nodes // (grid.m + 1)

@@ -6,6 +6,8 @@ that stores both triangles of a symmetric matrix, and a Cholesky
 factorization. A dense matrix (the coarse and reduced systems) gets a
 semidefinite factor with threshold pivoting; a sparse one (the local
 Dirichlet matrices) gets a banded factor in its own index order.
+The generalized eigensolver uses that banded factor too: on a large
+sparse pencil it runs ARPACK through one factor of ``A + B``.
 """
 from __future__ import annotations
 
@@ -15,6 +17,21 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpstrf
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+# The ARPACK path of sym_gen_eig, placed by measurement on the GenEO
+# pencils of the channel problem (OpenBLAS, one thread). Below this
+# size ARPACK's per-call overhead costs more than dense eigh.
+_ARPACK_MIN_N = 400
+# Eigenpairs asked for first; the count doubles until the wanted range
+# is covered, but never past n / 16, where dense eigh is the cheaper.
+_ARPACK_K0 = 6
+_ARPACK_K_FRACTION = 16
+# Lanczos basis size floor and restart cap: a tight eigenvalue cluster
+# larger than k stalls ARPACK, and after this many restarts the dense
+# solve takes over.
+_ARPACK_MIN_NCV = 20
+_ARPACK_MAX_RESTARTS = 30
 
 
 class IndefiniteMatrixError(ValueError):
@@ -35,12 +52,16 @@ class ConvergenceFailure(RuntimeError):
 
 
 def _require_symmetric(M, tol=1e-12, what="matrix"):
-    M = np.ascontiguousarray(M, dtype=np.float64)
+    """M as float64, dense or CSR, after checking it is square and symmetric."""
+    if sp.issparse(M):
+        M = sp.csr_matrix(M, dtype=np.float64)
+    else:
+        M = np.ascontiguousarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if M.size:
-        scale = np.abs(M).max()
-        if scale > 0 and np.abs(M - M.T).max() > tol * scale:
+    if np.prod(M.shape):
+        scale = abs(M).max()
+        if scale > 0 and abs(M - M.T).max() > tol * scale:
             raise ValueError(f"{what} is not symmetric to relative tolerance {tol}")
     return M
 
@@ -80,12 +101,12 @@ class SparseSymMatrix:
             raise ValueError("rows, cols, vals must have equal length")
         if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise ValueError("triplet index out of range")
-        order = np.lexsort((cols, rows))  # stable: duplicates keep input order
-        r, c, v = rows[order], cols[order], vals[order]
-        key = r * np.int64(n) + c
+        key = rows * np.int64(n) + cols
+        order = np.argsort(key, kind="stable")  # duplicates keep input order
+        key, v = key[order], vals[order]
         starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
         data = np.add.reduceat(v, starts) if len(v) else v
-        ru, cu = r[starts], c[starts]
+        ru, cu = np.divmod(key[starts], n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ru, minlength=n), out=indptr[1:])
         csr = sp.csr_matrix((data, cu.astype(np.int32, copy=False) if n < 2**31 else cu, indptr), shape=(n, n))
@@ -182,7 +203,14 @@ def factorize(M, pivot_tol=1e-12):
         raise ValueError("pivot_tol must be nonnegative")
     if sp.issparse(M):
         return _factorize_banded(M, pivot_tol)
-    M = _require_symmetric(M)
+    return _factorize_dense(_require_symmetric(M), pivot_tol)
+
+
+def _factorize_dense(M, pivot_tol=1e-12):
+    """``factorize`` for a dense float64 M that is symmetric by construction.
+
+    Skips the O(n^2) symmetry check of the public entry.
+    """
     n = M.shape[0]
     if n == 0:
         return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0, pivot_tol)
@@ -233,9 +261,17 @@ def _factorize_banded(M, pivot_tol):
 def sym_gen_eig(A, B, upper=None):
     """Solve the generalized symmetric eigenproblem A p = lambda B p.
 
-    B must be positive definite. Returns eigenvalues in ascending order
-    with B-orthonormal eigenvector columns; with ``upper`` given, only
-    eigenpairs with eigenvalue below that bound are computed.
+    A and B are symmetric, dense or scipy sparse, and B must be positive
+    definite. Returns eigenvalues in ascending order with
+    B-orthonormal eigenvector columns; with ``upper`` given, only
+    eigenpairs with eigenvalue at or below that bound are computed.
+
+    Dense ``eigh`` solves the problem, except for a sparse pencil with
+    ``upper`` given and at least ``_ARPACK_MIN_N`` unknowns: there ARPACK
+    computes the largest nu of ``B p = nu (A + B) p``, with
+    ``nu = 1 / (1 + lambda)``, through one banded Cholesky factor of
+    ``A + B``. Should ARPACK need too many eigenpairs or stop
+    converging, dense ``eigh`` takes over.
     """
     A = _require_symmetric(A, what="left-hand matrix")
     B = _require_symmetric(B, what="right-hand matrix")
@@ -243,6 +279,12 @@ def sym_gen_eig(A, B, upper=None):
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
     if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
+    if upper is not None and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N:
+        found = _lowest_by_arpack(A, B, upper)
+        if found is not None:
+            return found
+    A = A.toarray() if sp.issparse(A) else A
+    B = B.toarray() if sp.issparse(B) else B
     try:
         if upper is None:
             w, V = sla.eigh(A, B, driver="gvd", check_finite=False)
@@ -251,3 +293,55 @@ def sym_gen_eig(A, B, upper=None):
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError(f"invalid right-hand matrix: {exc}") from exc
     return w, V
+
+
+def _lowest_by_arpack(A, B, upper):
+    """Eigenpairs of A p = lambda B p with lambda <= upper, or None.
+
+    Solves ``B p = nu (A + B) p`` for the largest nu, doubling the count
+    asked for until the smallest nu found lies beyond the bound. Like
+    dense ``eigh``, both matrices are read from their lower triangle.
+    A B without a banded Cholesky factor raises IndefiniteMatrixError,
+    as in the dense solve. Returns None when the count would pass
+    n / 16, when ARPACK fails, or when ``A + B`` is not positive
+    definite; the dense solve then decides.
+    """
+    n = A.shape[0]
+    A, B = _from_lower(A), _from_lower(B)
+    try:
+        _factorize_banded(B, 0.0)
+    except IndefiniteMatrixError as exc:
+        raise IndefiniteMatrixError(f"invalid right-hand matrix: {exc}") from exc
+    AB = A + B
+    try:
+        band = _factorize_banded(AB, 0.0).lower
+    except IndefiniteMatrixError:
+        return None
+    AB_inv = LinearOperator(
+        (n, n), matvec=lambda x: sla.cho_solve_banded((band, True), x, check_finite=False), dtype=np.float64
+    )
+    # a fixed start vector makes the result independent of call order
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    k = _ARPACK_K0
+    while k <= n // _ARPACK_K_FRACTION:
+        try:
+            nu, P = eigsh(
+                B, k, M=AB, Minv=AB_inv, which="LA", v0=v0,
+                ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
+            )
+        except ArpackError:
+            return None
+        lam = 1.0 / nu - 1.0
+        if lam.max() > upper:
+            order = np.argsort(lam, kind="stable")
+            keep = order[lam[order] <= upper]
+            # the columns are (A + B)-orthonormal; p^T B p = nu
+            return lam[keep], P[:, keep] / np.sqrt(nu[keep])
+        k *= 2
+    return None
+
+
+def _from_lower(M):
+    """The symmetric CSR matrix whose lower triangle is that of M."""
+    low = sp.tril(M, format="csr")
+    return low + sp.tril(low, -1).T

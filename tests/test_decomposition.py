@@ -1,7 +1,10 @@
 """Tests for the overlapping decomposition, partition of unity, and coarse space."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import lrbas.linalg
 from lrbas.decomposition import (
     CoarseSpace,
     LocalOperators,
@@ -54,6 +57,31 @@ def neumann_matrices(grid, field, dec):
         i: assemble_local_neumann(grid, field, dec.extended_elements(i))
         for i in range(dec.n_subdomains)
     }
+
+
+def small_geneo_problem():
+    """The 40 x 40, 4 x 4, overlap 2 channel problem with ports 2 and 5 open."""
+    grid = Grid(40)
+    dec = build_decomposition(grid, 4, 2)
+    pou = build_partition_of_unity(dec)
+    field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
+    system = assemble(grid, field)
+    return dec, pou, system, neumann_matrices(grid, field, dec)
+
+
+def force_arpack(monkeypatch):
+    """Send every sparse GenEO pencil down the ARPACK path; returns the
+    list that receives each ARPACK attempt's result (None: fell back)."""
+    monkeypatch.setattr(lrbas.linalg, "_ARPACK_MIN_N", 0)
+    attempts = []
+    lowest = lrbas.linalg._lowest_by_arpack
+
+    def spy(*args):
+        attempts.append(lowest(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(lrbas.linalg, "_lowest_by_arpack", spy)
+    return attempts
 
 
 class TestBuildDecomposition:
@@ -262,6 +290,53 @@ class TestGeneoCoarse:
             w, P = sym_gen_eig(neumanns[i][0], B, upper=0.5)
             sel = np.maximum(w, 0.0) < 0.5
             assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
+
+    def test_arpack_path_matches_dense_eigh(self, monkeypatch):
+        from lrbas.linalg import sym_gen_eig
+
+        dec, pou, system, neumanns = small_geneo_problem()
+        dense = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        attempts = force_arpack(monkeypatch)
+        arpack = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        assert len(attempts) == dec.n_subdomains and all(a is not None for a in attempts)
+        assert np.array_equal(arpack.counts, dense.counts)
+        A = system.A.to_scipy()
+        for i, idx in enumerate(dec.index_sets):
+            D = pou.local[i]
+            B = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
+            B = (B + 1e-12 * B.diagonal().max() * sp.identity(len(idx))).tocsr()
+            K = neumanns[i][0]
+            w_dense, P_dense = sym_gen_eig(K.toarray(), B.toarray(), upper=0.5)
+            w, P = sym_gen_eig(K, B, upper=0.5)
+            assert np.count_nonzero(w < 0.5) == np.count_nonzero(w_dense < 0.5)
+            assert np.abs(w - w_dense).max() <= 1e-12
+            Bd = B.toarray()
+            assert np.abs(P.T @ Bd @ P - np.eye(P.shape[1])).max() <= 1e-12
+            # the B-orthogonal projectors onto the two spans
+            assert np.abs(P @ P.T @ Bd - P_dense @ P_dense.T @ Bd).max() <= 1e-10
+
+    def test_arpack_path_is_deterministic(self, monkeypatch):
+        dec, pou, system, neumanns = small_geneo_problem()
+        attempts = force_arpack(monkeypatch)
+        first = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        second = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        assert all(a is not None for a in attempts)
+        for a, b in zip(first.blocks, second.blocks):
+            assert np.array_equal(a, b)
+
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        dec, pou, system, neumanns = small_geneo_problem()
+        dense = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        attempts = force_arpack(monkeypatch)
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(lrbas.linalg, "eigsh", stalled)
+        fallen = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        assert attempts == [None] * dec.n_subdomains
+        for a, b in zip(fallen.blocks, dense.blocks):
+            assert np.array_equal(a, b)
 
     def test_partial_recompute_requires_previous(self):
         grid = Grid(12)

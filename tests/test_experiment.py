@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import lrbas.decomposition
+import lrbas.linalg
 from lrbas import (
     ChannelGeometry,
     ConfigError,
@@ -27,6 +30,11 @@ from lrbas.reporting import (
     write_csv,
     write_pgm,
 )
+
+# A well-formed summary table: one step and the totals row.
+SUMMARY_OK = ",".join(SUMMARY_HEADER) + "\n" + "\n".join(
+    ",".join([key] + ["1"] * (len(SUMMARY_HEADER) - 1)) for key in ("1", "total")
+) + "\n"
 
 # Contrast-10 channel layout scaled to coarse test grids: wide enough
 # strips to survive 20x20 center sampling, mild enough contrast that
@@ -463,6 +471,34 @@ class TestCli:
         _, rows = read_csv(out / "summary.csv")
         assert [row[0] for row in rows] == ["1", "total"]
 
+    @pytest.mark.parametrize("failure", ["indefinite-weighted-matrix", "dense-fallback-fails"])
+    def test_geneo_failure_on_arpack_path_exit_two(self, tmp_path, capsys, monkeypatch, failure):
+        monkeypatch.setattr(lrbas.linalg, "_ARPACK_MIN_N", 0)
+        attempts = []
+        lowest = lrbas.linalg._lowest_by_arpack
+        monkeypatch.setattr(lrbas.linalg, "_lowest_by_arpack", lambda *a: attempts.append(a) or lowest(*a))
+        if failure == "indefinite-weighted-matrix":
+            sym_gen_eig = lrbas.decomposition.sym_gen_eig
+            monkeypatch.setattr(
+                lrbas.decomposition, "sym_gen_eig", lambda K, B, upper=None: sym_gen_eig(K, -B, upper=upper)
+            )
+        else:
+
+            def stalled(*args, **kwargs):
+                raise ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
+
+            def broken(*args, **kwargs):
+                raise np.linalg.LinAlgError("injected")
+
+            monkeypatch.setattr(lrbas.linalg, "eigsh", stalled)
+            monkeypatch.setattr(lrbas.linalg.sla, "eigh", broken)
+        path = self.write_config(tmp_path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert len(attempts) == 1
+        err = capsys.readouterr().err
+        assert "step 1: invalid right-hand matrix" in err
+        assert "step 1: invalid right-hand matrix" in (tmp_path / "out" / "FAILED").read_text()
+
     def test_compare_exit_zero(self, tmp_path, capsys, monkeypatch):
         path = self.write_config(tmp_path)
         assert main(["solve", "--config", str(path)]) == 0
@@ -486,8 +522,25 @@ class TestCli:
             ("{}", "", "is not a summary table"),
             ("{not json", None, "is not valid JSON"),
             ("[]", None, "is not a JSON object"),
+            ('{"solver": 1}', SUMMARY_OK, "solver is not a JSON object"),
+            ('{"solver": [1]}', SUMMARY_OK, "solver is not a JSON object"),
+            ('{"solver": {"eps_loc": "x"}}', SUMMARY_OK, "solver.eps_loc is not a number"),
+            ('{"solver": {"eps_loc": null}}', SUMMARY_OK, "solver.eps_loc is not a number"),
+            ('{"solver": {"strategy": ["pcg"]}}', SUMMARY_OK, "solver.strategy is not a string"),
         ],
-        ids=["no-summary", "short-totals", "non-integer-totals", "empty-summary", "invalid-json", "json-array"],
+        ids=[
+            "no-summary",
+            "short-totals",
+            "non-integer-totals",
+            "empty-summary",
+            "invalid-json",
+            "json-array",
+            "solver-number",
+            "solver-array",
+            "eps-loc-string",
+            "eps-loc-null",
+            "strategy-array",
+        ],
     )
     def test_compare_incomplete_report_exit_one(self, tmp_path, capsys, config_text, summary_text, message):
         bad = tmp_path / "bad"

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -344,6 +345,7 @@ class TestAssembleLocalNeumann:
         grid = Grid(4)
         field = build_coefficient(grid, ChannelGeometry.empty())
         K, nodes = assemble_local_neumann(grid, field, [grid.element_id(1, 1)])
+        K = K.toarray()
         assert K.shape == (4, 4)
         assert np.allclose(K, K_REF[self.ASCENDING], atol=1e-15)
         assert np.max(np.abs(K @ np.ones(4))) < 1e-12
@@ -354,7 +356,7 @@ class TestAssembleLocalNeumann:
         grid = Grid(4)
         field = CoefficientField(grid, np.full((4, 4), 7.5))
         K, _ = assemble_local_neumann(grid, field, [grid.element_id(2, 2)])
-        assert np.allclose(K, 7.5 * K_REF[self.ASCENDING], atol=1e-12)
+        assert np.allclose(K.toarray(), 7.5 * K_REF[self.ASCENDING], atol=1e-12)
 
     def test_whole_grid_matches_global_assembly(self):
         grid = Grid(6)
@@ -363,13 +365,14 @@ class TestAssembleLocalNeumann:
         system = assemble(grid, field)
         K, nodes = assemble_local_neumann(grid, field, np.arange(grid.n_elements))
         assert np.array_equal(nodes, np.arange(grid.n_free))
-        assert np.allclose(K, system.A.to_scipy().toarray(), atol=1e-12)
+        assert np.allclose(K.toarray(), system.A.to_scipy().toarray(), atol=1e-12)
 
     def test_interior_block_has_constant_kernel(self):
         grid = Grid(8)
         field = build_coefficient(grid, ChannelGeometry.empty())
         elements = [grid.element_id(ex, ey) for ex in (3, 4) for ey in (3, 4)]
         K, _ = assemble_local_neumann(grid, field, elements)
+        K = K.toarray()
         w = scipy.linalg.eigvalsh(K)
         assert abs(w[0]) < 1e-12
         assert w[1] > 1e-3
@@ -380,7 +383,33 @@ class TestAssembleLocalNeumann:
         field = build_coefficient(grid, ChannelGeometry.empty())
         elements = [grid.element_id(0, ey) for ey in (3, 4)]
         K, _ = assemble_local_neumann(grid, field, elements)
-        assert np.min(scipy.linalg.eigvalsh(K)) > 1e-6
+        assert np.min(scipy.linalg.eigvalsh(K.toarray())) > 1e-6
+
+    def test_sparse_matrix_matches_dense_accumulation(self):
+        # the sparse assembly must give bitwise the entries that adding
+        # every element matrix into a dense array in element order gives
+        grid = Grid(40)
+        field = build_coefficient(grid, ChannelGeometry(), open_ports={2, 5})
+        elements = np.array(
+            [grid.element_id(ex, ey) for ey in range(13, 28) for ex in range(0, 15)], dtype=np.int64
+        )
+        K, _ = assemble_local_neumann(grid, field, elements)
+        ex, ey = grid.element_xy(elements)
+        sw = ey * (grid.m + 1) + ex
+        enodes = np.stack([sw, sw + 1, sw + grid.m + 2, sw + grid.m + 1], axis=-1)
+        ii = enodes % (grid.m + 1)
+        nodes = np.unique(enodes[(ii >= 1) & (ii <= grid.m - 1)])
+        local = np.full(grid.n_nodes, -1)
+        local[nodes] = np.arange(len(nodes))
+        loc = local[enodes]
+        lr = np.broadcast_to(loc[:, :, None], loc.shape + (4,))
+        lc = np.broadcast_to(loc[:, None, :], loc.shape + (4,))
+        vals = field.values.ravel()[elements][:, None, None] * K_REF[None, :, :]
+        keep = (lr >= 0) & (lc >= 0)
+        want = np.zeros((len(nodes), len(nodes)))
+        np.add.at(want, (lr[keep], lc[keep]), vals[keep])
+        assert sp.issparse(K)
+        assert np.array_equal(K.toarray(), want)
 
     def test_empty_element_set_rejected(self):
         grid = Grid(4)

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import lrbas.linalg
 from lrbas.linalg import IndefiniteMatrixError, SparseSymMatrix, factorize, sym_gen_eig
 
 
@@ -32,6 +33,33 @@ def random_banded_spd(rng, n, bw):
 
 def sparse_sym(M):
     return SparseSymMatrix(sp.csr_matrix(M))
+
+
+def neumann_pencil(rows, cols):
+    """Sparse pencil of the singular Neumann Laplacian of a rows x cols grid
+    graph against the identity: the lowest eigenvalue is zero, and a
+    square grid has double eigenvalues."""
+
+    def path(m):
+        main = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
+        return sp.diags([-np.ones(m - 1), main, -np.ones(m - 1)], [-1, 0, 1])
+
+    A = sp.kron(path(rows), sp.identity(cols)) + sp.kron(sp.identity(rows), path(cols))
+    return A.tocsr(), sp.identity(rows * cols, format="csr")
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Counts the ARPACK calls of sym_gen_eig."""
+    calls = []
+    eigsh = lrbas.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("ncv"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(lrbas.linalg, "eigsh", counted)
+    return calls
 
 
 # ---------------------------------------------------------------- storage
@@ -274,6 +302,38 @@ class TestSymGenEig:
         w, P = sym_gen_eig(np.diag([1.0, 2.0, 30.0]), np.eye(3), upper=10.0)
         assert np.allclose(w, [1.0, 2.0])
         assert P.shape == (3, 2)
+
+    def test_sparse_pencil_takes_arpack_path_from_the_size_cut(self, eigsh_calls):
+        assert lrbas.linalg._ARPACK_MIN_N == 400
+        A, B = neumann_pencil(19, 21)  # 399 unknowns
+        w, P = sym_gen_eig(A, B, upper=0.3)
+        w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=0.3)
+        assert eigsh_calls == []
+        assert np.array_equal(w, w_dense) and np.array_equal(P, P_dense)
+
+        A, B = neumann_pencil(20, 20)
+        w, P = sym_gen_eig(A, B, upper=0.3)
+        w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=0.3)
+        assert eigsh_calls
+        assert len(w) == len(w_dense) > lrbas.linalg._ARPACK_K0
+        assert np.all(np.diff(w) >= 0) and np.abs(w - w_dense).max() <= 1e-12
+        assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max() <= 1e-12
+        # the double eigenvalues make single vectors arbitrary: compare spans
+        assert np.abs(P @ P.T - P_dense @ P_dense.T).max() <= 1e-10
+
+    def test_too_many_wanted_pairs_fall_back_to_dense(self, eigsh_calls):
+        # more than n / 16 = 25 eigenvalues lie below 1
+        A, B = neumann_pencil(20, 20)
+        w, P = sym_gen_eig(A, B, upper=1.0)
+        w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=1.0)
+        assert len(eigsh_calls) == 3
+        assert np.array_equal(w, w_dense) and np.array_equal(P, P_dense)
+
+    def test_indefinite_right_matrix_rejected_on_arpack_path(self, eigsh_calls):
+        A, B = neumann_pencil(20, 20)
+        with pytest.raises(IndefiniteMatrixError, match="invalid right-hand matrix"):
+            sym_gen_eig(A, -B, upper=0.3)
+        assert eigsh_calls == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 15), st.integers(0, 2**32 - 1))
