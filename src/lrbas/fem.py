@@ -345,7 +345,8 @@ def assemble_local_neumann(grid, coefficient, elements):
     key, at = np.unique(lr[m] * n + lc[m], return_inverse=True)
     data = np.zeros(len(key))
     np.add.at(data, at, vals[m])
-    K = sp.csr_matrix((data, (key // n, key % n)), shape=(n, n))
+    rows, cols = np.divmod(key, n)
+    K = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
 
     i = nodes % (grid.m + 1)
     j = nodes // (grid.m + 1)

@@ -101,12 +101,12 @@ class SparseSymMatrix:
             raise ValueError("rows, cols, vals must have equal length")
         if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise ValueError("triplet index out of range")
-        key = rows * np.int64(n) + cols
-        order = np.argsort(key, kind="stable")  # duplicates keep input order
-        key, v = key[order], vals[order]
+        order = np.lexsort((cols, rows))  # stable: duplicates keep input order
+        r, c, v = rows[order], cols[order], vals[order]
+        key = r * np.int64(n) + c
         starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
         data = np.add.reduceat(v, starts) if len(v) else v
-        ru, cu = np.divmod(key[starts], n)
+        ru, cu = r[starts], c[starts]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(ru, minlength=n), out=indptr[1:])
         csr = sp.csr_matrix((data, cu.astype(np.int32, copy=False) if n < 2**31 else cu, indptr), shape=(n, n))
@@ -203,14 +203,7 @@ def factorize(M, pivot_tol=1e-12):
         raise ValueError("pivot_tol must be nonnegative")
     if sp.issparse(M):
         return _factorize_banded(M, pivot_tol)
-    return _factorize_dense(_require_symmetric(M), pivot_tol)
-
-
-def _factorize_dense(M, pivot_tol=1e-12):
-    """``factorize`` for a dense float64 M that is symmetric by construction.
-
-    Skips the O(n^2) symmetry check of the public entry.
-    """
+    M = _require_symmetric(M)
     n = M.shape[0]
     if n == 0:
         return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0, pivot_tol)
@@ -244,10 +237,16 @@ def _factorize_banded(M, pivot_tol):
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if (M != M.T).nnz:
         raise ValueError("matrix is not symmetric")
-    low = sp.tril(M, format="coo")
+    L = _banded_cholesky(sp.tril(M), pivot_tol)
+    return Factorization(n, L, np.arange(n, dtype=np.int64), n, pivot_tol, banded=True)
+
+
+def _banded_cholesky(low, pivot_tol):
+    """Lower band Cholesky factor of the symmetric matrix with lower triangle ``low``."""
+    low = sp.coo_matrix(low)
     low.sum_duplicates()
     offset = low.row - low.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, n))
+    band = np.zeros((int(offset.max(initial=0)) + 1, low.shape[0]))
     band[offset, low.col] = low.data
     try:
         L = sla.cholesky_banded(band, lower=True, check_finite=False)
@@ -255,7 +254,7 @@ def _factorize_banded(M, pivot_tol):
         raise IndefiniteMatrixError(f"matrix not positive definite: {exc}") from exc
     if not (L[0] ** 2 > pivot_tol * band[0].max(initial=0.0)).all():
         raise IndefiniteMatrixError("matrix not positive definite: pivot below threshold")
-    return Factorization(n, L, np.arange(n, dtype=np.int64), n, pivot_tol, banded=True)
+    return L
 
 
 def sym_gen_eig(A, B, upper=None):
@@ -273,18 +272,21 @@ def sym_gen_eig(A, B, upper=None):
     ``A + B``. Should ARPACK need too many eigenpairs or stop
     converging, dense ``eigh`` takes over.
     """
+    arpack = upper is not None and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
+    if not arpack:
+        # sparse checks cost more than dense ones on small matrices
+        A, B = (M.toarray() if sp.issparse(M) else M for M in (A, B))
     A = _require_symmetric(A, what="left-hand matrix")
     B = _require_symmetric(B, what="right-hand matrix")
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
     if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
-    if upper is not None and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N:
+    if arpack:
         found = _lowest_by_arpack(A, B, upper)
         if found is not None:
             return found
-    A = A.toarray() if sp.issparse(A) else A
-    B = B.toarray() if sp.issparse(B) else B
+        A, B = A.toarray(), B.toarray()
     try:
         if upper is None:
             w, V = sla.eigh(A, B, driver="gvd", check_finite=False)
@@ -301,22 +303,19 @@ def _lowest_by_arpack(A, B, upper):
     Solves ``B p = nu (A + B) p`` for the largest nu, doubling the count
     asked for until the smallest nu found lies beyond the bound. Like
     dense ``eigh``, both matrices are read from their lower triangle.
-    A B without a banded Cholesky factor raises IndefiniteMatrixError,
-    as in the dense solve. Returns None when the count would pass
-    n / 16, when ARPACK fails, or when ``A + B`` is not positive
-    definite; the dense solve then decides.
+    Returns None when B or ``A + B`` has no banded Cholesky factor, when
+    the count would pass n / 16 or when ARPACK fails; the dense solve
+    then decides.
     """
     n = A.shape[0]
-    A, B = _from_lower(A), _from_lower(B)
+    low_B = sp.tril(B, format="csr")
+    low_AB = sp.tril(A, format="csr") + low_B
     try:
-        _factorize_banded(B, 0.0)
-    except IndefiniteMatrixError as exc:
-        raise IndefiniteMatrixError(f"invalid right-hand matrix: {exc}") from exc
-    AB = A + B
-    try:
-        band = _factorize_banded(AB, 0.0).lower
+        _banded_cholesky(low_B, 0.0)
+        band = _banded_cholesky(low_AB, 0.0)
     except IndefiniteMatrixError:
         return None
+    B, AB = (low + sp.tril(low, -1).T for low in (low_B, low_AB))
     AB_inv = LinearOperator(
         (n, n), matvec=lambda x: sla.cho_solve_banded((band, True), x, check_finite=False), dtype=np.float64
     )
@@ -339,9 +338,3 @@ def _lowest_by_arpack(A, B, upper):
             return lam[keep], P[:, keep] / np.sqrt(nu[keep])
         k *= 2
     return None
-
-
-def _from_lower(M):
-    """The symmetric CSR matrix whose lower triangle is that of M."""
-    low = sp.tril(M, format="csr")
-    return low + sp.tril(low, -1).T

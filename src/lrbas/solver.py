@@ -25,8 +25,7 @@ from .decomposition import (
     detect_changed_subdomains,
 )
 from .fem import assemble_local_neumann
-from .linalg import ConvergenceFailure, IndefiniteMatrixError, _factorize_dense
-from .linalg import factorize  # noqa: F401 - bench/test_bench.py reads lrbas.solver.factorize
+from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
 
 STRATEGIES = ("pcg", "pcg-guess", "lrbas")
 
@@ -143,8 +142,7 @@ class ReducedSystem:
         """Solve the reduced system; returns the global iterate and coefficients."""
         M, rhs = self.M, self.rhs
         try:
-            # symmetric by construction: skip the public entry's check
-            F = _factorize_dense(M)
+            F = factorize(M)
         except IndefiniteMatrixError as exc:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
         c = F.solve(rhs)
