@@ -52,9 +52,9 @@ def main(argv=None):
             print(f"{name}: FAILED ({exc})", file=sys.stderr)
             return 2
         print(
-            f"{name}: {artifacts.total_iterations} iterations, "
-            f"{artifacts.total_corrections} local solutions, "
-            f"{artifacts.total_coarse_solves} coarse solves "
+            f"{name}: {artifacts.report.total_iterations} iterations, "
+            f"{artifacts.report.total_corrections} local solutions, "
+            f"{artifacts.report.total_coarse_solves} coarse solves "
             f"[{time.perf_counter() - start:.1f}s]"
         )
         directories.append(out / name)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .fem import assemble_local_neumann
 from .linalg import Factorization, SparseSymMatrix, factorize, sym_gen_eig
 
 
@@ -126,52 +127,44 @@ def detect_changed_subdomains(changed_elements, dec):
     return np.asarray(hit, dtype=np.int64)
 
 
+def lift(dec, blocks):
+    """Lift (subdomain, (n_i, m) column array) pairs, in order, into one sparse (n_free, k) matrix."""
+    rows, cols, data, k = [], [], [], 0
+    for i, b in blocks:
+        idx = dec.subdomains[i].indices
+        rows.append(np.tile(idx, b.shape[1]))
+        cols.append(np.repeat(np.arange(k, k + b.shape[1]), len(idx)))
+        data.append(b.T.ravel())
+        k += b.shape[1]
+    return sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dec.grid.n_free, k)
+    )
+
+
 class CoarseSpace:
     """Per-subdomain coarse vector blocks, concatenated column-wise."""
 
     def __init__(self, dec, blocks):
         self.blocks = blocks  # list of (n_i, m_i) arrays
         self.counts = np.array([b.shape[1] for b in blocks], dtype=np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(self.counts)])
-        self.n0 = int(self.offsets[-1])
-        n = dec.grid.n_free
-        rows, cols, data = [], [], []
-        for i, b in enumerate(blocks):
-            if b.shape[1] == 0:
-                continue
-            idx = dec.subdomains[i].indices
-            rows.append(np.tile(idx, b.shape[1]))
-            cols.append(np.repeat(self.offsets[i] + np.arange(b.shape[1]), len(idx)))
-            data.append(b.T.ravel())
-        if rows:
-            self.matrix = sp.csr_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, self.n0)
-            )
-        else:
-            self.matrix = sp.csr_matrix((n, 0))
-
-    def restrict(self, r):
-        """R_0 r: coefficients of r against the coarse columns."""
-        return self.matrix.T @ r
-
-    def prolong(self, c):
-        """R_0^T c: the coarse vector with coefficients c."""
-        return self.matrix @ c
+        self.n0 = int(self.counts.sum())
+        self.matrix = lift(dec, enumerate(blocks))
 
 
-def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute=None):
+def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recompute=None):
     """Assemble the GenEO coarse space for the current system.
 
-    For each subdomain to (re)compute, solves the pencil
+    For each subdomain to (re)compute, assembles the local Neumann
+    matrix ``K_neu`` of ``coefficient`` over the subdomain's extended
+    element block, solves the pencil
     ``K_neu p = lambda (D A_i D + delta I) p`` with delta a 1e-12
     relative diagonal regularization, keeps eigenvectors with snapped
     eigenvalue strictly below tau, and stores the weighted vectors
     D_i p as coarse columns. Both pencil matrices stay sparse, so that
     ``sym_gen_eig`` can take its ARPACK path on large subdomains; the
     vectors are B-orthonormal and ordered by ascending eigenvalue on
-    either path. ``neumanns`` maps subdomain id to the (sparse matrix,
-    index list) pair from the local Neumann assembly; with ``previous``
-    given, blocks outside ``recompute`` are carried over.
+    either path. With ``previous`` given, blocks outside ``recompute``
+    are carried over.
     """
     if recompute is None:
         recompute = np.arange(dec.n_subdomains)
@@ -184,9 +177,7 @@ def build_geneo_coarse(dec, pou, system, neumanns, tau, previous=None, recompute
             blocks.append(previous.blocks[i])
             continue
         idx = dec.subdomains[i].indices
-        K_neu, nidx = neumanns[i]
-        if not np.array_equal(nidx, idx):
-            raise ValueError(f"neumann matrix of subdomain {i} is over a different index set")
+        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.extended_elements(i))
         D = pou.local[i]
         B = sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)
         delta = 1e-12 * max(B.diagonal().max(), 0.0)
@@ -206,46 +197,42 @@ class LocalOperators:
 
     Each local matrix A_i is factored by banded Cholesky in the natural
     (ascending) node order of its index set, where its bandwidth is about
-    the subdomain's width in nodes; the coarse matrix is dense.
+    the subdomain's width in nodes; the coarse matrix is dense. The
+    caller keeps them current: ``refresh`` after each change of system.
     """
 
     index_sets: list
     factors: list
     coarse: CoarseSpace
     coarse_factor: Factorization
-    version: object = None
 
     @classmethod
-    def build(cls, A, index_sets, coarse, version=None):
+    def build(cls, A, index_sets, coarse):
         factors = [factorize(A.submatrix(idx)) for idx in index_sets]
-        return cls(index_sets, factors, coarse, _coarse_factor(A, coarse), version)
+        return cls(index_sets, factors, coarse, _coarse_factor(A, coarse))
 
-    def refresh(self, A, coarse, changed, version=None):
+    def refresh(self, A, coarse, changed):
         """Refactor changed subdomains and the coarse matrix for a new system."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
             self.factors[i] = factorize(A.submatrix(self.index_sets[i]))
         self.coarse = coarse
         self.coarse_factor = _coarse_factor(A, coarse)
-        self.version = version
-        return self
 
 
 def _coarse_factor(A, coarse):
-    if coarse is None or coarse.n0 == 0:
-        return factorize(np.zeros((0, 0)))
     R0T = coarse.matrix
     A0 = (R0T.T @ (A.to_scipy() @ R0T)).toarray()
     return factorize(A0)
 
 
-def apply_as_preconditioner(r, ops, version=None):
-    """Two-level additive Schwarz application M^-1 r."""
-    if version is not None and ops.version != version:
-        raise ValueError(f"local operators are for version {ops.version}, expected {version}")
+def apply_as_preconditioner(r, ops):
+    """Two-level additive Schwarz application M^-1 r.
+
+    ``ops`` must be built or refreshed for r's system; an empty coarse space adds exact zeros.
+    """
     r = np.asarray(r, dtype=np.float64)
-    z = np.zeros_like(r)
-    if ops.coarse is not None and ops.coarse.n0:
-        z += ops.coarse.prolong(ops.coarse_factor.solve(ops.coarse.restrict(r)))
+    R0T = ops.coarse.matrix
+    z = R0T @ ops.coarse_factor.solve(R0T.T @ r)
     for idx, F in zip(ops.index_sets, ops.factors):
         z[idx] += F.solve(r[idx])
     return z

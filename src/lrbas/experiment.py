@@ -45,28 +45,17 @@ class RunArtifacts:
     files: list
     report: SolveReport
 
-    @property
-    def total_iterations(self):
-        return self.report.total_iterations
-
-    @property
-    def total_corrections(self):
-        return self.report.total_corrections
-
-    @property
-    def total_coarse_solves(self):
-        return self.report.total_coarse_solves
-
 
 def run(config):
     """Execute one experiment; artifacts land in config.output_dir.
 
-    On solver failure the artifacts of the completed steps are kept, a
-    ``FAILED`` marker file holding the diagnostic is written, and the
-    failure is re-raised.
+    A ``FAILED`` marker left by an earlier run is removed first. On solver
+    failure the artifacts of the completed steps are kept, the marker is
+    written with the diagnostic, and the failure is re-raised.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "FAILED").unlink(missing_ok=True)
     files = []
 
     cfg_path = out / "config.json"
@@ -174,14 +163,17 @@ def _load_report_dir(directory):
     if not isinstance(solver, dict):
         raise ConfigError(f"{directory}/config.json: solver is not a JSON object")
     strategy, eps_loc = solver.get("strategy", ""), solver.get("eps_loc", 0.0)
+    keep_full_bases = solver.get("keep_full_bases", False)
     if not isinstance(strategy, str):
         raise ConfigError(f"{directory}/config.json: solver.strategy is not a string")
     if isinstance(eps_loc, bool) or not isinstance(eps_loc, (int, float)):
         raise ConfigError(f"{directory}/config.json: solver.eps_loc is not a number")
+    if not isinstance(keep_full_bases, bool):
+        raise ConfigError(f"{directory}/config.json: solver.keep_full_bases is not a boolean")
     return cfg, ComparisonRow(
         strategy=strategy,
         eps_loc=float(eps_loc),
-        keep_full_bases=bool(solver.get("keep_full_bases", False)),
+        keep_full_bases=keep_full_bases,
         iterations=int(totals[1]),
         local_solutions=int(totals[2]),
         coarse_solves=int(totals[3]),

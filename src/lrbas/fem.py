@@ -62,9 +62,6 @@ class Grid:
     def n_free(self):
         return (self.m - 1) * (self.m + 1)
 
-    def node_id(self, i, j):
-        return np.asarray(j) * (self.m + 1) + np.asarray(i)
-
     def free_index(self, i, j):
         """Free index of nodes (i, j); callers must keep 1 <= i <= m - 1."""
         return np.asarray(j) * (self.m - 1) + (np.asarray(i) - 1)

@@ -141,9 +141,9 @@ class Factorization:
 
     ``perm[j]`` is the original index placed at pivot position j; for a
     positive definite input the permutation is the identity. Pivots at
-    or below ``pivot_tol`` times the largest initial diagonal entry are
-    dropped; ``rank`` counts the kept pivots and ``dropped`` lists the
-    original indices of the discarded directions.
+    or below ``factorize``'s ``pivot_tol`` times the largest initial
+    diagonal entry are dropped; ``rank`` counts the kept pivots and
+    ``perm[rank:]`` are the original indices of the dropped directions.
 
     A ``banded`` factor, from a sparse input, is positive definite with
     the identity permutation and full rank; ``lower`` then holds L in
@@ -154,12 +154,7 @@ class Factorization:
     lower: np.ndarray  # (n, rank), rows in pivot order; banded: (bandwidth + 1, n)
     perm: np.ndarray  # (n,)
     rank: int
-    pivot_tol: float
     banded: bool = False
-
-    @property
-    def dropped(self):
-        return self.perm[self.rank:]
 
     def solve(self, b):
         """Solve M x = b; dropped directions get zero solution components.
@@ -206,14 +201,14 @@ def factorize(M, pivot_tol=1e-12):
     M = _require_symmetric(M)
     n = M.shape[0]
     if n == 0:
-        return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0, pivot_tol)
+        return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0)
     diag = np.diag(M)
     tol_abs = pivot_tol * max(diag.max(), 0.0)
     if diag.min() > tol_abs:
         try:
             L = sla.cholesky(M, lower=True, check_finite=False)
             if (np.diag(L) ** 2 > tol_abs).all():
-                return Factorization(n, L, np.arange(n, dtype=np.int64), n, pivot_tol)
+                return Factorization(n, L, np.arange(n, dtype=np.int64), n)
         except np.linalg.LinAlgError:
             pass
     c, piv, rank, info = dpstrf(M, lower=1, tol=tol_abs)
@@ -227,7 +222,7 @@ def factorize(M, pivot_tol=1e-12):
         tail = diag[perm[rank:]] - np.einsum("ij,ij->i", L[rank:, :], L[rank:, :])
         if tail.size and tail.min() < -max(tol_abs, 64 * np.finfo(np.float64).eps * max(diag.max(), 0.0)):
             raise IndefiniteMatrixError("matrix not positive semidefinite")
-    return Factorization(n, L, perm, int(rank), pivot_tol)
+    return Factorization(n, L, perm, int(rank))
 
 
 def _factorize_banded(M, pivot_tol):
@@ -238,7 +233,7 @@ def _factorize_banded(M, pivot_tol):
     if (M != M.T).nnz:
         raise ValueError("matrix is not symmetric")
     L = _banded_cholesky(sp.tril(M), pivot_tol)
-    return Factorization(n, L, np.arange(n, dtype=np.int64), n, pivot_tol, banded=True)
+    return Factorization(n, L, np.arange(n, dtype=np.int64), n, banded=True)
 
 
 def _banded_cholesky(low, pivot_tol):
@@ -257,22 +252,22 @@ def _banded_cholesky(low, pivot_tol):
     return L
 
 
-def sym_gen_eig(A, B, upper=None):
-    """Solve the generalized symmetric eigenproblem A p = lambda B p.
+def sym_gen_eig(A, B, upper):
+    """Eigenpairs of A p = lambda B p with eigenvalue at or below ``upper``.
 
     A and B are symmetric, dense or scipy sparse, and B must be positive
     definite. Returns eigenvalues in ascending order with
-    B-orthonormal eigenvector columns; with ``upper`` given, only
-    eigenpairs with eigenvalue at or below that bound are computed.
+    B-orthonormal eigenvector columns; ``upper=np.inf`` asks for every
+    pair.
 
-    Dense ``eigh`` solves the problem, except for a sparse pencil with
-    ``upper`` given and at least ``_ARPACK_MIN_N`` unknowns: there ARPACK
+    Dense ``eigh`` solves the problem, except for a sparse pencil of at
+    least ``_ARPACK_MIN_N`` unknowns and a finite ``upper``: there ARPACK
     computes the largest nu of ``B p = nu (A + B) p``, with
     ``nu = 1 / (1 + lambda)``, through one banded Cholesky factor of
     ``A + B``. Should ARPACK need too many eigenpairs or stop
     converging, dense ``eigh`` takes over.
     """
-    arpack = upper is not None and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
+    arpack = np.isfinite(upper) and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
     if not arpack:
         # sparse checks cost more than dense ones on small matrices
         A, B = (M.toarray() if sp.issparse(M) else M for M in (A, B))
@@ -288,10 +283,7 @@ def sym_gen_eig(A, B, upper=None):
             return found
         A, B = A.toarray(), B.toarray()
     try:
-        if upper is None:
-            w, V = sla.eigh(A, B, driver="gvd", check_finite=False)
-        else:
-            w, V = sla.eigh(A, B, subset_by_value=(-np.inf, upper), driver="gvx", check_finite=False)
+        w, V = sla.eigh(A, B, subset_by_value=(-np.inf, upper), driver="gvx", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteMatrixError(f"invalid right-hand matrix: {exc}") from exc
     return w, V

@@ -88,13 +88,6 @@ def write_corrections_grid(path, corrections, layout):
     write_csv(path, header, rows)
 
 
-def read_corrections_grid(path):
-    """Parse a corrections grid back into per-subdomain counts."""
-    _, rows = read_csv(path)
-    counts = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
-    return counts[::-1].ravel()
-
-
 def write_geneo_counts(path, entries):
     header = ["k", "subdomain", "count"]
     rows = []
@@ -125,15 +118,3 @@ def write_pgm(path, values, sidecar_path):
         handle.write(pixels.tobytes())
     with open(sidecar_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"min {format_float(lo)}\nmax {format_float(hi)}\n")
-
-
-def read_pgm(path):
-    """Parse a binary PGM written by write_pgm into a uint8 array."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    magic, dims, maxval, raster = blob.split(b"\n", 3)
-    if magic != b"P5" or maxval != b"255":
-        raise ValueError(f"{path} is not an 8-bit binary PGM")
-    cols, rows = (int(t) for t in dims.split())
-    pixels = np.frombuffer(raster, dtype=np.uint8, count=rows * cols)
-    return pixels.reshape(rows, cols)

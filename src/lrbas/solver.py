@@ -23,8 +23,8 @@ from .decomposition import (
     build_geneo_coarse,
     build_partition_of_unity,
     detect_changed_subdomains,
+    lift,
 )
-from .fem import assemble_local_neumann
 from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
 
 STRATEGIES = ("pcg", "pcg-guess", "lrbas")
@@ -86,7 +86,7 @@ class ReducedSystem:
         self.dec = dec
         self.coarse = coarse
         self.bases = bases
-        self.W = coarse.matrix.tocsc()
+        self.W = coarse.matrix
         M = (self.W.T @ (system.A.to_scipy() @ self.W)).toarray()
         self.M = 0.5 * (M + M.T)
         self.rhs = self.W.T @ system.f
@@ -97,22 +97,16 @@ class ReducedSystem:
         """Border M and rhs with the basis columns added since the last update."""
         N = len(self.rhs)
         ends = self.coarse.n0 + np.cumsum(self.counts)
-        rows, cols, data, at = [], [], [], []
+        blocks, at = [], []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             new = self.bases[i].vectors[:, self.counts[i]:]
-            idx = self.dec.subdomains[i].indices
-            k = len(at)
-            rows.append(np.tile(idx, new.shape[1]))
-            cols.append(np.repeat(np.arange(k, k + new.shape[1]), len(idx)))
-            data.append(new.T.ravel())
+            blocks.append((i, new))
             at += [ends[i]] * new.shape[1]
             self.counts[i] += new.shape[1]
         if not at:
             return self
         k = len(at)
-        Y = sp.csc_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(self.system.n, k)
-        )
+        Y = lift(self.dec, blocks)
         AY = self.system.A.to_scipy() @ Y
         # symmetrized while sparse: dense k x k temporaries raised the peak
         # memory of long snapshot bases by about 20 MB
@@ -139,7 +133,7 @@ class ReducedSystem:
         return np.r_[self.coarse.n0, self.counts]
 
     def solve(self):
-        """Solve the reduced system; returns the global iterate and coefficients."""
+        """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients."""
         M, rhs = self.M, self.rhs
         try:
             F = factorize(M)
@@ -157,15 +151,7 @@ class ReducedSystem:
             if np.linalg.norm(res[kept]) <= 1e-13 * nrm:
                 break
             c += F.solve(res)
-        n0 = self.coarse.n0
-        parts = np.split(c[n0:], np.cumsum(self.counts)[:-1])
-        return self.W @ c, _Coefficients(c[:n0], parts)
-
-
-@dataclass
-class _Coefficients:
-    coarse: np.ndarray
-    local: list
+        return self.W @ c, np.split(c[self.coarse.n0:], np.cumsum(self.counts)[:-1])
 
 
 def local_residual_norms(r, dec):
@@ -242,8 +228,9 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts):
     """One reduced basis solve with adaptive enrichment.
 
     Mutates ``bases`` (appends enrichment vectors). Returns the final
-    iterate, the reduced coefficients of the last solve, the iteration
-    count, per-subdomain correction counts, and the residual history.
+    iterate, the list of each subdomain's basis coefficients in the last
+    reduced solve, the iteration count, per-subdomain correction counts,
+    and the residual history.
     """
     f = system.f
     nf = np.linalg.norm(f)
@@ -267,6 +254,13 @@ def lrbas_solve_one(system, dec, ops, coarse, bases, opts):
             corrections[i] += 1
             if bases[i].append(y):
                 appended.append(i)
+        if not appended:
+            # the reduced system is unchanged, so every later sweep would repeat this one
+            cause = "every correction was dependent" if len(selected) else "no subdomain passed the eps_loc test"
+            raise ConvergenceFailure(
+                f"reduced solve stalled at relative residual {history[-1]:.3e}: {cause}",
+                report=(iterations, corrections, history, x),
+            )
         rs.update(appended)
         x, coeff = rs.solve()
         r = f - system.A.matvec(x)
@@ -284,7 +278,7 @@ def transition_bases(initial, final, coeff, keep_full):
     ``keep_full`` the entire final basis is carried instead.
     """
     out = []
-    for b0, b1, ci in zip(initial, final, coeff.local):
+    for b0, b1, ci in zip(initial, final, coeff):
         if keep_full or b1.dim == b0.dim:
             out.append(b1.copy())
             continue
@@ -294,12 +288,12 @@ def transition_bases(initial, final, coeff, keep_full):
     return out
 
 
-def pcg(system, ops, x0, eps, max_iter, version=None):
+def pcg(system, ops, x0, eps, max_iter):
     """Preconditioned conjugate gradients with recomputed residuals.
 
-    Returns (solution, iterations, relative residual history); the
-    history starts with the residual of the initial guess. One
-    preconditioner application happens per counted iteration.
+    ``ops`` must be current for ``system``. Returns (solution, iterations,
+    relative residual history); the history starts with the residual of
+    the initial guess. One preconditioner application per iteration.
     """
     f = system.f
     nf = np.linalg.norm(f)
@@ -308,7 +302,7 @@ def pcg(system, ops, x0, eps, max_iter, version=None):
     history = [np.linalg.norm(r) / nf if nf else 0.0]
     if history[-1] <= eps:
         return x, 0, history
-    z = apply_as_preconditioner(r, ops, version)
+    z = apply_as_preconditioner(r, ops)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -321,7 +315,7 @@ def pcg(system, ops, x0, eps, max_iter, version=None):
         history.append(np.linalg.norm(r) / nf if nf else 0.0)
         if history[-1] <= eps:
             return x, it, history
-        z = apply_as_preconditioner(r, ops, version)
+        z = apply_as_preconditioner(r, ops)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -374,15 +368,13 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 changed = np.arange(I)
             else:
                 changed = detect_changed_subdomains(prob.changed_elements, dec)
-            neumanns = {
-                int(i): assemble_local_neumann(dec.grid, prob.coefficient, dec.extended_elements(int(i)))
-                for i in changed
-            }
-            coarse = build_geneo_coarse(dec, pou, prob.system, neumanns, opts.tau, previous=coarse, recompute=changed)
+            coarse = build_geneo_coarse(
+                dec, pou, prob.system, prob.coefficient, opts.tau, previous=coarse, recompute=changed
+            )
             if ops is None:
-                ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=k)
+                ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
             else:
-                ops.refresh(prob.system.A, coarse, changed, version=k)
+                ops.refresh(prob.system.A, coarse, changed)
             if opts.strategy == "lrbas":
                 initial = [b.copy() for b in bases]
                 x, coeff, iters, corrections, history = lrbas_solve_one(
@@ -397,7 +389,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 else:
                     x0 = np.zeros(prob.system.n)
                     guess_solves = 0
-                x, iters, history = pcg(prob.system, ops, x0, opts.eps, opts.max_iter, version=k)
+                x, iters, history = pcg(prob.system, ops, x0, opts.eps, opts.max_iter)
                 previous_solutions.append(x)
                 corrections = np.full(I, iters, dtype=np.int64)
                 coarse_solves = iters + guess_solves

@@ -37,7 +37,6 @@ from lrbas import (
     run_sequence,
 )
 from lrbas.decomposition import LocalOperators, build_geneo_coarse, build_partition_of_unity
-from lrbas.fem import assemble_local_neumann
 from lrbas.solver import lrbas_solve_one
 
 MILD_GEOMETRY = ChannelGeometry(
@@ -128,7 +127,6 @@ def test_criterion_2_oracle_equivalence(small_scale):
 
 def test_criterion_3_invariant_suite(small_scale, spy_solver):
     start = time.perf_counter()
-    grid = small_scale.grid
     dec = small_scale.dec
     pou = build_partition_of_unity(dec)
     worst_ortho = 0.0
@@ -137,12 +135,8 @@ def test_criterion_3_invariant_suite(small_scale, spy_solver):
     # instance A: first field, exhaustive enrichment; instance B: the
     # single-port modification, adaptive enrichment
     for prob, eps_loc in ((small_scale.problems[0], 0.0), (small_scale.problems[3], 0.25)):
-        neumanns = {
-            i: assemble_local_neumann(grid, prob.coefficient, dec.extended_elements(i))
-            for i in range(dec.n_subdomains)
-        }
-        coarse = build_geneo_coarse(dec, pou, prob.system, neumanns, 0.5)
-        ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse, version=1)
+        coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
+        ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
         bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
         opts = SolverOptions(strategy="lrbas", eps_loc=eps_loc)
         _, log = spy_solver(lrbas_solve_one, prob.system, dec, ops, coarse, bases, opts)

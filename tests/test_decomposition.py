@@ -52,13 +52,6 @@ def bandwidth(M):
     return int(np.abs(coo.row - coo.col).max(initial=0))
 
 
-def neumann_matrices(grid, field, dec):
-    return {
-        i: assemble_local_neumann(grid, field, dec.extended_elements(i))
-        for i in range(dec.n_subdomains)
-    }
-
-
 def small_geneo_problem():
     """The 40 x 40, 4 x 4, overlap 2 channel problem with ports 2 and 5 open."""
     grid = Grid(40)
@@ -66,7 +59,7 @@ def small_geneo_problem():
     pou = build_partition_of_unity(dec)
     field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
     system = assemble(grid, field)
-    return dec, pou, system, neumann_matrices(grid, field, dec)
+    return dec, pou, system, field
 
 
 def force_arpack(monkeypatch):
@@ -199,7 +192,7 @@ class TestGeneoCoarse:
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
-        cs = build_geneo_coarse(dec, pou, system, neumann_matrices(grid, field, dec), 1e-6)
+        cs = build_geneo_coarse(dec, pou, system, field, 1e-6)
         # subdomains not touching x = 0 or x = 1 keep the Neumann kernel:
         # exactly the middle column of the 3x3 layout
         assert np.array_equal(cs.counts, [0, 1, 0, 0, 1, 0, 0, 1, 0])
@@ -216,7 +209,7 @@ class TestGeneoCoarse:
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         with pytest.warns(UserWarning, match="no vectors"):
-            cs = build_geneo_coarse(dec, pou, system, neumann_matrices(grid, field, dec), 0.0)
+            cs = build_geneo_coarse(dec, pou, system, field, 0.0)
         assert cs.n0 == 0
         assert cs.matrix.shape == (grid.n_free, 0)
 
@@ -226,11 +219,12 @@ class TestGeneoCoarse:
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
-        cs = build_geneo_coarse(dec, pou, system, neumann_matrices(grid, field, dec), 0.5)
+        cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert cs.n0 == cs.counts.sum() and cs.n0 > 0
         dense = cs.matrix.toarray()
+        offsets = np.r_[0, np.cumsum(cs.counts)]
         for i in range(dec.n_subdomains):
-            cols = dense[:, cs.offsets[i] : cs.offsets[i + 1]]
+            cols = dense[:, offsets[i] : offsets[i + 1]]
             outside = np.setdiff1d(np.arange(grid.n_free), dec.subdomains[i].indices)
             assert np.all(cols[outside] == 0)
 
@@ -242,28 +236,22 @@ class TestGeneoCoarse:
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
-        cs = build_geneo_coarse(dec, pou, system, neumann_matrices(grid, field, dec), 0.5)
+        cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         A0 = (cs.matrix.T @ (system.A.to_scipy() @ cs.matrix)).toarray()
-        assert len(factorize(A0, 1e-10).dropped) == 0
+        F = factorize(A0, 1e-10)
+        assert len(F.perm[F.rank:]) == 0
 
     def test_partial_recompute_matches_full_rebuild(self):
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         pou = build_partition_of_unity(dec)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
-        neumann1 = neumann_matrices(grid, probs[0].coefficient, dec)
-        cs1 = build_geneo_coarse(dec, pou, probs[0].system, neumann1, 0.5)
+        cs1 = build_geneo_coarse(dec, pou, probs[0].system, probs[0].coefficient, 0.5)
         changed = detect_changed_subdomains(probs[1].changed_elements, dec)
-        neumann2 = {
-            int(i): assemble_local_neumann(grid, probs[1].coefficient, dec.extended_elements(int(i)))
-            for i in changed
-        }
         cs2 = build_geneo_coarse(
-            dec, pou, probs[1].system, neumann2, 0.5, previous=cs1, recompute=changed
+            dec, pou, probs[1].system, probs[1].coefficient, 0.5, previous=cs1, recompute=changed
         )
-        full2 = build_geneo_coarse(
-            dec, pou, probs[1].system, neumann_matrices(grid, probs[1].coefficient, dec), 0.5
-        )
+        full2 = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
         assert np.array_equal(cs2.counts, full2.counts)
         assert np.allclose((cs2.matrix - full2.matrix).toarray(), 0, atol=1e-12)
         unchanged = np.setdiff1d(np.arange(dec.n_subdomains), changed)
@@ -280,24 +268,24 @@ class TestGeneoCoarse:
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
-        neumanns = neumann_matrices(grid, field, dec)
-        cs = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         A = system.A.to_scipy()
         for i, idx in enumerate(dec.index_sets):
             D = pou.local[i]
             B = A[idx][:, idx].toarray() * D[:, None] * D[None, :]
             B[np.diag_indices_from(B)] += 1e-12 * max(B.diagonal().max(), 0.0)
-            w, P = sym_gen_eig(neumanns[i][0], B, upper=0.5)
+            K, _ = assemble_local_neumann(grid, field, dec.extended_elements(i))
+            w, P = sym_gen_eig(K, B, upper=0.5)
             sel = np.maximum(w, 0.0) < 0.5
             assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
 
     def test_arpack_path_matches_dense_eigh(self, monkeypatch):
         from lrbas.linalg import sym_gen_eig
 
-        dec, pou, system, neumanns = small_geneo_problem()
-        dense = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        dec, pou, system, field = small_geneo_problem()
+        dense = build_geneo_coarse(dec, pou, system, field, 0.5)
         attempts = force_arpack(monkeypatch)
-        arpack = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        arpack = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert len(attempts) == dec.n_subdomains and all(a is not None for a in attempts)
         assert np.array_equal(arpack.counts, dense.counts)
         A = system.A.to_scipy()
@@ -305,7 +293,7 @@ class TestGeneoCoarse:
             D = pou.local[i]
             B = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
             B = (B + 1e-12 * B.diagonal().max() * sp.identity(len(idx))).tocsr()
-            K = neumanns[i][0]
+            K, _ = assemble_local_neumann(dec.grid, field, dec.extended_elements(i))
             w_dense, P_dense = sym_gen_eig(K.toarray(), B.toarray(), upper=0.5)
             w, P = sym_gen_eig(K, B, upper=0.5)
             assert np.count_nonzero(w < 0.5) == np.count_nonzero(w_dense < 0.5)
@@ -316,24 +304,24 @@ class TestGeneoCoarse:
             assert np.abs(P @ P.T @ Bd - P_dense @ P_dense.T @ Bd).max() <= 1e-10
 
     def test_arpack_path_is_deterministic(self, monkeypatch):
-        dec, pou, system, neumanns = small_geneo_problem()
+        dec, pou, system, field = small_geneo_problem()
         attempts = force_arpack(monkeypatch)
-        first = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
-        second = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        first = build_geneo_coarse(dec, pou, system, field, 0.5)
+        second = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert all(a is not None for a in attempts)
         for a, b in zip(first.blocks, second.blocks):
             assert np.array_equal(a, b)
 
     def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        dec, pou, system, neumanns = small_geneo_problem()
-        dense = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        dec, pou, system, field = small_geneo_problem()
+        dense = build_geneo_coarse(dec, pou, system, field, 0.5)
         attempts = force_arpack(monkeypatch)
 
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(lrbas.linalg, "eigsh", stalled)
-        fallen = build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+        fallen = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert attempts == [None] * dec.n_subdomains
         for a, b in zip(fallen.blocks, dense.blocks):
             assert np.array_equal(a, b)
@@ -345,18 +333,7 @@ class TestGeneoCoarse:
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         with pytest.raises(ValueError, match="previous"):
-            build_geneo_coarse(dec, pou, system, {}, 0.5, recompute=[1])
-
-    def test_mismatched_neumann_index_set_rejected(self):
-        grid = Grid(12)
-        dec = build_decomposition(grid, 3, 2)
-        pou = build_partition_of_unity(dec)
-        field = build_coefficient(grid, ChannelGeometry.empty())
-        system = assemble(grid, field)
-        neumanns = neumann_matrices(grid, field, dec)
-        neumanns[0] = (neumanns[0][0], neumanns[0][1][:-1])
-        with pytest.raises(ValueError, match="different index set"):
-            build_geneo_coarse(dec, pou, system, neumanns, 0.5)
+            build_geneo_coarse(dec, pou, system, field, 0.5, recompute=[1])
 
 
 class TestLocalOperators:
@@ -368,7 +345,7 @@ class TestLocalOperators:
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (20, 20)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec), version=1)
+        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
         for idx, F in zip(dec.index_sets, ops.factors):
             want = system.A.submatrix(idx).toarray()
             got = np.empty_like(want)
@@ -425,7 +402,7 @@ class TestLocalOperators:
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
-        cs = build_geneo_coarse(dec, pou, system, neumann_matrices(grid, field, dec), 0.5)
+        cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         ops = LocalOperators.build(system.A, dec.index_sets, cs)
         rng = np.random.default_rng(2)
         for _ in range(3):
@@ -439,25 +416,17 @@ class TestLocalOperators:
         dec = build_decomposition(grid, 4, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
         coarse = empty_coarse(dec)
-        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse, version=1)
+        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
         changed = detect_changed_subdomains(probs[1].changed_elements, dec)
-        ops.refresh(probs[1].system.A, coarse, changed, version=2)
-        fresh = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse, version=2)
+        ops.refresh(probs[1].system.A, coarse, changed)
+        fresh = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
         rng = np.random.default_rng(3)
         r = rng.standard_normal(probs[1].system.n)
         assert np.allclose(
-            apply_as_preconditioner(r, ops, version=2),
-            apply_as_preconditioner(r, fresh, version=2),
+            apply_as_preconditioner(r, ops),
+            apply_as_preconditioner(r, fresh),
             atol=1e-12 * np.abs(r).max(),
         )
-
-    def test_version_mismatch_rejected(self):
-        grid = Grid(10)
-        system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
-        dec = build_decomposition(grid, 2, 1)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec), version=3)
-        with pytest.raises(ValueError, match="version"):
-            apply_as_preconditioner(system.f, ops, version=4)
 
 
 class TestChangeSoundness:

@@ -23,9 +23,7 @@ from lrbas.cli import main
 from lrbas.experiment import SUMMARY_HEADER
 from lrbas.reporting import (
     format_float,
-    read_corrections_grid,
     read_csv,
-    read_pgm,
     write_corrections_grid,
     write_csv,
     write_pgm,
@@ -47,6 +45,25 @@ MILD = {
     "x_right": 0.9,
     "port_length": 0.05,
 }
+
+
+def read_corrections_grid(path):
+    """Parse a corrections grid back into per-subdomain counts."""
+    _, rows = read_csv(path)
+    counts = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
+    return counts[::-1].ravel()
+
+
+def read_pgm(path):
+    """Parse a binary PGM written by write_pgm into a uint8 array."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    magic, dims, maxval, raster = blob.split(b"\n", 3)
+    if magic != b"P5" or maxval != b"255":
+        raise ValueError(f"{path} is not an 8-bit binary PGM")
+    cols, rows = (int(t) for t in dims.split())
+    pixels = np.frombuffer(raster, dtype=np.uint8, count=rows * cols)
+    return pixels.reshape(rows, cols)
 
 
 def small_config(tmp_path, name="out", **solver):
@@ -270,9 +287,9 @@ class TestRun:
             assert float(row[4]) == entry.final_relative_residual
         totals = rows[-1]
         assert totals[0] == "total"
-        assert int(totals[1]) == arts.total_iterations
-        assert int(totals[2]) == arts.total_corrections
-        assert int(totals[3]) == arts.total_coarse_solves
+        assert int(totals[1]) == arts.report.total_iterations
+        assert int(totals[2]) == arts.report.total_corrections
+        assert int(totals[3]) == arts.report.total_coarse_solves
         assert float(totals[4]) == max(e.final_relative_residual for e in arts.report.entries)
 
     def test_per_step_tables_round_trip(self, artifacts):
@@ -324,6 +341,17 @@ class TestRun:
         assert (out / "config.json").is_file()
         assert (out / "sigma_1.pgm").is_file()
         assert (out / "summary.csv").is_file()
+
+    def test_successful_rerun_clears_failed_marker(self, tmp_path):
+        with pytest.raises(ConvergenceFailure):
+            run(small_config(tmp_path, "again", strategy="pcg", max_iter=1))
+        assert (tmp_path / "again" / "FAILED").is_file()
+        arts = run(small_config(tmp_path, "again", strategy="pcg"))
+        assert not (tmp_path / "again" / "FAILED").exists()
+        assert all(path.name != "FAILED" for path in arts.files)
+        run(small_config(tmp_path, "other", strategy="pcg"))
+        comp = compare([tmp_path / "again", tmp_path / "other"], out_dir=tmp_path / "cmp")
+        assert comp.rows[0] == comp.rows[1]
 
 
 class TestCompare:
@@ -480,7 +508,7 @@ class TestCli:
         if failure == "indefinite-weighted-matrix":
             sym_gen_eig = lrbas.decomposition.sym_gen_eig
             monkeypatch.setattr(
-                lrbas.decomposition, "sym_gen_eig", lambda K, B, upper=None: sym_gen_eig(K, -B, upper=upper)
+                lrbas.decomposition, "sym_gen_eig", lambda K, B, upper: sym_gen_eig(K, -B, upper)
             )
         else:
 
@@ -527,6 +555,7 @@ class TestCli:
             ('{"solver": {"eps_loc": "x"}}', SUMMARY_OK, "solver.eps_loc is not a number"),
             ('{"solver": {"eps_loc": null}}', SUMMARY_OK, "solver.eps_loc is not a number"),
             ('{"solver": {"strategy": ["pcg"]}}', SUMMARY_OK, "solver.strategy is not a string"),
+            ('{"solver": {"keep_full_bases": "false"}}', SUMMARY_OK, "solver.keep_full_bases is not a boolean"),
         ],
         ids=[
             "no-summary",
@@ -540,6 +569,7 @@ class TestCli:
             "eps-loc-string",
             "eps-loc-null",
             "strategy-array",
+            "keep-full-string",
         ],
     )
     def test_compare_incomplete_report_exit_one(self, tmp_path, capsys, config_text, summary_text, message):

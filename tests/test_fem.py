@@ -68,9 +68,11 @@ def port_element_ids(grid, geometry, port):
 class TestGrid:
     def test_node_indexing_row_major(self):
         g = Grid(4)
-        assert g.node_id(2, 3) == 3 * 5 + 2
-        assert g.node_id(0, 0) == 0
-        assert g.node_id(4, 4) == 24
+        system = assemble(g, build_coefficient(g, ChannelGeometry.empty()))
+        ids = np.arange(25).reshape(5, 5)  # [j, i]: node id j * 5 + i
+        assert np.array_equal(system.free_nodes, ids[:, 1:4].ravel())
+        assert np.array_equal(system.dirichlet_nodes, ids[:, [0, 4]].ravel())
+        assert system.free_nodes[g.free_index(2, 3)] == 3 * 5 + 2
 
     def test_sizes(self):
         g = Grid(5)

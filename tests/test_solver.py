@@ -19,7 +19,6 @@ from lrbas.fem import (
     Grid,
     ModificationSchedule,
     assemble,
-    assemble_local_neumann,
     build_coefficient,
     problem_sequence,
 )
@@ -72,12 +71,8 @@ def geneo_stack(m, layout, overlap, open_ports=(), tau=0.5, geometry=SMALL_GEOME
     pou = build_partition_of_unity(dec)
     field = build_coefficient(grid, geometry, open_ports)
     system = assemble(grid, field)
-    neumanns = {
-        i: assemble_local_neumann(grid, field, dec.extended_elements(i))
-        for i in range(dec.n_subdomains)
-    }
-    coarse = build_geneo_coarse(dec, pou, system, neumanns, tau)
-    ops = LocalOperators.build(system.A, dec.index_sets, coarse, version=1)
+    coarse = build_geneo_coarse(dec, pou, system, field, tau)
+    ops = LocalOperators.build(system.A, dec.index_sets, coarse)
     return system, dec, pou, coarse, ops
 
 
@@ -200,7 +195,7 @@ class TestReducedSystem:
         rs = ReducedSystem(system, dec, empty_coarse(dec), empty_bases(dec))
         x, coeff = rs.solve()
         assert np.array_equal(x, np.zeros(system.n))
-        assert len(coeff.coarse) == 0
+        assert [len(c) for c in coeff] == [0] * dec.n_subdomains
 
     def test_coarse_only_system(self):
         system, dec, _, coarse, _ = _CONSTANT12()
@@ -210,7 +205,7 @@ class TestReducedSystem:
         A0 = (R0T.T @ (system.A.to_scipy() @ R0T)).toarray()
         want = R0T @ np.linalg.solve(A0, R0T.T @ system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
-        assert len(coeff.coarse) == coarse.n0
+        assert [len(c) for c in coeff] == [0] * dec.n_subdomains
 
     def test_full_identity_basis_reproduces_exact_solution(self):
         grid = Grid(10)
@@ -307,7 +302,7 @@ class TestPcg:
 
     def test_reported_residuals_are_true_residuals(self):
         system, dec, _, _, ops = _CACHE20()
-        x, iters, history = pcg(system, ops, np.zeros(system.n), 1e-8, 100, version=1)
+        x, iters, history = pcg(system, ops, np.zeros(system.n), 1e-8, 100)
         recomputed = np.linalg.norm(system.f - system.A.matvec(x)) / np.linalg.norm(system.f)
         assert history[-1] == pytest.approx(recomputed, rel=1e-13)
         assert history[-1] <= 1e-8
@@ -316,15 +311,15 @@ class TestPcg:
     def test_warm_start_reduces_initial_residual(self):
         system, dec, _, _, ops = _CACHE20()
         x_exact = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
-        _, iters_cold, _ = pcg(system, ops, np.zeros(system.n), 1e-8, 100, version=1)
-        _, iters_warm, history = pcg(system, ops, 0.999 * x_exact, 1e-8, 100, version=1)
+        _, iters_cold, _ = pcg(system, ops, np.zeros(system.n), 1e-8, 100)
+        _, iters_warm, history = pcg(system, ops, 0.999 * x_exact, 1e-8, 100)
         assert history[0] < 1e-2
         assert iters_warm <= iters_cold
 
     def test_nonconvergence_raises(self):
         system, dec, _, _, ops = _CACHE20()
         with pytest.raises(ConvergenceFailure, match="pcg stalled at relative residual"):
-            pcg(system, ops, np.zeros(system.n), 1e-12, 2, version=1)
+            pcg(system, ops, np.zeros(system.n), 1e-12, 2)
 
 
 class TestSnapshotGuess:
@@ -352,12 +347,7 @@ class TestSnapshotGuess:
         pou = build_partition_of_unity(dec)
         probs = problem_sequence(grid, SMALL_GEOMETRY, ModificationSchedule(({2, 5}, {5})))
         prev_x = np.linalg.solve(probs[0].system.A.to_scipy().toarray(), probs[0].system.f)
-        field = probs[1].coefficient
-        neumanns = {
-            i: assemble_local_neumann(grid, field, dec.extended_elements(i))
-            for i in range(dec.n_subdomains)
-        }
-        coarse = build_geneo_coarse(dec, pou, probs[1].system, neumanns, 0.5)
+        coarse = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
         x0 = pou_snapshot_guess(probs[1].system, dec, pou, coarse, [prev_x])
         A = probs[1].system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, probs[1].system.f)
@@ -378,14 +368,14 @@ class TestTransitionBases:
     def test_unenriched_basis_carried_unchanged(self):
         rng = np.random.default_rng(0)
         b0, _ = self._basis_pair(rng, extra=0)
-        out = transition_bases([b0], [b0.copy()], _coeff([np.zeros(b0.dim)]), keep_full=False)
+        out = transition_bases([b0], [b0.copy()], [np.zeros(b0.dim)], keep_full=False)
         assert np.array_equal(out[0].vectors, b0.vectors)
 
     def test_solution_only_transition_appends_one_vector(self):
         rng = np.random.default_rng(1)
         b0, b1 = self._basis_pair(rng)
         ci = rng.standard_normal(b1.dim)
-        out = transition_bases([b0], [b1], _coeff([ci]), keep_full=False)
+        out = transition_bases([b0], [b1], [ci], keep_full=False)
         assert out[0].dim == b0.dim + 1
         # the appended direction keeps the solution vector in the span
         sol = b1.vectors @ ci
@@ -397,20 +387,14 @@ class TestTransitionBases:
         b0, b1 = self._basis_pair(rng)
         ci = np.zeros(b1.dim)
         ci[0] = 1.0  # solution lies in the carried part already
-        out = transition_bases([b0], [b1], _coeff([ci]), keep_full=False)
+        out = transition_bases([b0], [b1], [ci], keep_full=False)
         assert out[0].dim == b0.dim
 
     def test_keep_full_carries_entire_basis(self):
         rng = np.random.default_rng(3)
         b0, b1 = self._basis_pair(rng)
-        out = transition_bases([b0], [b1], _coeff([np.zeros(b1.dim)]), keep_full=True)
+        out = transition_bases([b0], [b1], [np.zeros(b1.dim)], keep_full=True)
         assert np.array_equal(out[0].vectors, b1.vectors)
-
-
-def _coeff(local):
-    from lrbas.solver import _Coefficients
-
-    return _Coefficients(np.zeros(0), local)
 
 
 class TestSolveOne:
@@ -485,6 +469,23 @@ class TestSolveOne:
         assert iters == 1
         assert len(history) == 2
         assert corrections.sum() > 0
+
+    @pytest.mark.parametrize(
+        "eps_loc, dependent, cause",
+        [(5.0, False, "no subdomain passed the eps_loc test"), (0.25, True, "every correction was dependent")],
+        ids=["nothing-selected", "all-dependent"],
+    )
+    def test_sweep_that_appends_nothing_fails_at_once(self, monkeypatch, eps_loc, dependent, cause):
+        system, dec, _, coarse, ops = _CACHE20()
+        if dependent:
+            monkeypatch.setattr(LocalBasis, "append", lambda basis, y, drop_tol=1e-10: False)
+        opts = SolverOptions(eps=1e-12, eps_loc=eps_loc, max_iter=200)
+        with pytest.raises(ConvergenceFailure, match=cause) as info:
+            lrbas_solve_one(system, dec, ops, coarse, empty_bases(dec), opts)
+        iters, corrections, history, x = info.value.report
+        assert iters == 0
+        assert len(history) == 1
+        assert (corrections.sum() > 0) == dependent
 
     def test_nan_residual_is_not_converged(self):
         system, dec, _, coarse, ops = _CACHE20()
@@ -631,11 +632,7 @@ def _CONSTANT12():
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
-        neumanns = {
-            i: assemble_local_neumann(grid, field, dec.extended_elements(i))
-            for i in range(dec.n_subdomains)
-        }
-        coarse = build_geneo_coarse(dec, pou, system, neumanns, 1e-6)
-        ops = LocalOperators.build(system.A, dec.index_sets, coarse, version=1)
+        coarse = build_geneo_coarse(dec, pou, system, field, 1e-6)
+        ops = LocalOperators.build(system.A, dec.index_sets, coarse)
         _CACHE["c"] = (system, dec, pou, coarse, ops)
     return _CACHE["c"]
