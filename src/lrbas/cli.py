@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, load_config
@@ -73,7 +74,7 @@ def _apply_overrides(config, args):
         value = getattr(args, arg_name)
         if value is not None:
             updates[field_name] = value
-    return config.with_overrides(**updates) if updates else config
+    return dataclasses.replace(config, **updates) if updates else config
 
 
 def main(argv=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .fem import DEFAULT_SCHEDULE, ChannelGeometry, ModificationSchedule
 from .solver import STRATEGIES, SolverOptions
@@ -47,7 +47,7 @@ class ExperimentConfig:
             )
         if self.overlap < 1:
             raise ConfigError("decomposition.overlap must be at least 1")
-        if self.tau <= 0:
+        if not (self.tau > 0):
             raise ConfigError("coarse.tau must be positive")
         if self.strategy not in STRATEGIES:
             raise ConfigError(
@@ -102,10 +102,6 @@ class ExperimentConfig:
             "schedule": [sorted(ports) for ports in self.schedule],
             "output": {"directory": self.output_dir},
         }
-
-    def with_overrides(self, **kwargs):
-        """A copy with the given fields replaced and revalidated."""
-        return replace(self, **kwargs)
 
 
 def _require(condition, message):

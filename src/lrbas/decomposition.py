@@ -21,20 +21,16 @@ from .linalg import Factorization, SparseSymMatrix, factorize, sym_gen_eig
 
 @dataclass(frozen=True)
 class Subdomain:
-    p: int
-    q: int
-    owned: tuple  # element ranges ((c0, c1), (r0, r1)), inclusive
-    extended: tuple
+    extended: tuple  # element ranges ((c0, c1), (r0, r1)), inclusive
     indices: np.ndarray  # free-node index set, ascending
 
 
 class Decomposition:
     """Uniform overlapping decomposition of a Grid."""
 
-    def __init__(self, grid, layout, overlap, subdomains, neighbors):
+    def __init__(self, grid, layout, subdomains, neighbors):
         self.grid = grid
         self.layout = layout
-        self.overlap = overlap
         self.subdomains = subdomains
         self.neighbors = neighbors  # per subdomain: sorted tuple, includes self
 
@@ -67,15 +63,14 @@ def build_decomposition(grid, layout, overlap):
     subdomains = []
     for q in range(layout):
         for p in range(layout):
-            oc = (p * w, (p + 1) * w - 1)
-            orr = (q * w, (q + 1) * w - 1)
-            ec = (max(oc[0] - overlap, 0), min(oc[1] + overlap, m - 1))
-            er = (max(orr[0] - overlap, 0), min(orr[1] + overlap, m - 1))
+            # subdomain q * layout + p: element block (p, q) widened by the overlap, clipped
+            ec = (max(p * w - overlap, 0), min((p + 1) * w - 1 + overlap, m - 1))
+            er = (max(q * w - overlap, 0), min((q + 1) * w - 1 + overlap, m - 1))
             ni = np.arange(max(ec[0], 1), min(ec[1] + 1, m - 1) + 1)
             nj = np.arange(er[0], er[1] + 2)
             ij, jj = np.meshgrid(ni, nj)
             idx = grid.free_index(ij, jj).ravel()
-            subdomains.append(Subdomain(p, q, (oc, orr), (ec, er), idx))
+            subdomains.append(Subdomain((ec, er), idx))
 
     # neighborhood by index-set intersection; the sets are rectangles in
     # node space so interval overlap decides it
@@ -91,15 +86,14 @@ def build_decomposition(grid, layout, overlap):
             if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
         ]
         neighbors.append(tuple(nb))
-    return Decomposition(grid, layout, overlap, subdomains, neighbors)
+    return Decomposition(grid, layout, subdomains, neighbors)
 
 
 @dataclass
 class PartitionOfUnity:
-    """Inverse multiplicity weights over the free nodes."""
+    """Inverse multiplicity weights, restricted to each index set."""
 
-    weights: np.ndarray  # full free-node vector
-    local: list  # weights restricted to each index set
+    local: list
 
 
 def build_partition_of_unity(dec):
@@ -110,7 +104,7 @@ def build_partition_of_unity(dec):
     if (counts == 0).any():
         raise ValueError("index sets do not cover all free nodes")
     weights = 1.0 / counts
-    return PartitionOfUnity(weights, [weights[idx] for idx in dec.index_sets])
+    return PartitionOfUnity([weights[idx] for idx in dec.index_sets])
 
 
 def detect_changed_subdomains(changed_elements, dec):
@@ -193,36 +187,40 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
 
 @dataclass
 class LocalOperators:
-    """Factorized local Dirichlet matrices plus the coarse matrix.
+    """Factorized local Dirichlet matrices plus the coarse space and matrix.
 
     Each local matrix A_i is factored by banded Cholesky in the natural
     (ascending) node order of its index set, where its bandwidth is about
-    the subdomain's width in nodes; the coarse matrix is dense. The
-    caller keeps them current: ``refresh`` after each change of system.
+    the subdomain's width in nodes. ``coarse_matrix`` is the dense
+    ``R0^T A R0`` of ``coarse``, which the preconditioner factors and the
+    reduced systems start from. The caller keeps them current: ``refresh``
+    after each change of system.
     """
 
     index_sets: list
     factors: list
     coarse: CoarseSpace
+    coarse_matrix: np.ndarray
     coarse_factor: Factorization
 
     @classmethod
     def build(cls, A, index_sets, coarse):
         factors = [factorize(A.submatrix(idx)) for idx in index_sets]
-        return cls(index_sets, factors, coarse, _coarse_factor(A, coarse))
+        return cls(index_sets, factors, coarse, *_coarse_factor(A, coarse))
 
     def refresh(self, A, coarse, changed):
         """Refactor changed subdomains and the coarse matrix for a new system."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
             self.factors[i] = factorize(A.submatrix(self.index_sets[i]))
         self.coarse = coarse
-        self.coarse_factor = _coarse_factor(A, coarse)
+        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse)
 
 
 def _coarse_factor(A, coarse):
+    """The dense coarse Galerkin matrix R0^T A R0 and its factorization."""
     R0T = coarse.matrix
     A0 = (R0T.T @ (A.to_scipy() @ R0T)).toarray()
-    return factorize(A0)
+    return A0, factorize(A0)
 
 
 def apply_as_preconditioner(r, ops):

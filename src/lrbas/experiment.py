@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ConfigError
+from .config import ConfigError, config_from_dict
 from .decomposition import build_decomposition
 from .fem import Grid, problem_sequence
 from .linalg import ConvergenceFailure
@@ -105,6 +105,8 @@ def run(config):
 
 
 _STRATEGY_RANK = {"pcg": 0, "pcg-guess": 1, "lrbas": 2}
+# ExperimentConfig fields that fix the problem sequence and the stopping test
+_COMPARABLE = ("grid_size", "layout", "overlap", "tau", "eps", "geometry", "schedule")
 
 
 @dataclass(frozen=True)
@@ -142,11 +144,11 @@ def _load_report_dir(directory):
     if (directory / "FAILED").is_file():
         raise ConfigError(f"{directory} holds a failed run")
     try:
-        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        config = config_from_dict(json.loads(cfg_path.read_text(encoding="utf-8")))
+    except ConfigError as exc:
+        raise ConfigError(f"{directory}/config.json: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{directory}/config.json is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{directory}/config.json is not a JSON object")
     summary = directory / "summary.csv"
     if not summary.is_file():
         raise ConfigError(f"{directory} has no summary.csv")
@@ -159,21 +161,10 @@ def _load_report_dir(directory):
         or not all(v.isdigit() for v in totals[1:4])
     ):
         raise ConfigError(f"{directory}/summary.csv is not a summary table")
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError(f"{directory}/config.json: solver is not a JSON object")
-    strategy, eps_loc = solver.get("strategy", ""), solver.get("eps_loc", 0.0)
-    keep_full_bases = solver.get("keep_full_bases", False)
-    if not isinstance(strategy, str):
-        raise ConfigError(f"{directory}/config.json: solver.strategy is not a string")
-    if isinstance(eps_loc, bool) or not isinstance(eps_loc, (int, float)):
-        raise ConfigError(f"{directory}/config.json: solver.eps_loc is not a number")
-    if not isinstance(keep_full_bases, bool):
-        raise ConfigError(f"{directory}/config.json: solver.keep_full_bases is not a boolean")
-    return cfg, ComparisonRow(
-        strategy=strategy,
-        eps_loc=float(eps_loc),
-        keep_full_bases=keep_full_bases,
+    return config, ComparisonRow(
+        strategy=config.strategy,
+        eps_loc=config.eps_loc,
+        keep_full_bases=config.keep_full_bases,
         iterations=int(totals[1]),
         local_solutions=int(totals[2]),
         coarse_solves=int(totals[3]),
@@ -183,8 +174,10 @@ def _load_report_dir(directory):
 def compare(report_dirs, out_dir="."):
     """Side-by-side totals of finished runs over one problem sequence.
 
-    Rows are ordered baselines first, then the reduced solver variants
-    by retained-basis policy and localization threshold. Emits
+    Each ``config.json`` is validated by ``config_from_dict``, and the
+    runs must agree on the fields in ``_COMPARABLE``. Rows are ordered
+    baselines first, then the reduced solver variants by retained-basis
+    policy and localization threshold. Emits
     ``comparison.csv`` and the aligned-text ``comparison.txt`` into
     ``out_dir``.
     """
@@ -192,22 +185,17 @@ def compare(report_dirs, out_dir="."):
         raise ConfigError("compare needs at least two report directories")
     loaded = [_load_report_dir(d) for d in report_dirs]
     reference = loaded[0][0]
-    for directory, (cfg, _) in zip(report_dirs[1:], loaded[1:]):
-        for section in ("grid", "decomposition", "coarse", "geometry", "schedule"):
-            if cfg.get(section) != reference.get(section):
+    for directory, (config, _) in zip(report_dirs[1:], loaded[1:]):
+        for name in _COMPARABLE:
+            if getattr(config, name) != getattr(reference, name):
                 raise ConfigError(
-                    f"reports are not comparable: {section} differs "
+                    f"reports are not comparable: {name} differs "
                     f"between {report_dirs[0]} and {directory}"
                 )
-        if cfg.get("solver", {}).get("eps") != reference.get("solver", {}).get("eps"):
-            raise ConfigError(
-                f"reports are not comparable: solver.eps differs "
-                f"between {report_dirs[0]} and {directory}"
-            )
 
     rows = sorted(
         (row for _, row in loaded),
-        key=lambda r: (_STRATEGY_RANK.get(r.strategy, 99), r.keep_full_bases, r.eps_loc),
+        key=lambda r: (_STRATEGY_RANK[r.strategy], r.keep_full_bases, r.eps_loc),
     )
 
     out = Path(out_dir)

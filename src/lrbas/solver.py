@@ -74,21 +74,21 @@ class ReducedSystem:
 
     ``W`` holds the coarse columns followed by each subdomain's basis
     columns, in subdomain order; ``M = W^T A W`` and ``rhs = W^T f``
-    follow the same order. Enrichment only appends basis columns, so
-    ``update`` borders M with the new columns and recomputes no
-    existing entry.
+    follow the same order; the coarse columns and their block of M come
+    from ``ops``, which must be current for ``system``. Enrichment only
+    appends basis columns, so ``update`` borders M with the new columns
+    and recomputes no existing entry.
     """
 
-    def __init__(self, system, dec, coarse, bases):
+    def __init__(self, system, dec, ops, bases):
         if len(bases) != dec.n_subdomains:
             raise ValueError("one basis per subdomain required")
         self.system = system
         self.dec = dec
-        self.coarse = coarse
+        self.n0 = ops.coarse.n0
         self.bases = bases
-        self.W = coarse.matrix
-        M = (self.W.T @ (system.A.to_scipy() @ self.W)).toarray()
-        self.M = 0.5 * (M + M.T)
+        self.W = ops.coarse.matrix
+        self.M = 0.5 * (ops.coarse_matrix + ops.coarse_matrix.T)
         self.rhs = self.W.T @ system.f
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)  # columns of each basis in W
         self.update(range(dec.n_subdomains))
@@ -96,7 +96,7 @@ class ReducedSystem:
     def update(self, enriched):
         """Border M and rhs with the basis columns added since the last update."""
         N = len(self.rhs)
-        ends = self.coarse.n0 + np.cumsum(self.counts)
+        ends = self.n0 + np.cumsum(self.counts)
         blocks, at = [], []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             new = self.bases[i].vectors[:, self.counts[i]:]
@@ -130,7 +130,7 @@ class ReducedSystem:
         return self
 
     def dimensions(self):
-        return np.r_[self.coarse.n0, self.counts]
+        return np.r_[self.n0, self.counts]
 
     def solve(self):
         """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients."""
@@ -151,7 +151,7 @@ class ReducedSystem:
             if np.linalg.norm(res[kept]) <= 1e-13 * nrm:
                 break
             c += F.solve(res)
-        return self.W @ c, np.split(c[self.coarse.n0:], np.cumsum(self.counts)[:-1])
+        return self.W @ c, np.split(c[self.n0:], np.cumsum(self.counts)[:-1])
 
 
 def local_residual_norms(r, dec):
@@ -185,14 +185,13 @@ class SolverOptions:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if not (self.eps > 0) or self.eps_loc < 0 or self.max_iter < 1:
-            raise ValueError("eps must be positive, eps_loc nonnegative, max_iter at least 1")
+        if not (self.eps > 0) or not (self.tau > 0) or self.eps_loc < 0 or self.max_iter < 1:
+            raise ValueError("eps and tau must be positive, eps_loc nonnegative, max_iter at least 1")
 
 
 @dataclass
 class StepReport:
     k: int
-    strategy: str
     iterations: int
     corrections: np.ndarray  # local solves per subdomain
     coarse_solves: int
@@ -224,17 +223,18 @@ class SolveReport:
         return sum(e.coarse_solves for e in self.entries)
 
 
-def lrbas_solve_one(system, dec, ops, coarse, bases, opts):
+def lrbas_solve_one(system, dec, ops, bases, opts):
     """One reduced basis solve with adaptive enrichment.
 
-    Mutates ``bases`` (appends enrichment vectors). Returns the final
-    iterate, the list of each subdomain's basis coefficients in the last
-    reduced solve, the iteration count, per-subdomain correction counts,
-    and the residual history.
+    ``ops`` must be current for ``system``. Mutates ``bases`` (appends
+    enrichment vectors). Returns the final iterate, the list of each
+    subdomain's basis coefficients in the last reduced solve, the
+    iteration count, per-subdomain correction counts, and the residual
+    history.
     """
     f = system.f
     nf = np.linalg.norm(f)
-    rs = ReducedSystem(system, dec, coarse, bases)
+    rs = ReducedSystem(system, dec, ops, bases)
     x, coeff = rs.solve()
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
@@ -325,19 +325,19 @@ def pcg(system, ops, x0, eps, max_iter):
     )
 
 
-def pou_snapshot_guess(system, dec, pou, coarse, previous):
+def pou_snapshot_guess(system, dec, pou, ops, previous):
     """Initial guess from partition-of-unity snapshots of previous solutions.
 
     Builds per-subdomain bases from D_i R_i x for every previous
-    solution x and solves the Galerkin system over coarse plus
-    snapshots. With no previous solutions this is the coarse-only
-    Galerkin solution.
+    solution x and solves the Galerkin system over the coarse space of
+    ``ops`` (current for ``system``) plus the snapshots. With no
+    previous solutions this is the coarse-only Galerkin solution.
     """
     snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
     for x in previous:
         for i, s in enumerate(dec.subdomains):
             snaps[i].append(pou.local[i] * x[s.indices])
-    rs = ReducedSystem(system, dec, coarse, snaps)
+    rs = ReducedSystem(system, dec, ops, snaps)
     x0, _ = rs.solve()
     return x0
 
@@ -377,14 +377,12 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 ops.refresh(prob.system.A, coarse, changed)
             if opts.strategy == "lrbas":
                 initial = [b.copy() for b in bases]
-                x, coeff, iters, corrections, history = lrbas_solve_one(
-                    prob.system, dec, ops, coarse, bases, opts
-                )
+                x, coeff, iters, corrections, history = lrbas_solve_one(prob.system, dec, ops, bases, opts)
                 bases = transition_bases(initial, bases, coeff, opts.keep_full_bases)
                 coarse_solves = iters + 1
             else:
                 if opts.strategy == "pcg-guess":
-                    x0 = pou_snapshot_guess(prob.system, dec, pou, coarse, previous_solutions)
+                    x0 = pou_snapshot_guess(prob.system, dec, pou, ops, previous_solutions)
                     guess_solves = 1
                 else:
                     x0 = np.zeros(prob.system.n)
@@ -398,7 +396,6 @@ def run_sequence(problems, dec, pou=None, opts=None):
         report.entries.append(
             StepReport(
                 k=k,
-                strategy=opts.strategy,
                 iterations=iters,
                 corrections=corrections,
                 coarse_solves=coarse_solves,

@@ -139,7 +139,7 @@ def test_criterion_3_invariant_suite(small_scale, spy_solver):
         ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
         bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
         opts = SolverOptions(strategy="lrbas", eps_loc=eps_loc)
-        _, log = spy_solver(lrbas_solve_one, prob.system, dec, ops, coarse, bases, opts)
+        _, log = spy_solver(lrbas_solve_one, prob.system, dec, ops, bases, opts)
 
         A = prob.system.A.to_scipy().toarray()
         x_exact = direct_solve(prob.system)

@@ -81,7 +81,6 @@ class TestBuildDecomposition:
     def test_paper_layout_interior_subdomain(self):
         dec = build_decomposition(Grid(200), 10, 4)
         s = dec.subdomains[44]  # (p, q) = (4, 4), away from every boundary
-        assert s.owned == ((80, 99), (80, 99))
         assert s.extended == ((76, 103), (76, 103))
         assert len(s.indices) == 841  # (20 + 2*4 + 1)^2 nodes, none Dirichlet
         assert len(dec.extended_elements(44)) == 28 * 28
@@ -97,16 +96,6 @@ class TestBuildDecomposition:
         dec = build_decomposition(Grid(200), 10, 4)
         assert dec.subdomains[0].extended == ((0, 23), (0, 23))
         assert dec.subdomains[99].extended == ((176, 199), (176, 199))
-
-    def test_owned_blocks_tile_the_grid(self):
-        grid = Grid(12)
-        dec = build_decomposition(grid, 3, 2)
-        seen = np.zeros(grid.n_elements, dtype=np.int64)
-        for s in dec.subdomains:
-            (c0, c1), (r0, r1) = s.owned
-            ex, ey = np.meshgrid(np.arange(c0, c1 + 1), np.arange(r0, r1 + 1))
-            seen[grid.element_id(ex, ey).ravel()] += 1
-        assert np.all(seen == 1)
 
     def test_index_sets_cover_free_nodes(self):
         grid = Grid(12)
@@ -147,13 +136,18 @@ class TestPartitionOfUnity:
         grid = Grid(20)
         dec = build_decomposition(grid, 2, 2)
         pou = build_partition_of_unity(dec)
+
+        def weights_at(i, j):
+            node = grid.free_index(i, j)
+            return [float(w[idx == node][0]) for idx, w in zip(dec.index_sets, pou.local) if node in idx]
+
         # node (5, 5) lies only in subdomain 0 (extended block ends at 11)
-        assert pou.weights[grid.free_index(5, 5)] == 1.0
+        assert weights_at(5, 5) == [1.0]
         # node (10, 5) lies in the overlap of subdomains 0 and 1 only
-        assert pou.weights[grid.free_index(10, 5)] == 0.5
+        assert weights_at(10, 5) == [0.5, 0.5]
         # node (10, 10) is shared by all four subdomains
-        assert pou.weights[grid.free_index(10, 10)] == 0.25
-        assert np.all(pou.weights > 0) and np.all(pou.weights <= 1)
+        assert weights_at(10, 10) == [0.25] * 4
+        assert all(np.all(w > 0) and np.all(w <= 1) for w in pou.local)
 
 
 class TestDetectChangedSubdomains:

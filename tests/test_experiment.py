@@ -1,5 +1,6 @@
 """Configuration, report serialization, experiment runner, and CLI."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,9 @@ class TestConfig:
 
     def test_nan_eps_override_rejected(self):
         with pytest.raises(ConfigError, match="solver.eps must be positive"):
-            config_from_dict({}).with_overrides(eps=float("nan"))
+            replace(config_from_dict({}), eps=float("nan"))
+        with pytest.raises(ConfigError, match="coarse.tau must be positive"):
+            replace(config_from_dict({}), tau=float("nan"))
 
     def test_geometry_errors_are_wrapped(self):
         with pytest.raises(ConfigError, match="geometry: "):
@@ -192,9 +195,9 @@ class TestConfig:
 
     def test_overrides_are_revalidated(self):
         cfg = config_from_dict({})
-        assert cfg.with_overrides(grid_size=40, layout=4).grid_size == 40
+        assert replace(cfg, grid_size=40, layout=4).grid_size == 40
         with pytest.raises(ConfigError, match="does not divide"):
-            cfg.with_overrides(grid_size=201)
+            replace(cfg, grid_size=201)
 
     def test_solver_options_mapping(self):
         opts = config_from_dict({"solver": {"eps_loc": 0, "max_iter": 7}}).solver_options()
@@ -391,7 +394,7 @@ class TestCompare:
             }
         )
         run(cfg)
-        with pytest.raises(ConfigError, match="decomposition differs"):
+        with pytest.raises(ConfigError, match="overlap differs"):
             compare([three_runs / "pcg", tmp_path / "other"], out_dir=tmp_path / "out")
 
     def test_needs_two_directories(self, three_runs):
@@ -549,13 +552,16 @@ class TestCli:
             ("{}", ",".join(SUMMARY_HEADER) + "\ntotal,1,x,1,0.5\n", "is not a summary table"),
             ("{}", "", "is not a summary table"),
             ("{not json", None, "is not valid JSON"),
-            ("[]", None, "is not a JSON object"),
-            ('{"solver": 1}', SUMMARY_OK, "solver is not a JSON object"),
-            ('{"solver": [1]}', SUMMARY_OK, "solver is not a JSON object"),
-            ('{"solver": {"eps_loc": "x"}}', SUMMARY_OK, "solver.eps_loc is not a number"),
-            ('{"solver": {"eps_loc": null}}', SUMMARY_OK, "solver.eps_loc is not a number"),
-            ('{"solver": {"strategy": ["pcg"]}}', SUMMARY_OK, "solver.strategy is not a string"),
-            ('{"solver": {"keep_full_bases": "false"}}', SUMMARY_OK, "solver.keep_full_bases is not a boolean"),
+            ("[]", None, "must be a JSON object"),
+            ('{"solver": 1}', SUMMARY_OK, "section 'solver' must be a JSON object"),
+            ('{"solver": [1]}', SUMMARY_OK, "section 'solver' must be a JSON object"),
+            ('{"solver": {"eps_loc": "x"}}', SUMMARY_OK, "solver.eps_loc must be a number"),
+            ('{"solver": {"eps_loc": null}}', SUMMARY_OK, "solver.eps_loc must be a number"),
+            ('{"solver": {"strategy": ["pcg"]}}', SUMMARY_OK, "solver.strategy must be a string"),
+            ('{"solver": {"keep_full_bases": "false"}}', SUMMARY_OK, "solver.keep_full_bases must be a boolean"),
+            ('{"solver": {"strategy": "jacobi"}}', SUMMARY_OK, "solver.strategy must be one of"),
+            ('{"solver": {"eps_loc": -1}}', SUMMARY_OK, "solver.eps_loc must be nonnegative"),
+            ('{"solver": {"bogus": 1}}', SUMMARY_OK, "unknown key solver.bogus"),
         ],
         ids=[
             "no-summary",
@@ -570,6 +576,9 @@ class TestCli:
             "eps-loc-null",
             "strategy-array",
             "keep-full-string",
+            "unknown-strategy",
+            "negative-eps-loc",
+            "unknown-key",
         ],
     )
     def test_compare_incomplete_report_exit_one(self, tmp_path, capsys, config_text, summary_text, message):

@@ -60,6 +60,10 @@ def empty_coarse(dec):
     return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets])
 
 
+def empty_ops(system, dec):
+    return LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+
+
 def empty_bases(dec):
     return [LocalBasis(len(s.indices)) for s in dec.subdomains]
 
@@ -192,17 +196,21 @@ class TestResidualSelection:
 class TestReducedSystem:
     def test_zero_dimensional_system(self):
         system, dec, _, _, _ = _CACHE20()
-        rs = ReducedSystem(system, dec, empty_coarse(dec), empty_bases(dec))
+        rs = ReducedSystem(system, dec, empty_ops(system, dec), empty_bases(dec))
         x, coeff = rs.solve()
         assert np.array_equal(x, np.zeros(system.n))
         assert [len(c) for c in coeff] == [0] * dec.n_subdomains
 
     def test_coarse_only_system(self):
-        system, dec, _, coarse, _ = _CONSTANT12()
-        rs = ReducedSystem(system, dec, coarse, empty_bases(dec))
-        x, coeff = rs.solve()
+        system, dec, _, coarse, ops = _CONSTANT12()
+        rs = ReducedSystem(system, dec, ops, empty_bases(dec))
         R0T = coarse.matrix
         A0 = (R0T.T @ (system.A.to_scipy() @ R0T)).toarray()
+        # the preconditioner's coarse matrix is the reduced system's coarse block, bit for bit
+        assert np.array_equal(ops.coarse_matrix, A0)
+        n0 = coarse.n0
+        assert np.array_equal(rs.M[:n0, :n0], 0.5 * (A0 + A0.T))
+        x, coeff = rs.solve()
         want = R0T @ np.linalg.solve(A0, R0T.T @ system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
         assert [len(c) for c in coeff] == [0] * dec.n_subdomains
@@ -213,7 +221,7 @@ class TestReducedSystem:
         system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
         bases = [LocalBasis(system.n, np.eye(system.n))]
-        rs = ReducedSystem(system, dec, empty_coarse(dec), bases)
+        rs = ReducedSystem(system, dec, empty_ops(system, dec), bases)
         x, _ = rs.solve()
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
@@ -225,7 +233,7 @@ class TestReducedSystem:
         for i, s in enumerate(dec.subdomains):
             for _ in range(3):
                 bases[i].append(rng.standard_normal(len(s.indices)))
-        rs = ReducedSystem(system, dec, coarse, bases)
+        rs = ReducedSystem(system, dec, ops, bases)
         x, _ = rs.solve()
         phi = reduced_space_matrix(dec, coarse, bases)
         lhs = phi.T @ (system.A.matvec(x))
@@ -233,21 +241,21 @@ class TestReducedSystem:
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_update_of_nothing_changes_nothing(self):
-        system, dec, _, coarse, _ = _CACHE20()
+        system, dec, _, _, ops = _CACHE20()
         bases = empty_bases(dec)
-        rs = ReducedSystem(system, dec, coarse, bases)
+        rs = ReducedSystem(system, dec, ops, bases)
         before, rhs_before = rs.M.copy(), rs.rhs.copy()
         rs.update([])
         assert np.array_equal(before, rs.M)
         assert np.array_equal(rhs_before, rs.rhs)
 
     def test_single_enrichment_touches_only_its_blocks(self):
-        system, dec, _, coarse, _ = _CACHE20()
+        system, dec, _, coarse, ops = _CACHE20()
         rng = np.random.default_rng(2)
         bases = empty_bases(dec)
         for i, s in enumerate(dec.subdomains):
             bases[i].append(rng.standard_normal(len(s.indices)))
-        rs = ReducedSystem(system, dec, coarse, bases)
+        rs = ReducedSystem(system, dec, ops, bases)
         M_before, rhs_before = rs.M.copy(), rs.rhs.copy()
         target = 2
         bases[target].append(rng.standard_normal(len(dec.subdomains[target].indices)))
@@ -265,10 +273,10 @@ class TestReducedSystem:
         assert rs.rhs[pos] == pytest.approx(phi[:, pos] @ system.f, rel=1e-12)
 
     def test_incremental_update_matches_fresh_assembly(self):
-        system, dec, _, coarse, _ = _CACHE20()
+        system, dec, _, _, ops = _CACHE20()
         rng = np.random.default_rng(3)
         bases = empty_bases(dec)
-        rs = ReducedSystem(system, dec, coarse, bases)
+        rs = ReducedSystem(system, dec, ops, bases)
         for sweep in range(3):
             enriched = []
             for i, s in enumerate(dec.subdomains):
@@ -276,14 +284,14 @@ class TestReducedSystem:
                     bases[i].append(rng.standard_normal(len(s.indices)))
                     enriched.append(i)
             rs.update(enriched)
-        fresh = ReducedSystem(system, dec, coarse, bases)
+        fresh = ReducedSystem(system, dec, ops, bases)
         scale = np.abs(fresh.M).max()
         assert np.max(np.abs(rs.M - fresh.M)) <= 1e-12 * scale
         assert np.max(np.abs(rs.rhs - fresh.rhs)) <= 1e-12 * np.abs(fresh.rhs).max()
 
     def test_corrupted_system_reports_indefiniteness(self):
-        system, dec, _, coarse, _ = _CACHE20()
-        rs = ReducedSystem(system, dec, coarse, empty_bases(dec))
+        system, dec, _, _, ops = _CACHE20()
+        rs = ReducedSystem(system, dec, ops, empty_bases(dec))
         rs.M = -rs.M
         with pytest.raises(IndefiniteMatrixError, match="reduced system not positive semidefinite"):
             rs.solve()
@@ -324,18 +332,18 @@ class TestPcg:
 
 class TestSnapshotGuess:
     def test_no_previous_solutions_gives_coarse_galerkin(self):
-        system, dec, pou, coarse, _ = _CONSTANT12()
-        x0 = pou_snapshot_guess(system, dec, pou, coarse, [])
+        system, dec, pou, coarse, ops = _CONSTANT12()
+        x0 = pou_snapshot_guess(system, dec, pou, ops, [])
         R0T = coarse.matrix
         A0 = (R0T.T @ (system.A.to_scipy() @ R0T)).toarray()
         want = R0T @ np.linalg.solve(A0, R0T.T @ system.f)
         assert np.allclose(x0, want, atol=1e-10 * np.abs(want).max())
 
     def test_snapshot_of_identical_system_reproduces_solution(self):
-        system, dec, pou, coarse, _ = _CACHE20()
+        system, dec, pou, _, ops = _CACHE20()
         A = system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, system.f)
-        x0 = pou_snapshot_guess(system, dec, pou, coarse, [x_exact])
+        x0 = pou_snapshot_guess(system, dec, pou, ops, [x_exact])
         err = x_exact - x0
         rel = np.sqrt(err @ (A @ err)) / np.sqrt(x_exact @ (A @ x_exact))
         assert rel < 1e-8
@@ -348,7 +356,8 @@ class TestSnapshotGuess:
         probs = problem_sequence(grid, SMALL_GEOMETRY, ModificationSchedule(({2, 5}, {5})))
         prev_x = np.linalg.solve(probs[0].system.A.to_scipy().toarray(), probs[0].system.f)
         coarse = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
-        x0 = pou_snapshot_guess(probs[1].system, dec, pou, coarse, [prev_x])
+        ops = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
+        x0 = pou_snapshot_guess(probs[1].system, dec, pou, ops, [prev_x])
         A = probs[1].system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, probs[1].system.f)
         e = x_exact - x0
@@ -405,7 +414,7 @@ class TestSolveOne:
         opts = SolverOptions(eps=1e-6, eps_loc=0.0)
         bases = empty_bases(dec)
         (x, coeff, iters, corrections, history), log = spy_solver(
-            lrbas_solve_one, system, dec, ops, coarse, bases, opts
+            lrbas_solve_one, system, dec, ops, bases, opts
         )
         A = system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, system.f)
@@ -452,19 +461,17 @@ class TestSolveOne:
         dec = build_decomposition(grid, 1, 1)
         ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
         opts = SolverOptions(eps=1e-10, eps_loc=0.0)
-        x, _, iters, corrections, history = lrbas_solve_one(
-            system, dec, ops, empty_coarse(dec), empty_bases(dec), opts
-        )
+        x, _, iters, corrections, history = lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
         assert iters == 1
         assert corrections.sum() == 1
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
         assert np.allclose(x, want, atol=1e-8 * np.abs(want).max())
 
     def test_max_iter_exhaustion_raises_with_partial_report(self):
-        system, dec, _, coarse, ops = _CACHE20()
+        system, dec, _, _, ops = _CACHE20()
         opts = SolverOptions(eps=1e-12, eps_loc=0.25, max_iter=1)
         with pytest.raises(ConvergenceFailure) as info:
-            lrbas_solve_one(system, dec, ops, coarse, empty_bases(dec), opts)
+            lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
         iters, corrections, history, x = info.value.report
         assert iters == 1
         assert len(history) == 2
@@ -476,24 +483,24 @@ class TestSolveOne:
         ids=["nothing-selected", "all-dependent"],
     )
     def test_sweep_that_appends_nothing_fails_at_once(self, monkeypatch, eps_loc, dependent, cause):
-        system, dec, _, coarse, ops = _CACHE20()
+        system, dec, _, _, ops = _CACHE20()
         if dependent:
             monkeypatch.setattr(LocalBasis, "append", lambda basis, y, drop_tol=1e-10: False)
         opts = SolverOptions(eps=1e-12, eps_loc=eps_loc, max_iter=200)
         with pytest.raises(ConvergenceFailure, match=cause) as info:
-            lrbas_solve_one(system, dec, ops, coarse, empty_bases(dec), opts)
+            lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
         iters, corrections, history, x = info.value.report
         assert iters == 0
         assert len(history) == 1
         assert (corrections.sum() > 0) == dependent
 
     def test_nan_residual_is_not_converged(self):
-        system, dec, _, coarse, ops = _CACHE20()
+        system, dec, _, _, ops = _CACHE20()
         f = system.f.copy()
         f[0] = np.nan
         opts = SolverOptions(max_iter=2)
         with pytest.raises(ConvergenceFailure, match="stalled at relative residual nan"):
-            lrbas_solve_one(replace(system, f=f), dec, ops, coarse, empty_bases(dec), opts)
+            lrbas_solve_one(replace(system, f=f), dec, ops, empty_bases(dec), opts)
 
 
 class TestRunSequence:
@@ -605,6 +612,9 @@ class TestSolverOptions:
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError):
             SolverOptions(eps=float("nan"))
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                SolverOptions(tau=tau)
 
 
 _CACHE = {}
