@@ -16,11 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 from .fem import DEFAULT_SCHEDULE, ChannelGeometry, ModificationSchedule
-from .solver import STRATEGIES, SolverOptions
+from .solver import SolverOptions
 
 
 class ConfigError(ValueError):
     """Invalid configuration document or value."""
+
+
+# The config section of each SolverOptions field outside ``solver``.
+_SECTION = {"tau": "coarse"}
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,11 @@ class ExperimentConfig:
             )
         if self.overlap < 1:
             raise ConfigError("decomposition.overlap must be at least 1")
-        if not (self.tau > 0):
-            raise ConfigError("coarse.tau must be positive")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"solver.strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if not (self.eps > 0):
-            raise ConfigError("solver.eps must be positive")
-        if self.eps_loc < 0:
-            raise ConfigError("solver.eps_loc must be nonnegative")
-        if self.max_iter < 1:
-            raise ConfigError("solver.max_iter must be at least 1")
+        try:
+            self.solver_options()
+        except ValueError as exc:
+            name = str(exc).split(" ", 1)[0]
+            raise ConfigError(f"{_SECTION.get(name, 'solver')}.{exc}") from None
         if len(self.schedule) == 0:
             raise ConfigError("schedule must contain at least one step")
         try:

@@ -4,8 +4,9 @@ Dense symmetric matrices and vectors are plain float64 ndarrays; the
 classes here add the two structures the solvers rely on: a CSR matrix
 that stores both triangles of a symmetric matrix, and a Cholesky
 factorization. A dense matrix (the coarse and reduced systems) gets a
-semidefinite factor with threshold pivoting; a sparse one (the local
-Dirichlet matrices) gets a banded factor in its own index order.
+pivoted semidefinite factor that drops a direction by its own energy and
+can be extended by bordering columns; a sparse one (the local Dirichlet
+matrices) gets a banded factor in its own index order.
 The generalized eigensolver uses that banded factor too: on a large
 sparse pencil it runs ARPACK through one factor of ``A + B``.
 """
@@ -51,17 +52,19 @@ class ConvergenceFailure(RuntimeError):
         self.report = report
 
 
-def _require_symmetric(M, tol=1e-12, what="matrix"):
-    """M as float64, dense or CSR, after checking it is square and symmetric."""
+def _require_symmetric(M, tol=1e-12, what="matrix", start=0):
+    """M as float64, dense or CSR, after checking it is square and that its
+    columns from ``start`` on equal its rows from ``start`` on."""
     if sp.issparse(M):
         M = sp.csr_matrix(M, dtype=np.float64)
     else:
-        M = np.ascontiguousarray(M, dtype=np.float64)
+        M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if np.prod(M.shape):
-        scale = abs(M).max()
-        if scale > 0 and abs(M - M.T).max() > tol * scale:
+    if start < M.shape[0]:
+        cols, rows = (M, M) if start == 0 else (M[:, start:], M[start:, :])
+        scale = abs(cols).max()
+        if scale > 0 and abs(cols - rows.T).max() > tol * scale:
             raise ValueError(f"{what} is not symmetric to relative tolerance {tol}")
     return M
 
@@ -139,11 +142,12 @@ class SparseSymMatrix:
 class Factorization:
     """Pivoted semidefinite Cholesky factorization P L L^T P^T of M.
 
-    ``perm[j]`` is the original index placed at pivot position j; for a
-    positive definite input the permutation is the identity. Pivots at
-    or below ``factorize``'s ``pivot_tol`` times the largest initial
-    diagonal entry are dropped; ``rank`` counts the kept pivots and
-    ``perm[rank:]`` are the original indices of the dropped directions.
+    ``perm[j]`` is the original index placed at pivot position j;
+    ``rank`` counts the kept pivots and ``perm[rank:]`` are the original
+    indices of the dropped directions. The kept block of L, rows and
+    columns in pivot order, is ``lower`` followed by the row ``panels``
+    that bordering appended: a panel ``(B, D)`` holds the new rows of L,
+    ``B`` below the earlier columns and ``D`` lower triangular.
 
     A ``banded`` factor, from a sparse input, is positive definite with
     the identity permutation and full rank; ``lower`` then holds L in
@@ -151,10 +155,11 @@ class Factorization:
     """
 
     n: int
-    lower: np.ndarray  # (n, rank), rows in pivot order; banded: (bandwidth + 1, n)
+    lower: np.ndarray  # lower triangular; banded: (bandwidth + 1, n)
     perm: np.ndarray  # (n,)
     rank: int
     banded: bool = False
+    panels: tuple = ()
 
     def solve(self, b):
         """Solve M x = b; dropped directions get zero solution components.
@@ -172,22 +177,45 @@ class Factorization:
         x = np.zeros_like(b)
         if r == 0:
             return x
-        y = b[self.perm[:r]]
-        L11 = self.lower[:r, :r]
-        z = sla.solve_triangular(L11, y, lower=True, check_finite=False)
-        w = sla.solve_triangular(L11, z, lower=True, trans=1, check_finite=False)
-        x[self.perm[:r]] = w
+        z = self._forward(b[self.perm[:r]])
+        # back substitution with L^T, the last panel first
+        for B, D in reversed(self.panels):
+            s, e = B.shape[1], B.shape[1] + len(D)
+            z[s:e] = sla.solve_triangular(D, z[s:e], lower=True, trans=1, check_finite=False)
+            z[:s] -= B.T @ z[s:e]
+        s = len(self.lower)
+        z[:s] = sla.solve_triangular(self.lower, z[:s], lower=True, trans=1, check_finite=False)
+        x[self.perm[:r]] = z
         return x
 
+    def _forward(self, y):
+        """L^-1 y for y (vector or columns) indexed by the kept pivots."""
+        z = np.empty_like(y)
+        s = len(self.lower)
+        z[:s] = sla.solve_triangular(self.lower, y[:s], lower=True, check_finite=False)
+        for B, D in self.panels:
+            e = s + len(D)
+            z[s:e] = sla.solve_triangular(D, y[s:e] - B @ z[:s], lower=True, check_finite=False)
+            s = e
+        return z
 
-def factorize(M, pivot_tol=1e-12):
+
+def factorize(M, pivot_tol=1e-12, lead=None):
     """Factor a symmetric positive semidefinite matrix.
 
-    For a dense M, plain Cholesky is attempted first (identity
-    permutation); if any pivot falls at or below pivot_tol * max(diag(M))
-    the factorization restarts with diagonal pivoting and drops the
-    deficient directions. A pivot below the negated threshold raises
-    IndefiniteMatrixError.
+    A dense M gets a pivoted Cholesky factor of its Jacobi scaling
+    ``D^-1/2 M D^-1/2``, ``D = diag(M)``: a direction is dropped when its
+    pivot falls to ``pivot_tol`` times its own diagonal entry, however
+    stiff or soft the other columns are. A scaled pivot below
+    ``-max(pivot_tol, 64 eps)`` raises IndefiniteMatrixError.
+
+    ``lead``, a dense factorization of M's leading block, is extended by
+    the trailing columns only: their Schur complement against the kept
+    pivots of ``lead`` (O(n^2 k) for k trailing columns) gets the same
+    scaled pivoted factor, still scaled by the trailing columns' own
+    diagonal entries of M, and its kept rows become a new panel of L.
+    Directions ``lead`` dropped stay dropped, and only the trailing
+    columns are checked for symmetry.
 
     A scipy sparse M must be exactly symmetric and positive definite: it
     gets a banded Cholesky factor in its own index order, and a failed
@@ -198,31 +226,53 @@ def factorize(M, pivot_tol=1e-12):
         raise ValueError("pivot_tol must be nonnegative")
     if sp.issparse(M):
         return _factorize_banded(M, pivot_tol)
-    M = _require_symmetric(M)
-    n = M.shape[0]
-    if n == 0:
-        return Factorization(0, np.zeros((0, 0)), np.zeros(0, dtype=np.int64), 0)
-    diag = np.diag(M)
-    tol_abs = pivot_tol * max(diag.max(), 0.0)
-    if diag.min() > tol_abs:
-        try:
-            L = sla.cholesky(M, lower=True, check_finite=False)
-            if (np.diag(L) ** 2 > tol_abs).all():
-                return Factorization(n, L, np.arange(n, dtype=np.int64), n)
-        except np.linalg.LinAlgError:
-            pass
-    c, piv, rank, info = dpstrf(M, lower=1, tol=tol_abs)
+    if lead is None:
+        M = _require_symmetric(M)
+        L, perm, rank = _scaled_pivoted(M, np.diag(M), pivot_tol)
+        return Factorization(M.shape[0], L, perm, rank)
+    M = _require_symmetric(M, start=lead.n)
+    n, m = M.shape[0], lead.n
+    if lead.banded or m > n:
+        raise ValueError(f"lead must be a dense factorization of at most {n} columns, got {m}")
+    if m == n:
+        return lead
+    r = lead.rank
+    kept = lead.perm[:r]
+    # the trailing columns in the coordinates of the kept span
+    X = lead._forward(M[kept, m:])
+    D, p, k = _scaled_pivoted(M[m:, m:] - X.T @ X, np.diag(M)[m:], pivot_tol)
+    panels = lead.panels + ((np.ascontiguousarray(X[:, p[:k]].T), D),) if k else lead.panels
+    perm = np.concatenate([kept, m + p[:k], lead.perm[r:], m + p[k:]])
+    return Factorization(n, lead.lower, perm, r + k, panels=panels)
+
+
+def _scaled_pivoted(S, own, pivot_tol):
+    """Kept factor, pivot order and rank of S by pivoted Cholesky of its scaling.
+
+    S is scaled by ``own^-1/2`` on both sides (a nonpositive entry of
+    ``own`` leaves its row and column unscaled), and LAPACK's ``dpstrf``
+    stops once no scaled pivot exceeds ``pivot_tol``. The kept block of L
+    is scaled back, so that ``S[p, p] = L L^T`` on the kept pivots ``p``.
+    """
+    n = S.shape[0]
+    d = np.sqrt(np.where(own > 0, own, 1.0))
+    scaled = S / d
+    scaled /= d[:, None]
+    diag = scaled.diagonal().copy()
+    # the transpose is Fortran-ordered, so dpstrf factors it in place
+    c, piv, rank, info = dpstrf(scaled.T, lower=1, tol=pivot_tol, overwrite_a=1)
     if info < 0:
         raise RuntimeError(f"dpstrf failed with illegal argument {-info}")
     perm = np.asarray(piv, dtype=np.int64) - 1
-    L = np.tril(c)[:, :rank]
     if rank < n:
         # the trailing Schur complement diagonal tells semidefinite drop
         # apart from a genuinely indefinite matrix
-        tail = diag[perm[rank:]] - np.einsum("ij,ij->i", L[rank:, :], L[rank:, :])
-        if tail.size and tail.min() < -max(tol_abs, 64 * np.finfo(np.float64).eps * max(diag.max(), 0.0)):
+        tail = diag[perm[rank:]] - np.einsum("ij,ij->i", c[rank:, :rank], c[rank:, :rank])
+        if tail.min() < -max(pivot_tol, 64 * np.finfo(np.float64).eps):
             raise IndefiniteMatrixError("matrix not positive semidefinite")
-    return Factorization(n, L, perm, int(rank))
+    L = np.tril(c[:rank, :rank])
+    L *= d[perm[:rank], None]
+    return L, perm, int(rank)
 
 
 def _factorize_banded(M, pivot_tol):

@@ -5,10 +5,11 @@ the Galerkin system over the coarse space plus the lifted local bases.
 Whenever the reduced solution is not accurate enough, subdomains whose
 local residual energy exceeds an adaptive threshold are enriched by one
 Schwarz correction each, the dense reduced matrix is bordered with the
-new columns (no existing entry is recomputed), and the reduced system
-is solved again. Between consecutive systems of a sequence the bases
-are either reset to the previous initial basis plus the local piece of
-the converged solution, or kept in full.
+new columns (no existing entry is recomputed), its factor is extended
+by them, and the reduced system is solved again. Between consecutive
+systems of a sequence the bases are either reset to the previous
+initial basis plus the local piece of the converged solution, or kept
+in full.
 """
 from __future__ import annotations
 
@@ -28,6 +29,11 @@ from .decomposition import (
 from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
 
 STRATEGIES = ("pcg", "pcg-guess", "lrbas")
+# Drop tolerances of the reduced factorizations, relative to each column's
+# own energy: the enrichment loop's and the snapshot guess's. A sweep over
+# the paper variants and toggle walks chose them (see CHANGES.md).
+_ENRICH_PIVOT_TOL = 1e-7
+_SNAPSHOT_PIVOT_TOL = 1e-12
 
 
 class LocalBasis:
@@ -72,61 +78,63 @@ class LocalBasis:
 class ReducedSystem:
     """Galerkin system over coarse space plus lifted local bases.
 
-    ``W`` holds the coarse columns followed by each subdomain's basis
-    columns, in subdomain order; ``M = W^T A W`` and ``rhs = W^T f``
-    follow the same order; the coarse columns and their block of M come
-    from ``ops``, which must be current for ``system``. Enrichment only
+    ``W`` holds the coarse columns followed by the basis columns in the
+    order they were appended, ``owner[j]`` the subdomain of column j (-1
+    for a coarse column); ``M = W^T A W`` and ``rhs = W^T f`` follow the
+    same order. The coarse columns and their block of M come from
+    ``ops``, which must be current for ``system``. Enrichment only
     appends basis columns, so ``update`` borders M with the new columns
-    and recomputes no existing entry.
+    and recomputes no existing entry, and ``solve`` extends the factor
+    of its last solve by them. A column whose pivot falls to
+    ``pivot_tol`` times its own diagonal entry of M depends on the span
+    in the A-norm and is dropped.
     """
 
-    def __init__(self, system, dec, ops, bases):
+    def __init__(self, system, dec, ops, bases, pivot_tol=_SNAPSHOT_PIVOT_TOL):
         if len(bases) != dec.n_subdomains:
             raise ValueError("one basis per subdomain required")
         self.system = system
         self.dec = dec
         self.n0 = ops.coarse.n0
         self.bases = bases
+        self.pivot_tol = pivot_tol
         self.W = ops.coarse.matrix
-        self.M = 0.5 * (ops.coarse_matrix + ops.coarse_matrix.T)
+        self.M = self._room = 0.5 * (ops.coarse_matrix + ops.coarse_matrix.T)
         self.rhs = self.W.T @ system.f
+        self.owner = np.full(self.n0, -1, dtype=np.int64)
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)  # columns of each basis in W
+        self.factor = None  # of M's leading block, from the last solve
         self.update(range(dec.n_subdomains))
 
     def update(self, enriched):
-        """Border M and rhs with the basis columns added since the last update."""
-        N = len(self.rhs)
-        ends = self.n0 + np.cumsum(self.counts)
-        blocks, at = [], []
+        """Append the basis columns added since the last update, bordering M and rhs."""
+        blocks = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             new = self.bases[i].vectors[:, self.counts[i]:]
-            blocks.append((i, new))
-            at += [ends[i]] * new.shape[1]
-            self.counts[i] += new.shape[1]
-        if not at:
+            if new.shape[1]:
+                blocks.append((i, new))
+                self.counts[i] += new.shape[1]
+        if not blocks:
             return self
-        k = len(at)
         Y = lift(self.dec, blocks)
         AY = self.system.A.to_scipy() @ Y
         # symmetrized while sparse: dense k x k temporaries raised the peak
         # memory of long snapshot bases by about 20 MB
         YAY = Y.T @ AY
-        # old column j moves past every new column inserted at or before it
-        at = np.asarray(at, dtype=np.int64)
-        old = np.arange(N) + np.searchsorted(at, np.arange(N), side="right")
-        added = at + np.arange(k)
-        border = (self.W.T @ AY).toarray()
-        M = np.empty((N + k, N + k))
-        M[np.ix_(old, old)] = self.M
-        M[np.ix_(old, added)] = border
-        M[np.ix_(added, old)] = border.T
-        M[np.ix_(added, added)] = (0.5 * (YAY + YAY.T)).toarray()
-        rhs = np.empty(N + k)
-        rhs[old] = self.rhs
-        rhs[added] = Y.T @ self.system.f
-        order = np.argsort(np.concatenate([old, added]))
-        self.W = sp.hstack([self.W, Y], format="csc")[:, order]
-        self.M, self.rhs = M, rhs
+        N, k = len(self.rhs), Y.shape[1]
+        if N + k > len(self._room):
+            # M lives in the leading block of a larger array, grown by a
+            # quarter at a time, so that bordering rarely copies M
+            room = np.empty((N + k + (N + k) // 4,) * 2)
+            room[:N, :N] = self.M
+            self._room = room
+        self.M = M = self._room[: N + k, : N + k]
+        M[:N, N:] = (self.W.T @ AY).toarray()
+        M[N:, :N] = M[:N, N:].T
+        M[N:, N:] = (0.5 * (YAY + YAY.T)).toarray()
+        self.rhs = np.r_[self.rhs, Y.T @ self.system.f]
+        self.W = sp.hstack([self.W, Y], format="csc")
+        self.owner = np.r_[self.owner, np.repeat([i for i, _ in blocks], [b.shape[1] for _, b in blocks])]
         return self
 
     def dimensions(self):
@@ -136,9 +144,10 @@ class ReducedSystem:
         """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients."""
         M, rhs = self.M, self.rhs
         try:
-            F = factorize(M)
+            F = factorize(M, self.pivot_tol, lead=self.factor)
         except IndefiniteMatrixError as exc:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
+        self.factor = F
         c = F.solve(rhs)
         # Iterative refinement restores the Galerkin identity when basis
         # vectors of different subdomains are nearly dependent and the
@@ -151,7 +160,9 @@ class ReducedSystem:
             if np.linalg.norm(res[kept]) <= 1e-13 * nrm:
                 break
             c += F.solve(res)
-        return self.W @ c, np.split(c[self.n0:], np.cumsum(self.counts)[:-1])
+        # the stable sort keeps each subdomain's columns in basis order
+        by_owner = c[np.argsort(self.owner, kind="stable")]
+        return self.W @ c, np.split(by_owner[self.n0:], np.cumsum(self.counts)[:-1])
 
 
 def local_residual_norms(r, dec):
@@ -183,10 +194,17 @@ class SolverOptions:
     tau: float = 0.5
 
     def __post_init__(self):
+        # each message starts with the field it rejects
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if not (self.eps > 0) or not (self.tau > 0) or self.eps_loc < 0 or self.max_iter < 1:
-            raise ValueError("eps and tau must be positive, eps_loc nonnegative, max_iter at least 1")
+            raise ValueError(f"strategy must be one of {STRATEGIES}: unknown strategy {self.strategy!r}")
+        if not (self.eps > 0):
+            raise ValueError("eps must be positive")
+        if not (self.eps_loc >= 0):
+            raise ValueError("eps_loc must be nonnegative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if not (self.tau > 0):
+            raise ValueError("tau must be positive")
 
 
 @dataclass
@@ -234,7 +252,7 @@ def lrbas_solve_one(system, dec, ops, bases, opts):
     """
     f = system.f
     nf = np.linalg.norm(f)
-    rs = ReducedSystem(system, dec, ops, bases)
+    rs = ReducedSystem(system, dec, ops, bases, pivot_tol=_ENRICH_PIVOT_TOL)
     x, coeff = rs.solve()
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
@@ -325,19 +343,21 @@ def pcg(system, ops, x0, eps, max_iter):
     )
 
 
-def pou_snapshot_guess(system, dec, pou, ops, previous):
+def append_snapshot(snaps, dec, pou, x):
+    """Append the partition-of-unity piece D_i R_i x to each subdomain's snapshot basis."""
+    for i, s in enumerate(dec.subdomains):
+        snaps[i].append(pou.local[i] * x[s.indices])
+
+
+def pou_snapshot_guess(system, dec, ops, snaps):
     """Initial guess from partition-of-unity snapshots of previous solutions.
 
-    Builds per-subdomain bases from D_i R_i x for every previous
-    solution x and solves the Galerkin system over the coarse space of
-    ``ops`` (current for ``system``) plus the snapshots. With no
-    previous solutions this is the coarse-only Galerkin solution.
+    Solves the Galerkin system over the coarse space of ``ops`` (current
+    for ``system``) plus the snapshot bases ``snaps``, one per subdomain,
+    which ``append_snapshot`` fills. With empty snapshot bases this is
+    the coarse-only Galerkin solution.
     """
-    snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
-    for x in previous:
-        for i, s in enumerate(dec.subdomains):
-            snaps[i].append(pou.local[i] * x[s.indices])
-    rs = ReducedSystem(system, dec, ops, snaps)
+    rs = ReducedSystem(system, dec, ops, snaps, pivot_tol=_SNAPSHOT_PIVOT_TOL)
     x0, _ = rs.solve()
     return x0
 
@@ -358,7 +378,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
         pou = build_partition_of_unity(dec)
     I = dec.n_subdomains
     bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
-    previous_solutions = []
+    snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
     ops = None
     coarse = None
     report = SolveReport(opts.strategy)
@@ -382,13 +402,14 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 coarse_solves = iters + 1
             else:
                 if opts.strategy == "pcg-guess":
-                    x0 = pou_snapshot_guess(prob.system, dec, pou, ops, previous_solutions)
+                    x0 = pou_snapshot_guess(prob.system, dec, ops, snaps)
                     guess_solves = 1
                 else:
                     x0 = np.zeros(prob.system.n)
                     guess_solves = 0
                 x, iters, history = pcg(prob.system, ops, x0, opts.eps, opts.max_iter)
-                previous_solutions.append(x)
+                if opts.strategy == "pcg-guess":
+                    append_snapshot(snaps, dec, pou, x)
                 corrections = np.full(I, iters, dtype=np.int64)
                 coarse_solves = iters + guess_solves
         except (ConvergenceFailure, IndefiniteMatrixError, np.linalg.LinAlgError) as exc:

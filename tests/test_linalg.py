@@ -233,6 +233,51 @@ class TestFactorize:
         assert np.linalg.norm(M @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1.0)
 
 
+class TestFactorizeBordered:
+    """``factorize(M, lead=F)`` with F the factor of M's leading block."""
+
+    def test_three_borders_solve_like_a_one_shot_factor(self):
+        rng = np.random.default_rng(7)
+        M = random_spd(rng, 30)
+        b = rng.standard_normal(30)
+        F = factorize(M[:12, :12])
+        for end in (17, 18, 30):
+            F = factorize(M[:end, :end], lead=F)
+        assert (F.n, F.rank) == (30, 30)
+        want = factorize(M).solve(b)
+        assert np.abs(F.solve(b) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_repeated_column_is_dropped_and_galerkin_identity_holds_on_kept_rows(self):
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((20, 9))
+        G = np.hstack([G, G[:, 3:4]])  # column 9 repeats column 3
+        M = G.T @ G
+        F = factorize(M, lead=factorize(M[:9, :9]))
+        assert F.rank == 9
+        assert np.array_equal(F.perm[F.rank:], [9])
+        b = rng.standard_normal(10)
+        x = F.solve(b)
+        assert x[9] == 0.0
+        kept = F.perm[: F.rank]
+        assert np.linalg.norm((M @ x - b)[kept]) <= 1e-10 * np.linalg.norm(b)
+
+    def test_indefinite_trailing_block_raises(self):
+        M = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 3.0], [0.0, 3.0, 1.0]])  # Schur pivot of column 2 is -1.25
+        lead = factorize(M[:2, :2])
+        with pytest.raises(IndefiniteMatrixError, match="not positive semidefinite"):
+            factorize(M, lead=lead)
+
+    def test_nonsymmetric_trailing_block_rejected(self):
+        M = np.eye(4)
+        M[3, 2] = 0.5
+        with pytest.raises(ValueError, match="not symmetric"):
+            factorize(M, lead=factorize(M[:2, :2]))
+
+    def test_lead_larger_than_matrix_rejected(self):
+        with pytest.raises(ValueError, match="lead"):
+            factorize(np.eye(2), lead=factorize(np.eye(3)))
+
+
 class TestFactorizeSparse:
     @pytest.mark.parametrize("n, bw", [(1, 0), (12, 3), (60, 5), (40, 39)])
     def test_solve_matches_spsolve(self, n, bw):

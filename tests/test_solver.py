@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrbas.solver
 from lrbas.decomposition import (
     CoarseSpace,
     LocalOperators,
@@ -27,6 +28,7 @@ from lrbas.solver import (
     LocalBasis,
     ReducedSystem,
     SolverOptions,
+    append_snapshot,
     local_residual_norms,
     lrbas_solve_one,
     pcg,
@@ -260,17 +262,20 @@ class TestReducedSystem:
         target = 2
         bases[target].append(rng.standard_normal(len(dec.subdomains[target].indices)))
         rs.update([target])
-        # the new column closes the target's block: coarse, then one column per subdomain
-        pos = coarse.n0 + target + 1
-        old = np.delete(np.arange(len(rs.rhs)), pos)
+        # the new column is appended last; in subdomain order it closes the
+        # target's block: coarse, then one column per subdomain
+        pos = len(rs.rhs) - 1
+        old = np.arange(pos)
         assert rs.M.shape == (len(old) + 1, len(old) + 1)
         assert np.array_equal(rs.M[np.ix_(old, old)], M_before)
         assert np.array_equal(rs.rhs[old], rhs_before)
         phi = reduced_space_matrix(dec, coarse, bases)
-        col = phi.T @ system.A.matvec(phi[:, pos])
-        assert np.max(np.abs(rs.M[:, pos] - col)) <= 1e-12 * np.abs(col).max()
+        at = np.argsort(rs.owner, kind="stable")  # phi column j is rs column at[j]
+        assert at[coarse.n0 + target + 1] == pos
+        col = phi.T @ system.A.matvec(phi[:, coarse.n0 + target + 1])
+        assert np.max(np.abs(rs.M[at, pos] - col)) <= 1e-12 * np.abs(col).max()
         assert np.array_equal(rs.M[:, pos], rs.M[pos, :])
-        assert rs.rhs[pos] == pytest.approx(phi[:, pos] @ system.f, rel=1e-12)
+        assert rs.rhs[pos] == pytest.approx(phi[:, coarse.n0 + target + 1] @ system.f, rel=1e-12)
 
     def test_incremental_update_matches_fresh_assembly(self):
         system, dec, _, _, ops = _CACHE20()
@@ -285,14 +290,23 @@ class TestReducedSystem:
                     enriched.append(i)
             rs.update(enriched)
         fresh = ReducedSystem(system, dec, ops, bases)
+        # a fresh system appends subdomain by subdomain; map the
+        # incremental one's columns by owner, each owner's in basis order
+        at = np.argsort(rs.owner, kind="stable")
+        assert np.array_equal(rs.owner[at], fresh.owner)
         scale = np.abs(fresh.M).max()
-        assert np.max(np.abs(rs.M - fresh.M)) <= 1e-12 * scale
-        assert np.max(np.abs(rs.rhs - fresh.rhs)) <= 1e-12 * np.abs(fresh.rhs).max()
+        assert np.max(np.abs(rs.M[np.ix_(at, at)] - fresh.M)) <= 1e-12 * scale
+        assert np.max(np.abs(rs.rhs[at] - fresh.rhs)) <= 1e-12 * np.abs(fresh.rhs).max()
 
     def test_corrupted_system_reports_indefiniteness(self):
         system, dec, _, _, ops = _CACHE20()
-        rs = ReducedSystem(system, dec, ops, empty_bases(dec))
-        rs.M = -rs.M
+        bases = empty_bases(dec)
+        rs = ReducedSystem(system, dec, ops, bases)
+        rs.solve()
+        # the next solve factors only the appended column: corrupt it
+        bases[1].append(np.random.default_rng(4).standard_normal(len(dec.subdomains[1].indices)))
+        rs.update([1])
+        rs.M[-1, -1] = -rs.M[-1, -1]
         with pytest.raises(IndefiniteMatrixError, match="reduced system not positive semidefinite"):
             rs.solve()
 
@@ -333,7 +347,7 @@ class TestPcg:
 class TestSnapshotGuess:
     def test_no_previous_solutions_gives_coarse_galerkin(self):
         system, dec, pou, coarse, ops = _CONSTANT12()
-        x0 = pou_snapshot_guess(system, dec, pou, ops, [])
+        x0 = pou_snapshot_guess(system, dec, ops, empty_bases(dec))
         R0T = coarse.matrix
         A0 = (R0T.T @ (system.A.to_scipy() @ R0T)).toarray()
         want = R0T @ np.linalg.solve(A0, R0T.T @ system.f)
@@ -343,7 +357,9 @@ class TestSnapshotGuess:
         system, dec, pou, _, ops = _CACHE20()
         A = system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, system.f)
-        x0 = pou_snapshot_guess(system, dec, pou, ops, [x_exact])
+        snaps = empty_bases(dec)
+        append_snapshot(snaps, dec, pou, x_exact)
+        x0 = pou_snapshot_guess(system, dec, ops, snaps)
         err = x_exact - x0
         rel = np.sqrt(err @ (A @ err)) / np.sqrt(x_exact @ (A @ x_exact))
         assert rel < 1e-8
@@ -357,11 +373,35 @@ class TestSnapshotGuess:
         prev_x = np.linalg.solve(probs[0].system.A.to_scipy().toarray(), probs[0].system.f)
         coarse = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
         ops = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
-        x0 = pou_snapshot_guess(probs[1].system, dec, pou, ops, [prev_x])
+        snaps = empty_bases(dec)
+        append_snapshot(snaps, dec, pou, prev_x)
+        x0 = pou_snapshot_guess(probs[1].system, dec, ops, snaps)
         A = probs[1].system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, probs[1].system.f)
         e = x_exact - x0
         assert np.sqrt(e @ (A @ e)) <= np.sqrt(x_exact @ (A @ x_exact)) * (1 + 1e-12)
+
+    def test_carried_snapshots_equal_snapshots_rebuilt_from_all_solutions(self, monkeypatch):
+        grid = Grid(20)
+        dec = build_decomposition(grid, 2, 2)
+        pou = build_partition_of_unity(dec)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, ModificationSchedule(({2, 5}, {5}, {2})))
+        carried = []
+        guess = lrbas.solver.pou_snapshot_guess
+
+        def spy(system, dec, ops, snaps):
+            carried.append([b.vectors.copy() for b in snaps])
+            return guess(system, dec, ops, snaps)
+
+        monkeypatch.setattr(lrbas.solver, "pou_snapshot_guess", spy)
+        report = run_sequence(probs, dec, pou, SolverOptions(strategy="pcg-guess"))
+        assert len(carried) == 3
+        for k, bases in enumerate(carried):
+            rebuilt = empty_bases(dec)
+            for entry in report.entries[:k]:
+                append_snapshot(rebuilt, dec, pou, entry.solution)
+            assert all(np.array_equal(b, r.vectors) for b, r in zip(bases, rebuilt))
+        assert sum(b.shape[1] for b in carried[-1]) > 0
 
 
 class TestTransitionBases:
