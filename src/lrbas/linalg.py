@@ -33,6 +33,9 @@ _ARPACK_K_FRACTION = 16
 # solve takes over.
 _ARPACK_MIN_NCV = 20
 _ARPACK_MAX_RESTARTS = 30
+# Roundoff allowed in a scaled Schur pivot of a semidefinite matrix, per
+# unit of the pivot's growth factor (see _require_semidefinite).
+_ROUNDOFF = 64 * np.finfo(np.float64).eps
 
 
 class IndefiniteMatrixError(ValueError):
@@ -175,17 +178,8 @@ class Factorization:
             return sla.cho_solve_banded((self.lower, True), b, check_finite=False)
         r = self.rank
         x = np.zeros_like(b)
-        if r == 0:
-            return x
-        z = self._forward(b[self.perm[:r]])
-        # back substitution with L^T, the last panel first
-        for B, D in reversed(self.panels):
-            s, e = B.shape[1], B.shape[1] + len(D)
-            z[s:e] = sla.solve_triangular(D, z[s:e], lower=True, trans=1, check_finite=False)
-            z[:s] -= B.T @ z[s:e]
-        s = len(self.lower)
-        z[:s] = sla.solve_triangular(self.lower, z[:s], lower=True, trans=1, check_finite=False)
-        x[self.perm[:r]] = z
+        if r:
+            x[self.perm[:r]] = self._backward(self._forward(b[self.perm[:r]]))
         return x
 
     def _forward(self, y):
@@ -199,6 +193,16 @@ class Factorization:
             s = e
         return z
 
+    def _backward(self, z):
+        """L^-T z in place, the last panel first."""
+        for B, D in reversed(self.panels):
+            s, e = B.shape[1], B.shape[1] + len(D)
+            z[s:e] = sla.solve_triangular(D, z[s:e], lower=True, trans=1, check_finite=False)
+            z[:s] -= B.T @ z[s:e]
+        s = len(self.lower)
+        z[:s] = sla.solve_triangular(self.lower, z[:s], lower=True, trans=1, check_finite=False)
+        return z
+
 
 def factorize(M, pivot_tol=1e-12, lead=None):
     """Factor a symmetric positive semidefinite matrix.
@@ -206,8 +210,8 @@ def factorize(M, pivot_tol=1e-12, lead=None):
     A dense M gets a pivoted Cholesky factor of its Jacobi scaling
     ``D^-1/2 M D^-1/2``, ``D = diag(M)``: a direction is dropped when its
     pivot falls to ``pivot_tol`` times its own diagonal entry, however
-    stiff or soft the other columns are. A scaled pivot below
-    ``-max(pivot_tol, 64 eps)`` raises IndefiniteMatrixError.
+    stiff or soft the other columns are. A dropped scaled pivot that is
+    negative beyond its roundoff bound raises IndefiniteMatrixError.
 
     ``lead``, a dense factorization of M's leading block, is extended by
     the trailing columns only: their Schur complement against the kept
@@ -228,8 +232,10 @@ def factorize(M, pivot_tol=1e-12, lead=None):
         return _factorize_banded(M, pivot_tol)
     if lead is None:
         M = _require_symmetric(M)
-        L, perm, rank = _scaled_pivoted(M, np.diag(M), pivot_tol)
-        return Factorization(M.shape[0], L, perm, rank)
+        L, perm, rank, tail = _scaled_pivoted(M, np.diag(M), pivot_tol)
+        F = Factorization(M.shape[0], L, perm, rank)
+        _require_semidefinite(M, F, perm[rank:], tail)
+        return F
     M = _require_symmetric(M, start=lead.n)
     n, m = M.shape[0], lead.n
     if lead.banded or m > n:
@@ -240,22 +246,30 @@ def factorize(M, pivot_tol=1e-12, lead=None):
     kept = lead.perm[:r]
     # the trailing columns in the coordinates of the kept span
     X = lead._forward(M[kept, m:])
-    D, p, k = _scaled_pivoted(M[m:, m:] - X.T @ X, np.diag(M)[m:], pivot_tol)
+    D, p, k, tail = _scaled_pivoted(M[m:, m:] - X.T @ X, np.diag(M)[m:], pivot_tol)
     panels = lead.panels + ((np.ascontiguousarray(X[:, p[:k]].T), D),) if k else lead.panels
     perm = np.concatenate([kept, m + p[:k], lead.perm[r:], m + p[k:]])
-    return Factorization(n, lead.lower, perm, r + k, panels=panels)
+    F = Factorization(n, lead.lower, perm, r + k, panels=panels)
+    _require_semidefinite(M, F, m + p[k:], tail)
+    return F
+
+
+def _jacobi(own):
+    """Square roots of the diagonal entries that scale; a nonpositive one leaves its column unscaled."""
+    return np.sqrt(np.where(own > 0, own, 1.0))
 
 
 def _scaled_pivoted(S, own, pivot_tol):
-    """Kept factor, pivot order and rank of S by pivoted Cholesky of its scaling.
+    """Kept factor, pivot order, rank and dropped scaled pivots of S.
 
-    S is scaled by ``own^-1/2`` on both sides (a nonpositive entry of
-    ``own`` leaves its row and column unscaled), and LAPACK's ``dpstrf``
-    stops once no scaled pivot exceeds ``pivot_tol``. The kept block of L
-    is scaled back, so that ``S[p, p] = L L^T`` on the kept pivots ``p``.
+    S is scaled by ``own^-1/2`` on both sides (see ``_jacobi``), and
+    LAPACK's ``dpstrf`` stops once no scaled pivot exceeds ``pivot_tol``.
+    The kept block of L is scaled back, so that ``S[p, p] = L L^T`` on the
+    kept pivots ``p``; the last value returned holds the scaled Schur
+    complement diagonal of the dropped pivots ``perm[rank:]``.
     """
     n = S.shape[0]
-    d = np.sqrt(np.where(own > 0, own, 1.0))
+    d = _jacobi(own)
     scaled = S / d
     scaled /= d[:, None]
     diag = scaled.diagonal().copy()
@@ -264,15 +278,33 @@ def _scaled_pivoted(S, own, pivot_tol):
     if info < 0:
         raise RuntimeError(f"dpstrf failed with illegal argument {-info}")
     perm = np.asarray(piv, dtype=np.int64) - 1
-    if rank < n:
-        # the trailing Schur complement diagonal tells semidefinite drop
-        # apart from a genuinely indefinite matrix
-        tail = diag[perm[rank:]] - np.einsum("ij,ij->i", c[rank:, :rank], c[rank:, :rank])
-        if tail.min() < -max(pivot_tol, 64 * np.finfo(np.float64).eps):
-            raise IndefiniteMatrixError("matrix not positive semidefinite")
+    tail = diag[perm[rank:]] - np.einsum("ij,ij->i", c[rank:, :rank], c[rank:, :rank])
     L = np.tril(c[:rank, :rank])
     L *= d[perm[:rank], None]
-    return L, perm, int(rank)
+    return L, perm, int(rank), tail
+
+
+def _require_semidefinite(M, F, dropped, tail):
+    """Raise unless the dropped columns' scaled Schur pivots are nonnegative up to roundoff.
+
+    ``tail[i]`` is the Schur pivot of column ``dropped[i]`` of M against
+    the columns F keeps, in units of its own diagonal entry. Its roundoff
+    is bounded by ``_ROUNDOFF (1 + ||w||_1)^2``, with ``w`` the column's
+    coefficients in the Jacobi-scaled kept columns (Higham's bound for
+    the Schur complement of a semidefinite Cholesky factor). Pivoting
+    keeps ``w`` small within one factor, but a bordered column comes
+    after the whole leading block, and for a column nearly dependent on
+    an ill-conditioned block ``w`` is large. Only a more negative pivot
+    shows that M is indefinite.
+    """
+    low = tail < -_ROUNDOFF
+    if not low.any():
+        return
+    cols, kept = dropped[low], F.perm[: F.rank]
+    d = _jacobi(np.diag(M))
+    w = F._backward(F._forward(M[:, cols][kept])) * d[kept, None] / d[cols]
+    if (tail[low] < -_ROUNDOFF * (1.0 + np.abs(w).sum(axis=0)) ** 2).any():
+        raise IndefiniteMatrixError("matrix not positive semidefinite")
 
 
 def _factorize_banded(M, pivot_tol):

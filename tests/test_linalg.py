@@ -261,6 +261,19 @@ class TestFactorizeBordered:
         kept = F.perm[: F.rank]
         assert np.linalg.norm((M @ x - b)[kept]) <= 1e-10 * np.linalg.norm(b)
 
+    def test_nearly_dependent_border_of_an_ill_conditioned_lead_is_not_reported(self):
+        # the border's Schur pivot cancels coefficients of size 1e5, so its
+        # roundoff, of either sign, far exceeds the drop tolerance
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            G = rng.standard_normal((40, 12))
+            r = rng.standard_normal(40)
+            G[:, 11] = G[:, 0] + 1e-5 * r  # kept, with a scaled pivot near 1e-10
+            W = np.hstack([G, (r + G[:, 1])[:, None]])  # in the span of G
+            M = W.T @ W
+            F = factorize(M, 1e-12, lead=factorize(M[:12, :12], 1e-12))
+            assert F.rank >= 12
+
     def test_indefinite_trailing_block_raises(self):
         M = np.array([[4.0, 2.0, 0.0], [2.0, 5.0, 3.0], [0.0, 3.0, 1.0]])  # Schur pivot of column 2 is -1.25
         lead = factorize(M[:2, :2])

@@ -300,6 +300,13 @@ class TestReducedSystem:
 
     def test_corrupted_system_reports_indefiniteness(self):
         system, dec, _, _, ops = _CACHE20()
+        rs = ReducedSystem(system, dec, ops, empty_bases(dec))
+        rs.M = -rs.M
+        with pytest.raises(IndefiniteMatrixError, match="reduced system not positive semidefinite"):
+            rs.solve()
+
+    def test_corrupted_border_reports_indefiniteness(self):
+        system, dec, _, _, ops = _CACHE20()
         bases = empty_bases(dec)
         rs = ReducedSystem(system, dec, ops, bases)
         rs.solve()
