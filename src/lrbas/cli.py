@@ -34,7 +34,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    solve = sub.add_parser("solve", help="run one strategy over the configured sequence")
+    # each dest is an ExperimentConfig field, and flags left out stay out of
+    # the namespace, so main() replaces exactly the fields given
+    solve = sub.add_parser(
+        "solve", help="run one strategy over the configured sequence", argument_default=argparse.SUPPRESS
+    )
     solve.add_argument("--config", required=True, help="JSON configuration file")
     solve.add_argument("--strategy", choices=STRATEGIES, help="override solver.strategy")
     solve.add_argument("--eps", type=float, help="override solver.eps")
@@ -42,13 +46,14 @@ def build_parser():
     solve.add_argument(
         "--keep-full-bases",
         action="store_true",
-        default=None,
         help="carry entire enriched bases between systems",
     )
-    solve.add_argument("--grid", type=int, help="override grid.size")
-    solve.add_argument("--subdomains", type=int, help="override decomposition.layout")
+    solve.add_argument("--grid", type=int, dest="grid_size", metavar="GRID", help="override grid.size")
+    solve.add_argument(
+        "--subdomains", type=int, dest="layout", metavar="SUBDOMAINS", help="override decomposition.layout"
+    )
     solve.add_argument("--overlap", type=int, help="override decomposition.overlap")
-    solve.add_argument("--out", help="override output.directory")
+    solve.add_argument("--out", dest="output_dir", metavar="OUT", help="override output.directory")
 
     comp = sub.add_parser("compare", help="tabulate totals of finished runs side by side")
     comp.add_argument("report_dirs", nargs="+", metavar="report-dir")
@@ -56,32 +61,13 @@ def build_parser():
     return parser
 
 
-_OVERRIDES = {
-    "strategy": "strategy",
-    "eps": "eps",
-    "eps_loc": "eps_loc",
-    "keep_full_bases": "keep_full_bases",
-    "grid": "grid_size",
-    "subdomains": "layout",
-    "overlap": "overlap",
-    "out": "output_dir",
-}
-
-
-def _apply_overrides(config, args):
-    updates = {}
-    for arg_name, field_name in _OVERRIDES.items():
-        value = getattr(args, arg_name)
-        if value is not None:
-            updates[field_name] = value
-    return dataclasses.replace(config, **updates) if updates else config
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            config = _apply_overrides(load_config(args.config), args)
+            given = dict(vars(args))
+            del given["command"]
+            config = dataclasses.replace(load_config(given.pop("config")), **given)
             artifacts = run(config)
             report = artifacts.report
             print(

@@ -7,13 +7,14 @@ document reproduces the reference setup: 200 x 200 grid, 10 x 10
 subdomains, overlap 4, tau = 0.5, eps = 1e-6, eps_loc = 0.25, the
 default channel geometry and port schedule. Unknown keys and
 non-finite numbers (JSON ``Infinity``, ``NaN``) are rejected with a
-diagnostic naming the key path.
+diagnostic naming the key path. ``_KEYS`` declares every key once; it
+drives parsing, the key paths of diagnostics and ``to_json_dict``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .fem import DEFAULT_SCHEDULE, ChannelGeometry, ModificationSchedule
 from .solver import SolverOptions
@@ -23,21 +24,37 @@ class ConfigError(ValueError):
     """Invalid configuration document or value."""
 
 
-# The config section of each SolverOptions field outside ``solver``.
-_SECTION = {"tau": "coarse"}
+# Sections in document order; every one but ``schedule`` is an object.
+_SECTIONS = ("grid", "decomposition", "coarse", "solver", "geometry", "schedule", "output")
+# Every key of an object section: (section, key, field, JSON type), in
+# document order. A geometry key names a ChannelGeometry field, any
+# other an ExperimentConfig field.
+_KEYS = (
+    ("grid", "size", "grid_size", int),
+    ("decomposition", "layout", "layout", int),
+    ("decomposition", "overlap", "overlap", int),
+    ("coarse", "tau", "tau", float),
+    ("solver", "strategy", "strategy", str),
+    ("solver", "eps", "eps", float),
+    ("solver", "eps_loc", "eps_loc", float),
+    ("solver", "keep_full_bases", "keep_full_bases", bool),
+    ("solver", "max_iter", "max_iter", int),
+    *(
+        ("geometry", f.name, f.name, list if isinstance(f.default, tuple) else float)
+        for f in fields(ChannelGeometry)
+    ),
+    ("output", "directory", "output_dir", str),
+)
+_SECTION_OF = {name: section for section, _, name, _ in _KEYS}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(SolverOptions):
+    """The solver options plus the problem sequence and the output directory."""
+
     grid_size: int = 200
     layout: int = 10
     overlap: int = 4
-    tau: float = 0.5
-    strategy: str = "lrbas"
-    eps: float = 1e-6
-    eps_loc: float = 0.25
-    keep_full_bases: bool = False
-    max_iter: int = 200
     geometry: ChannelGeometry = field(default_factory=ChannelGeometry)
     schedule: ModificationSchedule = DEFAULT_SCHEDULE
     output_dir: str = "results"
@@ -52,10 +69,10 @@ class ExperimentConfig:
         if self.overlap < 1:
             raise ConfigError("decomposition.overlap must be at least 1")
         try:
-            self.solver_options()
+            super().__post_init__()
         except ValueError as exc:
             name = str(exc).split(" ", 1)[0]
-            raise ConfigError(f"{_SECTION.get(name, 'solver')}.{exc}") from None
+            raise ConfigError(f"{_SECTION_OF[name]}.{exc}") from None
         if len(self.schedule) == 0:
             raise ConfigError("schedule must contain at least one step")
         try:
@@ -63,42 +80,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"schedule: {exc}") from None
 
-    def solver_options(self):
-        return SolverOptions(
-            strategy=self.strategy,
-            eps=self.eps,
-            eps_loc=self.eps_loc,
-            keep_full_bases=self.keep_full_bases,
-            max_iter=self.max_iter,
-            tau=self.tau,
-        )
-
     def to_json_dict(self):
-        g = self.geometry
-        return {
-            "grid": {"size": self.grid_size},
-            "decomposition": {"layout": self.layout, "overlap": self.overlap},
-            "coarse": {"tau": self.tau},
-            "solver": {
-                "strategy": self.strategy,
-                "eps": self.eps,
-                "eps_loc": self.eps_loc,
-                "keep_full_bases": self.keep_full_bases,
-                "max_iter": self.max_iter,
-            },
-            "geometry": {
-                "sigma_low": g.sigma_low,
-                "sigma_high": g.sigma_high,
-                "channel_centers": list(g.channel_centers),
-                "channel_height": g.channel_height,
-                "x_left": g.x_left,
-                "x_right": g.x_right,
-                "block_y": list(g.block_y),
-                "port_length": g.port_length,
-            },
-            "schedule": [sorted(ports) for ports in self.schedule],
-            "output": {"directory": self.output_dir},
-        }
+        doc = {section: {} for section in _SECTIONS}
+        doc["schedule"] = [sorted(ports) for ports in self.schedule]
+        for section, key, name, kind in _KEYS:
+            value = getattr(self.geometry if section == "geometry" else self, name)
+            doc[section][key] = list(value) if kind is list else value
+        return doc
 
 
 def _require(condition, message):
@@ -124,11 +112,11 @@ def _finite(v):
         return False
 
 
-def _typed(section, prefix, key, default, kind):
-    if key not in section:
-        return default
-    v = section[key]
-    path = f"{prefix}.{key}"
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _typed(v, path, kind):
     if kind is bool:
         _require(isinstance(v, bool), f"{path} must be a boolean")
         return v
@@ -136,79 +124,42 @@ def _typed(section, prefix, key, default, kind):
         _require(isinstance(v, int) and not isinstance(v, bool), f"{path} must be an integer")
         return v
     if kind is float:
-        _require(
-            isinstance(v, (int, float)) and not isinstance(v, bool), f"{path} must be a number"
-        )
+        _require(_is_number(v), f"{path} must be a number")
         _require(_finite(v), f"{path} must be finite")
         return float(v)
     if kind is str:
         _require(isinstance(v, str), f"{path} must be a string")
         return v
+    if kind is list:
+        _require(
+            isinstance(v, list) and all(_is_number(x) for x in v),
+            f"{path} must be a list of numbers",
+        )
+        _require(all(_finite(x) for x in v), f"{path} must hold finite numbers")
+        return tuple(float(x) for x in v)
     raise AssertionError(kind)
-
-
-def _number_list(section, prefix, key, default):
-    if key not in section:
-        return default
-    v = section[key]
-    path = f"{prefix}.{key}"
-    _require(
-        isinstance(v, list)
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
-        f"{path} must be a list of numbers",
-    )
-    _require(all(_finite(x) for x in v), f"{path} must hold finite numbers")
-    return tuple(float(x) for x in v)
 
 
 def config_from_dict(data):
     """Validate a parsed JSON document and fill defaults."""
     _require(isinstance(data, dict), "config document must be a JSON object")
-    _reject_unknown(
-        data,
-        "",
-        {"grid", "decomposition", "coarse", "solver", "geometry", "schedule", "output"},
-    )
-    base = ExperimentConfig()
-
-    grid = _mapping(data, "grid")
-    _reject_unknown(grid, "grid", {"size"})
-    dec = _mapping(data, "decomposition")
-    _reject_unknown(dec, "decomposition", {"layout", "overlap"})
-    coarse = _mapping(data, "coarse")
-    _reject_unknown(coarse, "coarse", {"tau"})
-    solver = _mapping(data, "solver")
-    _reject_unknown(
-        solver, "solver", {"strategy", "eps", "eps_loc", "keep_full_bases", "max_iter"}
-    )
-    output = _mapping(data, "output")
-    _reject_unknown(output, "output", {"directory"})
-
-    geo = _mapping(data, "geometry")
-    geo_fields = {
-        "sigma_low": float,
-        "sigma_high": float,
-        "channel_centers": list,
-        "channel_height": float,
-        "x_left": float,
-        "x_right": float,
-        "block_y": list,
-        "port_length": float,
-    }
-    _reject_unknown(geo, "geometry", set(geo_fields))
-    geo_kwargs = {}
-    g0 = base.geometry
-    for key, kind in geo_fields.items():
-        if kind is list:
-            geo_kwargs[key] = _number_list(geo, "geometry", key, getattr(g0, key))
-        else:
-            geo_kwargs[key] = _typed(geo, "geometry", key, getattr(g0, key), float)
+    _reject_unknown(data, "", _SECTIONS)
+    sections = {}
+    for section in _SECTIONS:
+        if section != "schedule":
+            sections[section] = _mapping(data, section)
+            _reject_unknown(sections[section], section, {k for s, k, _, _ in _KEYS if s == section})
+    geo, given = {}, {}
+    for section, key, name, kind in _KEYS:
+        if key in sections[section]:
+            value = _typed(sections[section][key], f"{section}.{key}", kind)
+            (geo if section == "geometry" else given)[name] = value
     try:
-        geometry = ChannelGeometry(**geo_kwargs)
+        geometry = ChannelGeometry(**geo)
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from None
 
-    schedule = base.schedule
+    schedule = DEFAULT_SCHEDULE
     if "schedule" in data:
         steps = data["schedule"]
         _require(isinstance(steps, list), "schedule must be a list of steps")
@@ -222,20 +173,7 @@ def config_from_dict(data):
             parsed.append(frozenset(step))
         schedule = ModificationSchedule(tuple(parsed))
 
-    return ExperimentConfig(
-        grid_size=_typed(grid, "grid", "size", base.grid_size, int),
-        layout=_typed(dec, "decomposition", "layout", base.layout, int),
-        overlap=_typed(dec, "decomposition", "overlap", base.overlap, int),
-        tau=_typed(coarse, "coarse", "tau", base.tau, float),
-        strategy=_typed(solver, "solver", "strategy", base.strategy, str),
-        eps=_typed(solver, "solver", "eps", base.eps, float),
-        eps_loc=_typed(solver, "solver", "eps_loc", base.eps_loc, float),
-        keep_full_bases=_typed(solver, "solver", "keep_full_bases", base.keep_full_bases, bool),
-        max_iter=_typed(solver, "solver", "max_iter", base.max_iter, int),
-        geometry=geometry,
-        schedule=schedule,
-        output_dir=_typed(output, "output", "directory", base.output_dir, str),
-    )
+    return ExperimentConfig(geometry=geometry, schedule=schedule, **given)
 
 
 def load_config(path):

@@ -19,6 +19,7 @@ from .decomposition import build_decomposition
 from .fem import Grid, problem_sequence
 from .linalg import ConvergenceFailure
 from .reporting import (
+    SUMMARY_HEADER,
     format_float,
     read_csv,
     write_corrections_grid,
@@ -28,15 +29,7 @@ from .reporting import (
     write_residuals,
     write_summary,
 )
-from .solver import SolveReport, run_sequence
-
-SUMMARY_HEADER = (
-    "k",
-    "iterations",
-    "local_corrections",
-    "coarse_solves",
-    "final_relative_residual",
-)
+from .solver import STRATEGIES, SolveReport, run_sequence
 
 
 @dataclass
@@ -74,7 +67,7 @@ def run(config):
 
     failure = None
     try:
-        report = run_sequence(problems, dec, opts=config.solver_options())
+        report = run_sequence(problems, dec, opts=config)
     except ConvergenceFailure as exc:
         failure = exc
         report = exc.report
@@ -104,7 +97,6 @@ def run(config):
     return RunArtifacts(out, files, report)
 
 
-_STRATEGY_RANK = {"pcg": 0, "pcg-guess": 1, "lrbas": 2}
 # ExperimentConfig fields that fix the problem sequence and the stopping test
 _COMPARABLE = ("grid_size", "layout", "overlap", "tau", "eps", "geometry", "schedule")
 
@@ -195,7 +187,7 @@ def compare(report_dirs, out_dir="."):
 
     rows = sorted(
         (row for _, row in loaded),
-        key=lambda r: (_STRATEGY_RANK[r.strategy], r.keep_full_bases, r.eps_loc),
+        key=lambda r: (STRATEGIES.index(r.strategy), r.keep_full_bases, r.eps_loc),
     )
 
     out = Path(out_dir)

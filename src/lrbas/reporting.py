@@ -35,14 +35,15 @@ def read_csv(path):
     return (rows[0] if rows else []), rows[1:]
 
 
-def write_summary(path, entries):
-    """Per-step counts plus a totals row.
+SUMMARY_HEADER = ("k", "iterations", "local_corrections", "coarse_solves", "final_relative_residual")
 
-    Columns: k, iterations, local_corrections, coarse_solves,
-    final_relative_residual. The totals row sums the counts and takes
-    the worst (largest) final residual.
+
+def write_summary(path, entries):
+    """Per-step counts plus a totals row, under ``SUMMARY_HEADER``.
+
+    The totals row sums the counts and takes the worst (largest) final
+    residual.
     """
-    header = ["k", "iterations", "local_corrections", "coarse_solves", "final_relative_residual"]
     rows = []
     for e in entries:
         rows.append(
@@ -64,7 +65,7 @@ def write_summary(path, entries):
             format_float(worst),
         ]
     )
-    write_csv(path, header, rows)
+    write_csv(path, SUMMARY_HEADER, rows)
 
 
 def write_residuals(path, history):

@@ -144,24 +144,12 @@ class ReducedSystem:
 
     def solve(self):
         """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients."""
-        M, rhs = self.M, self.rhs
         try:
-            F = factorize(M, self.pivot_tol, lead=self.factor)
+            F = factorize(self.M, self.pivot_tol, lead=self.factor)
         except IndefiniteMatrixError as exc:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
         self.factor = F
-        c = F.solve(rhs)
-        # Iterative refinement restores the Galerkin identity when basis
-        # vectors of different subdomains are nearly dependent and the
-        # assembled system is ill conditioned. Dropped directions stay
-        # zero, so only the retained rows are measured.
-        kept = F.perm[: F.rank]
-        nrm = np.linalg.norm(rhs)
-        for _ in range(3):
-            res = rhs - M @ c
-            if np.linalg.norm(res[kept]) <= 1e-13 * nrm:
-                break
-            c += F.solve(res)
+        c = F.solve(self.rhs)
         # the stable sort keeps each subdomain's columns in basis order
         by_owner = c[np.argsort(self.owner, kind="stable")]
         return self.W @ c, np.split(by_owner[self.n0:], np.cumsum(self.counts)[:-1])
@@ -186,7 +174,7 @@ def select_enrichment(r, dec, eps_loc):
     return np.flatnonzero(loc > thr)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     strategy: str = "lrbas"
     eps: float = 1e-6

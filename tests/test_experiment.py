@@ -15,6 +15,7 @@ from lrbas import (
     ExperimentConfig,
     IndefiniteMatrixError,
     LocalOperators,
+    SolverOptions,
     compare,
     config_from_dict,
     load_config,
@@ -200,11 +201,71 @@ class TestConfig:
             replace(cfg, grid_size=201)
 
     def test_solver_options_mapping(self):
-        opts = config_from_dict({"solver": {"eps_loc": 0, "max_iter": 7}}).solver_options()
+        opts = config_from_dict({"solver": {"eps_loc": 0, "max_iter": 7}})
+        assert isinstance(opts, SolverOptions)
         assert opts.strategy == "lrbas"
         assert opts.eps_loc == 0.0
         assert opts.max_iter == 7
         assert opts.tau == 0.5
+
+    def test_resolved_document_keeps_section_and_key_order(self):
+        # config.json is written in this order; the README documents it
+        assert json.dumps(ExperimentConfig().to_json_dict(), indent=2) == """{
+  "grid": {
+    "size": 200
+  },
+  "decomposition": {
+    "layout": 10,
+    "overlap": 4
+  },
+  "coarse": {
+    "tau": 0.5
+  },
+  "solver": {
+    "strategy": "lrbas",
+    "eps": 1e-06,
+    "eps_loc": 0.25,
+    "keep_full_bases": false,
+    "max_iter": 200
+  },
+  "geometry": {
+    "sigma_low": 1.0,
+    "sigma_high": 100001.0,
+    "channel_centers": [
+      0.52,
+      0.5,
+      0.48
+    ],
+    "channel_height": 0.01,
+    "x_left": 0.105,
+    "x_right": 0.892,
+    "block_y": [
+      0.3,
+      0.7
+    ],
+    "port_length": 0.01
+  },
+  "schedule": [
+    [
+      2,
+      5
+    ],
+    [
+      5
+    ],
+    [],
+    [
+      1
+    ],
+    [
+      1,
+      5
+    ]
+  ],
+  "output": {
+    "directory": "results"
+  }
+}"""
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -466,6 +527,20 @@ class TestCli:
         assert resolved["solver"]["eps"] == 1e-5
         assert resolved["solver"]["eps_loc"] == 0.0
         assert resolved["solver"]["keep_full_bases"] is True
+
+    def test_flags_left_out_keep_config_keys(self, tmp_path):
+        path = self.write_config(
+            tmp_path,
+            decomposition={"layout": 2, "overlap": 2},
+            solver={"keep_full_bases": True, "eps_loc": 0},
+        )
+        out = tmp_path / "given"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "config.json", encoding="utf-8") as handle:
+            resolved = json.load(handle)
+        assert resolved["solver"]["keep_full_bases"] is True
+        assert resolved["solver"]["eps_loc"] == 0.0
+        assert resolved["decomposition"]["overlap"] == 2
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
