@@ -4,14 +4,22 @@
 Each strategy writes its artifacts into <out>/<variant>/ and the
 six runs are then tabulated side by side into <out>/comparison.csv
 and <out>/comparison.txt. The reference configuration is the 200 x 200
-grid with 10 x 10 subdomains and overlap 4; expect a few minutes per
-strategy at that scale. Pass --grid/--subdomains/--overlap to scale
-the experiment down for a quick look.
+grid with 10 x 10 subdomains and overlap 4; expect about 30 s for all
+six at that scale on a 2-core machine. Pass
+--grid/--subdomains/--overlap to scale the experiment down for a quick
+look. The first line printed names the Python, numpy and scipy
+versions and OPENBLAS_NUM_THREADS: the reduced solver's counts depend
+on the BLAS thread count.
 """
 import argparse
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy
+import scipy
 
 from lrbas import ConvergenceFailure, compare, config_from_dict, run
 
@@ -33,6 +41,11 @@ def main(argv=None):
     parser.add_argument("--overlap", type=int, default=4)
     parser.add_argument("--eps", type=float, default=1e-6)
     args = parser.parse_args(argv)
+    print(
+        f"python {platform.python_version()}, numpy {numpy.__version__}, scipy {scipy.__version__}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+        flush=True,
+    )
 
     out = Path(args.out)
     directories = []

@@ -5,10 +5,12 @@ overlap (clipped at the domain boundary); a subdomain's index set holds
 the free nodes of its extended element block. The partition of unity
 uses inverse multiplicity weights. The coarse space collects, per
 subdomain, the weighted eigenvectors of the local Neumann-vs-weighted
-pencil with eigenvalues below a threshold.
+pencil with eigenvalues below a threshold. Pencils and local matrices
+with the same bytes are solved and factored once per sequence.
 """
 from __future__ import annotations
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -135,14 +137,31 @@ def lift(dec, blocks):
     )
 
 
-class CoarseSpace:
-    """Per-subdomain coarse vector blocks, concatenated column-wise."""
+def _digest(*matrices):
+    """blake2b digest of CSR matrices: their shapes, index arrays and values, byte for byte."""
+    h = hashlib.blake2b()
+    for M in matrices:
+        arrays = (M.indptr, M.indices, M.data)
+        h.update(repr((M.shape, [(a.dtype.str, a.size) for a in arrays])).encode())
+        for a in arrays:
+            h.update(a)
+    return h.digest()
 
-    def __init__(self, dec, blocks):
+
+class CoarseSpace:
+    """Per-subdomain coarse vector blocks, concatenated column-wise.
+
+    ``pencils`` maps each GenEO pencil solved so far, by tau and digest,
+    to its kept eigenvectors before weighting; ``build_geneo_coarse``
+    hands it on to the next coarse space it builds from this one.
+    """
+
+    def __init__(self, dec, blocks, pencils=None):
         self.blocks = blocks  # list of (n_i, m_i) arrays
         self.counts = np.array([b.shape[1] for b in blocks], dtype=np.int64)
         self.n0 = int(self.counts.sum())
         self.matrix = lift(dec, enumerate(blocks))
+        self.pencils = {} if pencils is None else pencils
 
 
 def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recompute=None):
@@ -159,12 +178,21 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
     vectors are B-orthonormal and ordered by ascending eigenvalue on
     either path. With ``previous`` given, blocks outside ``recompute``
     are carried over.
+
+    Each distinct pencil is solved once per chain of coarse spaces: the
+    kept vectors are stored under a digest of both matrices' exact bytes
+    and reused by every later subdomain, in this build or one passed
+    ``previous``, whose pencil has the same bytes (interior subdomains
+    that see the same coefficient pattern, shifted, and port states a
+    sequence visits again). Equal bytes go into the same deterministic
+    solve, so the blocks are those of solving every pencil.
     """
     if recompute is None:
         recompute = np.arange(dec.n_subdomains)
     recompute = set(int(i) for i in np.asarray(recompute).ravel())
     if previous is None and len(recompute) != dec.n_subdomains:
         raise ValueError("partial recompute needs a previous coarse space")
+    pencils = {} if previous is None else previous.pencils
     blocks = []
     for i in range(dec.n_subdomains):
         if i not in recompute:
@@ -175,11 +203,15 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
         D = pou.local[i]
         B = sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)
         delta = 1e-12 * max(B.diagonal().max(), 0.0)
-        w, P = sym_gen_eig(K_neu, B + delta * sp.identity(len(idx)), upper=tau)
-        w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
-        sel = w < tau
-        blocks.append(D[:, None] * P[:, sel])
-    coarse = CoarseSpace(dec, blocks)
+        B = B + delta * sp.identity(len(idx))
+        key = (tau, _digest(K_neu, B))
+        if key not in pencils:
+            w, P = sym_gen_eig(K_neu, B, upper=tau)
+            w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
+            # boolean indexing copies, so eigh's n x n work array is not kept
+            pencils[key] = P[:, w < tau]
+        blocks.append(D[:, None] * pencils[key])
+    coarse = CoarseSpace(dec, blocks, pencils)
     if coarse.n0 == 0:
         warnings.warn("GenEO selected no vectors; coarse space is empty", stacklevel=2)
     return coarse
@@ -195,6 +227,10 @@ class LocalOperators:
     ``R0^T A R0`` of ``coarse``, which the preconditioner factors and the
     reduced systems start from. The caller keeps them current: ``refresh``
     after each change of system.
+
+    Subdomains whose A_i have the same bytes share one factor object:
+    ``shared`` maps the digest of each A_i factored since ``build`` to
+    its factor.
     """
 
     index_sets: list
@@ -202,18 +238,28 @@ class LocalOperators:
     coarse: CoarseSpace
     coarse_matrix: np.ndarray
     coarse_factor: Factorization
+    shared: dict
 
     @classmethod
     def build(cls, A, index_sets, coarse):
-        factors = [factorize(A.submatrix(idx)) for idx in index_sets]
-        return cls(index_sets, factors, coarse, *_coarse_factor(A, coarse))
+        shared = {}
+        factors = [_local_factor(A.submatrix(idx), shared) for idx in index_sets]
+        return cls(index_sets, factors, coarse, *_coarse_factor(A, coarse), shared)
 
     def refresh(self, A, coarse, changed):
         """Refactor changed subdomains and the coarse matrix for a new system."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
-            self.factors[i] = factorize(A.submatrix(self.index_sets[i]))
+            self.factors[i] = _local_factor(A.submatrix(self.index_sets[i]), self.shared)
         self.coarse = coarse
         self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse)
+
+
+def _local_factor(A_i, shared):
+    """The factor of A_i in ``shared`` under its digest, factored on first use."""
+    key = _digest(A_i)
+    if key not in shared:
+        shared[key] = factorize(A_i)
+    return shared[key]
 
 
 def _coarse_factor(A, coarse):

@@ -4,7 +4,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import lrbas.decomposition
 import lrbas.linalg
+import lrbas.solver
 from lrbas.decomposition import (
     CoarseSpace,
     LocalOperators,
@@ -18,11 +20,14 @@ from lrbas.fem import (
     DEFAULT_SCHEDULE,
     ChannelGeometry,
     Grid,
+    ModificationSchedule,
     assemble,
     assemble_local_neumann,
     build_coefficient,
     problem_sequence,
 )
+from lrbas.linalg import sym_gen_eig
+from lrbas.solver import run_sequence
 
 SMALL_GEOMETRY = ChannelGeometry(
     channel_centers=(0.6, 0.5, 0.4),
@@ -60,6 +65,26 @@ def small_geneo_problem():
     field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
     system = assemble(grid, field)
     return dec, pou, system, field
+
+
+def pencil(dec, pou, system, field, i):
+    """Subdomain i's GenEO pencil ``K_neu``, ``D A_i D + delta I`` and its weights D."""
+    idx = dec.index_sets[i]
+    D = pou.local[i]
+    A = system.A.to_scipy()
+    B = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
+    B = (B + 1e-12 * B.diagonal().max() * sp.identity(len(idx))).tocsr()
+    K, _ = assemble_local_neumann(dec.grid, field, dec.extended_elements(i))
+    return K, B, D
+
+
+def csr_bytes(*matrices):
+    """The exact bytes of CSR matrices: equal only for byte-identical matrices."""
+    return tuple((M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()) for M in matrices)
+
+
+def distinct_pencils(dec, pou, system, field):
+    return len({csr_bytes(*pencil(dec, pou, system, field, i)[:2]) for i in range(dec.n_subdomains)})
 
 
 def force_arpack(monkeypatch):
@@ -255,8 +280,6 @@ class TestGeneoCoarse:
     def test_weighted_local_matrix_matches_dense_formula(self):
         # the weighted pencil matrix D A_i D is formed from the sparse
         # block; the coarse vectors must be bitwise those of the dense one
-        from lrbas.linalg import sym_gen_eig
-
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         pou = build_partition_of_unity(dec)
@@ -274,20 +297,16 @@ class TestGeneoCoarse:
             assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
 
     def test_arpack_path_matches_dense_eigh(self, monkeypatch):
-        from lrbas.linalg import sym_gen_eig
-
         dec, pou, system, field = small_geneo_problem()
         dense = build_geneo_coarse(dec, pou, system, field, 0.5)
         attempts = force_arpack(monkeypatch)
         arpack = build_geneo_coarse(dec, pou, system, field, 0.5)
-        assert len(attempts) == dec.n_subdomains and all(a is not None for a in attempts)
+        # each distinct pencil is solved once (12 of the 16)
+        assert len(attempts) == distinct_pencils(dec, pou, system, field) < dec.n_subdomains
+        assert all(a is not None for a in attempts)
         assert np.array_equal(arpack.counts, dense.counts)
-        A = system.A.to_scipy()
-        for i, idx in enumerate(dec.index_sets):
-            D = pou.local[i]
-            B = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
-            B = (B + 1e-12 * B.diagonal().max() * sp.identity(len(idx))).tocsr()
-            K, _ = assemble_local_neumann(dec.grid, field, dec.extended_elements(i))
+        for i in range(dec.n_subdomains):
+            K, B, _ = pencil(dec, pou, system, field, i)
             w_dense, P_dense = sym_gen_eig(K.toarray(), B.toarray(), upper=0.5)
             w, P = sym_gen_eig(K, B, upper=0.5)
             assert np.count_nonzero(w < 0.5) == np.count_nonzero(w_dense < 0.5)
@@ -316,7 +335,7 @@ class TestGeneoCoarse:
 
         monkeypatch.setattr(lrbas.linalg, "eigsh", stalled)
         fallen = build_geneo_coarse(dec, pou, system, field, 0.5)
-        assert attempts == [None] * dec.n_subdomains
+        assert attempts == [None] * distinct_pencils(dec, pou, system, field)
         for a, b in zip(fallen.blocks, dense.blocks):
             assert np.array_equal(a, b)
 
@@ -330,7 +349,80 @@ class TestGeneoCoarse:
             build_geneo_coarse(dec, pou, system, field, 0.5, recompute=[1])
 
 
+def revisiting_sequence():
+    """40 x 40, 4 x 4, overlap 2; ports {2, 5}, then {5}, then {2, 5} again."""
+    grid = Grid(40)
+    dec = build_decomposition(grid, 4, 2)
+    schedule = ModificationSchedule(({2, 5}, {5}, {2, 5}))
+    return dec, build_partition_of_unity(dec), problem_sequence(grid, SMALL_GEOMETRY, schedule)
+
+
+def record_geneo(monkeypatch):
+    """Per GenEO build of the solver: [coarse space, recomputed subdomains, sym_gen_eig calls]."""
+    builds = []
+    build, solve = lrbas.solver.build_geneo_coarse, lrbas.decomposition.sym_gen_eig
+
+    def spy_build(*args, recompute=None, **kwargs):
+        builds.append([None, np.asarray(recompute), 0])
+        builds[-1][0] = build(*args, recompute=recompute, **kwargs)
+        return builds[-1][0]
+
+    def spy_solve(*args, **kwargs):
+        builds[-1][2] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lrbas.solver, "build_geneo_coarse", spy_build)
+    monkeypatch.setattr(lrbas.decomposition, "sym_gen_eig", spy_solve)
+    return builds
+
+
+class TestPencilReuse:
+    @pytest.mark.parametrize("path", ["dense", "arpack"])
+    def test_revisited_sequence_solves_each_distinct_pencil_once(self, monkeypatch, path):
+        dec, pou, probs = revisiting_sequence()
+        if path == "arpack":
+            force_arpack(monkeypatch)
+        builds = record_geneo(monkeypatch)
+        run_sequence(probs, dec, pou)
+        assert len(builds) == 3
+        seen = set()
+        for prob, (coarse, recompute, calls) in zip(probs, builds):
+            for i in range(dec.n_subdomains):
+                K, B, D = pencil(dec, pou, prob.system, prob.coefficient, i)
+                w, P = sym_gen_eig(K, B, upper=0.5)
+                assert np.array_equal(coarse.blocks[i], D[:, None] * P[:, np.maximum(w, 0.0) < 0.5])
+            keys = {csr_bytes(*pencil(dec, pou, prob.system, prob.coefficient, i)[:2]) for i in recompute}
+            assert calls == len(keys - seen)
+            seen |= keys
+        # ports {2, 5} again: every recomputed pencil was solved for system 1
+        assert len(builds[2][1]) > 0 and builds[2][2] == 0
+        recomputed = sum(len(recompute) for _, recompute, _ in builds)
+        assert sum(calls for _, _, calls in builds) == len(seen) < recomputed
+
+    def test_each_sequence_starts_without_solved_pencils(self, monkeypatch):
+        dec, pou, probs = revisiting_sequence()
+        builds = record_geneo(monkeypatch)
+        run_sequence(probs, dec, pou)
+        first = sum(calls for _, _, calls in builds)
+        del builds[:]
+        run_sequence(probs, dec, pou)
+        assert sum(calls for _, _, calls in builds) == first > 0
+
+
 class TestLocalOperators:
+    def test_identical_local_matrices_share_one_factor(self, monkeypatch):
+        dec, _, system, _ = small_geneo_problem()
+        factored = []
+        factorize = lrbas.decomposition.factorize
+        monkeypatch.setattr(lrbas.decomposition, "factorize", lambda M: factored.append(M) or factorize(M))
+        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        keys = [csr_bytes(system.A.submatrix(idx)) for idx in dec.index_sets]
+        sparse = [M for M in factored if sp.issparse(M)]
+        assert len(sparse) == len(set(keys)) < dec.n_subdomains
+        for i in range(dec.n_subdomains):
+            for j in range(dec.n_subdomains):
+                assert (ops.factors[i] is ops.factors[j]) == (keys[i] == keys[j])
+
     def test_local_matrices_match_submatrices(self):
         grid = Grid(20)
         rng = np.random.default_rng(5)
