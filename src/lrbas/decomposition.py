@@ -2,11 +2,14 @@
 
 Subdomains are an s x s layout of element blocks extended by a fixed
 overlap (clipped at the domain boundary); a subdomain's index set holds
-the free nodes of its extended element block. The partition of unity
-uses inverse multiplicity weights. The coarse space collects, per
-subdomain, the weighted eigenvectors of the local Neumann-vs-weighted
-pencil with eigenvalues below a threshold. Pencils and local matrices
-with the same bytes are solved and factored once per sequence.
+the free nodes of its extended element block. The neighbours, the
+inverse multiplicity weights of the partition of unity, local residual
+energies and each step's changed subdomains are read from one sparse
+node-subdomain incidence matrix of the index sets. The coarse space
+collects, per subdomain, the weighted eigenvectors of the local
+Neumann-vs-weighted pencil with eigenvalues below a threshold. Pencils
+and local matrices with the same bytes are solved and factored once per
+sequence.
 """
 from __future__ import annotations
 
@@ -17,24 +20,33 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import assemble_local_neumann
+from .fem import _element_nodes, assemble_local_neumann
 from .linalg import Factorization, SparseSymMatrix, factorize, sym_gen_eig
 
 
 @dataclass(frozen=True)
 class Subdomain:
-    extended: tuple  # element ranges ((c0, c1), (r0, r1)), inclusive
+    extended: tuple  # element ranges ((c0, c1), (r0, r1)), inclusive: the Neumann element set
     indices: np.ndarray  # free-node index set, ascending
 
 
 class Decomposition:
     """Uniform overlapping decomposition of a Grid."""
 
-    def __init__(self, grid, layout, subdomains, neighbors):
+    def __init__(self, grid, layout, subdomains):
         self.grid = grid
         self.layout = layout
         self.subdomains = subdomains
-        self.neighbors = neighbors  # per subdomain: sorted tuple, includes self
+        sizes = [len(s.indices) for s in subdomains]
+        csc = (np.ones(sum(sizes)), np.concatenate(self.index_sets), np.r_[0, np.cumsum(sizes)])
+        S = sp.csc_matrix(csc, shape=(grid.n_free, len(sizes)))
+        self.incidence = S.tocsr()  # S[p, i] = 1 when free node p lies in subdomain i's index set
+        # per subdomain, a sorted tuple of the subdomains whose index sets meet
+        # its own, itself included: the pattern of S^T S, whose indices a
+        # sparse product does not promise to sort
+        G = (S.T @ S).tocsr()
+        G.sort_indices()
+        self.neighbors = [tuple(G.indices[a:b].tolist()) for a, b in zip(G.indptr, G.indptr[1:])]
 
     @property
     def n_subdomains(self):
@@ -73,22 +85,7 @@ def build_decomposition(grid, layout, overlap):
             ij, jj = np.meshgrid(ni, nj)
             idx = grid.free_index(ij, jj).ravel()
             subdomains.append(Subdomain((ec, er), idx))
-
-    # neighborhood by index-set intersection; the sets are rectangles in
-    # node space so interval overlap decides it
-    boxes = []
-    for s in subdomains:
-        (c0, c1), (r0, r1) = s.extended
-        boxes.append((max(c0, 1), min(c1 + 1, m - 1), r0, r1 + 1))
-    neighbors = []
-    for a in boxes:
-        nb = [
-            j
-            for j, b in enumerate(boxes)
-            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
-        ]
-        neighbors.append(tuple(nb))
-    return Decomposition(grid, layout, subdomains, neighbors)
+    return Decomposition(grid, layout, subdomains)
 
 
 @dataclass
@@ -99,10 +96,7 @@ class PartitionOfUnity:
 
 
 def build_partition_of_unity(dec):
-    n = dec.grid.n_free
-    counts = np.zeros(n, dtype=np.int64)
-    for idx in dec.index_sets:
-        counts[idx] += 1
+    counts = np.diff(dec.incidence.indptr)  # subdomains holding each free node
     if (counts == 0).any():
         raise ValueError("index sets do not cover all free nodes")
     weights = 1.0 / counts
@@ -110,31 +104,29 @@ def build_partition_of_unity(dec):
 
 
 def detect_changed_subdomains(changed_elements, dec):
-    """Subdomains whose extended element block meets the changed elements."""
+    """Subdomains whose index set holds a free node of a changed element.
+
+    These are exactly the subdomains whose A_i = A[idx_i, idx_i] the
+    change can alter, elements just outside the extended block included.
+    """
+    grid = dec.grid
     changed_elements = np.asarray(changed_elements, dtype=np.int64).ravel()
-    if len(changed_elements) == 0:
-        return np.zeros(0, dtype=np.int64)
-    ex, ey = dec.grid.element_xy(changed_elements)
-    hit = []
-    for i, s in enumerate(dec.subdomains):
-        (c0, c1), (r0, r1) = s.extended
-        if ((ex >= c0) & (ex <= c1) & (ey >= r0) & (ey <= r1)).any():
-            hit.append(i)
-    return np.asarray(hit, dtype=np.int64)
+    if len(changed_elements) and (changed_elements.min() < 0 or changed_elements.max() >= grid.n_elements):
+        raise ValueError("element id out of range")
+    nodes = _element_nodes(grid, changed_elements).ravel()
+    i, j = nodes % (grid.m + 1), nodes // (grid.m + 1)
+    free = (i >= 1) & (i <= grid.m - 1)
+    rows = dec.incidence[grid.free_index(i[free], j[free])]
+    return np.unique(rows.indices).astype(np.int64)
 
 
 def lift(dec, blocks):
     """Lift (subdomain, (n_i, m) column array) pairs, in order, into one sparse (n_free, k) matrix."""
-    rows, cols, data, k = [], [], [], 0
-    for i, b in blocks:
-        idx = dec.subdomains[i].indices
-        rows.append(np.tile(idx, b.shape[1]))
-        cols.append(np.repeat(np.arange(k, k + b.shape[1]), len(idx)))
-        data.append(b.T.ravel())
-        k += b.shape[1]
-    return sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dec.grid.n_free, k)
-    )
+    blocks = [(dec.subdomains[i].indices, b) for i, b in blocks]
+    lengths = np.repeat([len(idx) for idx, _ in blocks], [b.shape[1] for _, b in blocks])
+    data = np.concatenate([b.T.ravel() for _, b in blocks])
+    rows = np.concatenate([np.tile(idx, b.shape[1]) for idx, b in blocks])
+    return sp.csc_matrix((data, rows, np.r_[0, np.cumsum(lengths)]), shape=(dec.grid.n_free, len(lengths)))
 
 
 def _digest(*matrices):

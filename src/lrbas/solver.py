@@ -34,6 +34,7 @@ STRATEGIES = ("pcg", "pcg-guess", "lrbas")
 # the paper variants and toggle walks chose them (see CHANGES.md).
 _ENRICH_PIVOT_TOL = 1e-7
 _SNAPSHOT_PIVOT_TOL = 1e-12
+_BASIS_DROP_TOL = 1e-10  # LocalBasis.append's, relative to the appended vector's norm
 
 
 class LocalBasis:
@@ -54,12 +55,12 @@ class LocalBasis:
     def copy(self):
         return LocalBasis(self.n, self.vectors.copy())
 
-    def append(self, y, drop_tol=1e-10):
+    def append(self, y):
         """Orthonormalize y against the basis and append it.
 
         Re-orthogonalized Gram-Schmidt; returns False and leaves the
-        basis unchanged when the remainder falls below drop_tol times
-        the input norm (the vector is numerically dependent).
+        basis unchanged when the remainder falls below ``_BASIS_DROP_TOL``
+        times the input norm (the vector is numerically dependent).
         """
         y = np.asarray(y, dtype=np.float64)
         nrm0 = np.linalg.norm(y)
@@ -69,7 +70,7 @@ class LocalBasis:
         for _ in range(2):
             v = v - self.vectors @ (self.vectors.T @ v)
         nrm = np.linalg.norm(v)
-        if nrm <= drop_tol * nrm0:
+        if nrm <= _BASIS_DROP_TOL * nrm0:
             return False
         self.vectors = np.hstack([self.vectors, (v / nrm)[:, None]])
         return True
@@ -157,7 +158,7 @@ class ReducedSystem:
 
 def local_residual_norms(r, dec):
     """Euclidean norms of the residual restricted to each index set."""
-    return np.array([np.linalg.norm(r[s.indices]) for s in dec.subdomains])
+    return np.sqrt(dec.incidence.T @ (r * r))
 
 
 def select_enrichment(r, dec, eps_loc):
@@ -356,7 +357,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
     """Drive a strategy over a sequence of locally modified systems.
 
     Refreshes local factorizations and the GenEO coarse space only for
-    subdomains whose extended block meets the change set of each step;
+    subdomains whose index set holds a node of a changed element;
     step 1 builds everything. A numerical failure anywhere in a step
     (stalled iteration, indefinite matrix, LAPACK error) is raised as
     ConvergenceFailure naming the step, with the report of the steps

@@ -19,6 +19,7 @@ from lrbas.decomposition import (
 from lrbas.fem import (
     DEFAULT_SCHEDULE,
     ChannelGeometry,
+    CoefficientField,
     Grid,
     ModificationSchedule,
     assemble,
@@ -87,6 +88,13 @@ def distinct_pencils(dec, pou, system, field):
     return len({csr_bytes(*pencil(dec, pou, system, field, i)[:2]) for i in range(dec.n_subdomains)})
 
 
+def changed_local_matrices(dec, before, after):
+    """Subdomains whose A_i differs entrywise between two system matrices."""
+    return [
+        i for i, idx in enumerate(dec.index_sets) if (before.submatrix(idx) != after.submatrix(idx)).nnz
+    ]
+
+
 def force_arpack(monkeypatch):
     """Send every sparse GenEO pencil down the ARPACK path; returns the
     list that receives each ARPACK attempt's result (None: fell back)."""
@@ -137,6 +145,7 @@ class TestBuildDecomposition:
             for j in range(dec.n_subdomains):
                 intersects = bool(sets[i] & sets[j])
                 assert intersects == (j in dec.neighbors[i])
+            assert list(dec.neighbors[i]) == sorted(dec.neighbors[i])
 
     def test_invalid_layout_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -202,6 +211,48 @@ class TestDetectChangedSubdomains:
         changed = detect_changed_subdomains(np.flatnonzero(base != with1), dec)
         assert len(changed) <= 4
         assert np.array_equal(changed, [40, 41, 50, 51])
+
+    def test_out_of_range_elements_rejected(self):
+        grid = Grid(20)
+        dec = build_decomposition(grid, 2, 2)
+        for bad in (-1, grid.n_elements):
+            with pytest.raises(ValueError, match="out of range"):
+                detect_changed_subdomains([grid.element_id(5, 5), bad], dec)
+
+    def test_element_beside_extended_block_changes_neighbor(self):
+        # element (7, 0) lies one column left of subdomain 1's extended
+        # block (columns 8..21) but shares its nodes in column 8
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
+        values = field.values.copy()
+        values[0, 7] *= 10.0
+        e = grid.element_id(7, 0)
+        assert e not in dec.extended_elements(1)
+        before = assemble(grid, field).A
+        after = assemble(grid, CoefficientField(grid, values)).A
+        flagged = detect_changed_subdomains([e], dec)
+        assert np.array_equal(flagged, changed_local_matrices(dec, before, after))
+        assert np.array_equal(flagged, [0, 1])
+
+    def test_flags_exactly_the_changed_local_matrices(self):
+        # port 3 changes element row 47; subdomains 50 and 51 start at row 48
+        grid = Grid(100)
+        dec = build_decomposition(grid, 10, 2)
+        probs = problem_sequence(grid, ChannelGeometry(), ModificationSchedule(({2, 5}, {2, 3, 5})))
+        flagged = detect_changed_subdomains(probs[1].changed_elements, dec)
+        assert np.array_equal(flagged, changed_local_matrices(dec, probs[0].system.A, probs[1].system.A))
+        assert np.array_equal(flagged, [40, 41, 50, 51])
+        coarse = empty_coarse(dec)
+        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
+        ops.refresh(probs[1].system.A, coarse, flagged)
+        fresh = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
+        r = np.random.default_rng(3).standard_normal(probs[1].system.n)
+        assert np.allclose(
+            apply_as_preconditioner(r, ops),
+            apply_as_preconditioner(r, fresh),
+            atol=1e-12 * np.abs(r).max(),
+        )
 
 
 class TestGeneoCoarse:
@@ -426,8 +477,6 @@ class TestLocalOperators:
     def test_local_matrices_match_submatrices(self):
         grid = Grid(20)
         rng = np.random.default_rng(5)
-        from lrbas.fem import CoefficientField
-
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (20, 20)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
@@ -469,8 +518,6 @@ class TestLocalOperators:
     def test_matches_dense_subdomain_sum(self):
         grid = Grid(8)
         rng = np.random.default_rng(7)
-        from lrbas.fem import CoefficientField
-
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (8, 8)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)

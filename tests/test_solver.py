@@ -532,7 +532,7 @@ class TestSolveOne:
     def test_sweep_that_appends_nothing_fails_at_once(self, monkeypatch, eps_loc, dependent, cause):
         system, dec, _, _, ops = _CACHE20()
         if dependent:
-            monkeypatch.setattr(LocalBasis, "append", lambda basis, y, drop_tol=1e-10: False)
+            monkeypatch.setattr(LocalBasis, "append", lambda basis, y: False)
         opts = SolverOptions(eps=1e-12, eps_loc=eps_loc, max_iter=200)
         with pytest.raises(ConvergenceFailure, match=cause) as info:
             lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
