@@ -193,9 +193,12 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
         idx = dec.subdomains[i].indices
         K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.extended_elements(i))
         D = pou.local[i]
-        B = sp.diags(D) @ system.A.submatrix(idx) @ sp.diags(D)
-        delta = 1e-12 * max(B.diagonal().max(), 0.0)
-        B = B + delta * sp.identity(len(idx))
+        B = system.A.submatrix(idx)  # a copy, scaled in place to D A_i D + delta I
+        rows = np.repeat(np.arange(len(idx)), np.diff(B.indptr))
+        B.data *= D[rows]
+        B.data *= D[B.indices]
+        diag = rows == B.indices
+        B.data[diag] += 1e-12 * max(B.data[diag].max(), 0.0)
         key = (tau, _digest(K_neu, B))
         if key not in pencils:
             w, P = sym_gen_eig(K_neu, B, upper=tau)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpstrf, dtbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # The ARPACK path of sym_gen_eig, placed by measurement on the GenEO
@@ -345,9 +345,9 @@ def sym_gen_eig(A, B, upper):
     Dense ``eigh`` solves the problem, except for a sparse pencil of at
     least ``_ARPACK_MIN_N`` unknowns and a finite ``upper``: there ARPACK
     computes the largest nu of ``B p = nu (A + B) p``, with
-    ``nu = 1 / (1 + lambda)``, through one banded Cholesky factor of
-    ``A + B``. Should ARPACK need too many eigenpairs or stop
-    converging, dense ``eigh`` takes over.
+    ``nu = 1 / (1 + lambda)``, in standard symmetric form through one
+    banded Cholesky factor of ``A + B``. Should ARPACK need too many
+    eigenpairs or stop converging, dense ``eigh`` takes over.
     """
     arpack = np.isfinite(upper) and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
     if not arpack:
@@ -375,31 +375,34 @@ def _lowest_by_arpack(A, B, upper):
     """Eigenpairs of A p = lambda B p with lambda <= upper, or None.
 
     Solves ``B p = nu (A + B) p`` for the largest nu, doubling the count
-    asked for until the smallest nu found lies beyond the bound. Like
-    dense ``eigh``, both matrices are read from their lower triangle.
+    asked for until the smallest nu found lies beyond the bound. With
+    ``A + B = L L^T`` banded, ARPACK runs on the standard symmetric
+    problem ``L^-1 B L^-T y = nu y``, and ``p = L^-T y``. Like dense
+    ``eigh``, both matrices are read from their lower triangle.
     Returns None when B or ``A + B`` has no banded Cholesky factor, when
     the count would pass n / 16 or when ARPACK fails; the dense solve
     then decides.
     """
     n = A.shape[0]
     low_B = sp.tril(B, format="csr")
-    low_AB = sp.tril(A, format="csr") + low_B
     try:
         _banded_cholesky(low_B, 0.0)
-        band = _banded_cholesky(low_AB, 0.0)
+        band = _banded_cholesky(sp.tril(A, format="csr") + low_B, 0.0)
     except IndefiniteMatrixError:
         return None
-    B, AB = (low + sp.tril(low, -1).T for low in (low_B, low_AB))
-    AB_inv = LinearOperator(
-        (n, n), matvec=lambda x: sla.cho_solve_banded((band, True), x, check_finite=False), dtype=np.float64
-    )
+    B = low_B + sp.tril(low_B, -1).T
+
+    def back(y):  # L^-T y; L has positive pivots, so the solve cannot fail
+        return dtbtrs(band, y, uplo="L", trans="T")[0]
+
+    C = LinearOperator((n, n), matvec=lambda y: dtbtrs(band, B @ back(y), uplo="L")[0], dtype=np.float64)
     # a fixed start vector makes the result independent of call order
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     k = _ARPACK_K0
     while k <= n // _ARPACK_K_FRACTION:
         try:
-            nu, P = eigsh(
-                B, k, M=AB, Minv=AB_inv, which="LA", v0=v0,
+            nu, Y = eigsh(
+                C, k, which="LA", v0=v0,
                 ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
             )
         except ArpackError:
@@ -408,7 +411,7 @@ def _lowest_by_arpack(A, B, upper):
         if lam.max() > upper:
             order = np.argsort(lam, kind="stable")
             keep = order[lam[order] <= upper]
-            # the columns are (A + B)-orthonormal; p^T B p = nu
-            return lam[keep], P[:, keep] / np.sqrt(nu[keep])
+            # the columns of Y are orthonormal, so p^T B p = nu
+            return lam[keep], back(Y[:, keep]) / np.sqrt(nu[keep])
         k *= 2
     return None

@@ -1,10 +1,22 @@
 """Shared test helpers."""
+import os
+import platform
 from types import SimpleNamespace
 
+import numpy
 import pytest
+import scipy
 
 import lrbas.solver
 from lrbas.solver import LocalBasis, ReducedSystem
+
+
+def pytest_report_header(config):
+    # the reduced solver's counts, and so criteria 6 and 7, depend on these
+    return (
+        f"python {platform.python_version()}, numpy {numpy.__version__}, scipy {scipy.__version__}, "
+        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
+    )
 
 
 @pytest.fixture

@@ -347,6 +347,30 @@ class TestGeneoCoarse:
             sel = np.maximum(w, 0.0) < 0.5
             assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
 
+    def test_weighted_pencil_matrix_is_bitwise_the_diagonal_product(self, monkeypatch):
+        # B = D A_i D + delta I keeps the CSR arrays of the sparse product
+        # formula, so pencil digests, and with them pencil reuse, do not move
+        dec, pou, system, field = small_geneo_problem()
+        digest = lrbas.decomposition._digest
+        weighted = []
+
+        def spy(*matrices):
+            if len(matrices) == 2:  # the GenEO pencil (K_neu, B)
+                weighted.append(matrices[1])
+            return digest(*matrices)
+
+        monkeypatch.setattr(lrbas.decomposition, "_digest", spy)
+        build_geneo_coarse(dec, pou, system, field, 0.5)
+        # every subdomain, the 12 clipped at the boundary included
+        assert len(weighted) == dec.n_subdomains == 16
+        for i, B in enumerate(weighted):
+            D = pou.local[i]
+            ref = sp.diags(D) @ system.A.submatrix(dec.index_sets[i]) @ sp.diags(D)
+            ref = ref + 1e-12 * max(ref.diagonal().max(), 0.0) * sp.identity(len(D))
+            for a, b in ((B.indptr, ref.indptr), (B.indices, ref.indices), (B.data, ref.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert B.shape == ref.shape and digest(B) == digest(ref)
+
     def test_arpack_path_matches_dense_eigh(self, monkeypatch):
         dec, pou, system, field = small_geneo_problem()
         dense = build_geneo_coarse(dec, pou, system, field, 0.5)

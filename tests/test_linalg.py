@@ -50,12 +50,12 @@ def neumann_pencil(rows, cols):
 
 @pytest.fixture
 def eigsh_calls(monkeypatch):
-    """Counts the ARPACK calls of sym_gen_eig."""
+    """Records the keyword arguments of each ARPACK call of sym_gen_eig."""
     calls = []
     eigsh = lrbas.linalg.eigsh
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("ncv"))
+        calls.append(kwargs)
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(lrbas.linalg, "eigsh", counted)
@@ -378,6 +378,16 @@ class TestSymGenEig:
         assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max() <= 1e-12
         # the double eigenvalues make single vectors arbitrary: compare spans
         assert np.abs(P @ P.T - P_dense @ P_dense.T).max() <= 1e-10
+
+    def test_arpack_runs_the_standard_symmetric_problem(self, eigsh_calls):
+        # L^-1 B L^-T y = nu y with L L^T = A + B: ARPACK's standard mode, no mass matrix
+        A, B = neumann_pencil(20, 20)
+        w, P = sym_gen_eig(A, B, upper=0.3)
+        assert eigsh_calls
+        assert all(call.get("M") is None and call.get("Minv") is None for call in eigsh_calls)
+        assert all(call.get("sigma") is None and call["which"] == "LA" for call in eigsh_calls)
+        assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max() <= 1e-12
+        assert np.abs(A @ P - B @ P * w).max() <= 1e-12
 
     def test_too_many_wanted_pairs_fall_back_to_dense(self, eigsh_calls):
         # more than n / 16 = 25 eigenvalues lie below 1
