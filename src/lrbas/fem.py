@@ -12,6 +12,7 @@ solvers operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,6 +78,43 @@ class Grid:
         """Center coordinate arrays (cx, cy), each shaped (m, m) as [ey, ex]."""
         c = (np.arange(self.m) + 0.5) * self.h
         return np.meshgrid(c, c)
+
+    @cached_property
+    def assembly_plan(self):
+        """The sparsity and summation order ``assemble`` gives every system
+        on this grid, built once per grid object.
+
+        Returns ``(order, starts, n_ff, pattern, coupling, free,
+        dirichlet, g)``. ``order`` takes the element matrix entries of
+        free rows, flattened by element, stably sorted by (block, row,
+        column), so each (row, column) sum runs in element order and
+        entries (i, j) and (j, i) are bitwise equal; sums start at
+        ``starts``. Block 0, the first ``n_ff`` sums, is ``A`` row by row,
+        block 1 the free-Dirichlet coupling ``C``; their read-only int32
+        ``(indices, indptr)`` are ``pattern`` and ``coupling``.
+        """
+        ii = np.arange(self.n_nodes) % (self.m + 1)
+        is_free = (ii >= 1) & (ii <= self.m - 1)
+        free, diri = np.flatnonzero(is_free), np.flatnonzero(~is_free)
+        n = len(free)
+        local = np.empty(self.n_nodes, dtype=np.int64)  # row of A, or column of C
+        local[free], local[diri] = np.arange(n), np.arange(len(diri))
+        enodes = _element_nodes(self, np.arange(self.n_elements))
+        d, loc = ~is_free[enodes], local[enodes]
+        # block 0: free-free, 1: free-Dirichlet, 2: Dirichlet rows, cut off after the sort
+        block = np.maximum(2 * d[:, :, None], d[:, None, :])
+        key = ((block * n + loc[:, :, None]) * self.n_nodes + loc[:, None, :]).ravel()
+        order = np.argsort(key, kind="stable")[: np.count_nonzero(block < 2)]
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
+        r, c = np.divmod(key[starts], self.n_nodes)
+        c, ptr = c.astype(np.int32), np.searchsorted(r, np.arange(2 * n + 1)).astype(np.int32)
+        n_ff = int(ptr[n])
+        pattern, coupling = (c[:n_ff], ptr[: n + 1]), (c[n_ff:], ptr[n:] - n_ff)
+        g = np.where(ii[diri] == 0, 1.0, -1.0)
+        for a in (*pattern, *coupling, free, diri, g):
+            a.flags.writeable = False
+        return order.astype(np.int32), starts.astype(np.int32), n_ff, pattern, coupling, free, diri, g
 
 
 def _closed_intersects(a, b):
@@ -288,24 +326,12 @@ def assemble(grid, coefficient):
     """Assemble stiffness and Dirichlet-lifted load over the free nodes."""
     if coefficient.grid != grid:
         raise ValueError("coefficient field belongs to a different grid")
-    m = grid.m
-    sigma = coefficient.values.ravel()
-    enodes = _element_nodes(grid, np.arange(grid.n_elements))
-    rows = np.broadcast_to(enodes[:, :, None], (grid.n_elements, 4, 4))
-    cols = np.broadcast_to(enodes[:, None, :], (grid.n_elements, 4, 4))
-    vals = sigma[:, None, None] * K_REF[None, :, :]
-    full = SparseSymMatrix.from_coo(grid.n_nodes, rows.ravel(), cols.ravel(), vals.ravel())
-
-    ii = np.arange(grid.n_nodes) % (m + 1)
-    free = np.flatnonzero((ii >= 1) & (ii <= m - 1))
-    diri = np.flatnonzero((ii == 0) | (ii == m))
-    g = np.where(ii[diri] == 0, 1.0, -1.0)
-
-    csr = full.to_scipy()
-    rows_free = csr[free]
-    A = SparseSymMatrix(rows_free[:, free].tocsr())
-    f = -(rows_free[:, diri] @ g)
-    return LinearSystem(grid, A, f, free, diri, g)
+    order, starts, n_ff, pattern, coupling, free, diri, g = grid.assembly_plan
+    vals = coefficient.values.reshape(-1, 1) * K_REF.ravel()
+    data = np.add.reduceat(vals.ravel()[order], starts)
+    A = SparseSymMatrix(sp.csr_matrix((data[:n_ff], *pattern), shape=(len(free), len(free))))
+    C = sp.csr_matrix((data[n_ff:], *coupling), shape=(len(free), len(diri)))
+    return LinearSystem(grid, A, -(C @ g), free, diri, g)
 
 
 def assemble_local_neumann(grid, coefficient, elements):
@@ -336,7 +362,7 @@ def assemble_local_neumann(grid, coefficient, elements):
     vals = sigma[:, None, None] * K_REF[None, :, :]
     m = (lr >= 0) & (lc >= 0)
     # np.add.at sums each entry's element contributions in element order,
-    # as a dense accumulation does; from_coo's reduceat may pair them
+    # as a dense accumulation does; assemble's reduceat may pair them
     # differently and change the last bit
     n = len(nodes)
     key, at = np.unique(lr[m] * n + lc[m], return_inverse=True)

@@ -76,9 +76,9 @@ class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, both triangles stored.
 
     Rows are sorted by column index and every structural entry has its
-    transpose partner with a bitwise equal value, which construction via
-    ``from_coo`` guarantees by summing duplicate entries of (i, j) and
-    (j, i) in the same order.
+    transpose partner with a bitwise equal value, which ``fem.assemble``
+    guarantees by summing the element contributions to (i, j) and (j, i)
+    in the same order.
     """
 
     def __init__(self, csr):
@@ -90,33 +90,6 @@ class SparseSymMatrix:
         if not csr.has_sorted_indices:
             csr.sort_indices()
         self._csr = csr
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        """Build from COO triplets, summing duplicates deterministically.
-
-        Duplicates are grouped by (row, col) with a stable sort, so the
-        summands of entry (i, j) and entry (j, i) appear in the same
-        input order and the two sums are bitwise equal whenever the
-        input triplet list is symmetric.
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("rows, cols, vals must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("triplet index out of range")
-        order = np.lexsort((cols, rows))  # stable: duplicates keep input order
-        r, c, v = rows[order], cols[order], vals[order]
-        key = r * np.int64(n) + c
-        starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
-        data = np.add.reduceat(v, starts) if len(v) else v
-        ru, cu = r[starts], c[starts]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ru, minlength=n), out=indptr[1:])
-        csr = sp.csr_matrix((data, cu.astype(np.int32, copy=False) if n < 2**31 else cu, indptr), shape=(n, n))
-        return cls(csr)
 
     @property
     def n(self):

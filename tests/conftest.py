@@ -11,12 +11,22 @@ import lrbas.solver
 from lrbas.solver import LocalBasis, ReducedSystem
 
 
+# The reduced solver's counts, and so criteria 6 and 7, depend on these.
+# Read when pytest loads this file, before collection imports bench/run.py,
+# which sets OPENBLAS_NUM_THREADS for its own runs after numpy has loaded.
+ENVIRONMENT = (
+    f"python {platform.python_version()}, numpy {numpy.__version__}, scipy {scipy.__version__}, "
+    f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
+)
+
+
 def pytest_report_header(config):
-    # the reduced solver's counts, and so criteria 6 and 7, depend on these
-    return (
-        f"python {platform.python_version()}, numpy {numpy.__version__}, scipy {scipy.__version__}, "
-        f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}"
-    )
+    return ENVIRONMENT
+
+
+def pytest_terminal_summary(terminalreporter):
+    # pytest leaves the header out under -q; the summary is always printed
+    terminalreporter.write_line(ENVIRONMENT)
 
 
 @pytest.fixture

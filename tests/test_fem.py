@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrbas.decomposition import build_decomposition
 from lrbas.fem import (
     DEFAULT_SCHEDULE,
     K_REF,
@@ -18,6 +19,15 @@ from lrbas.fem import (
     build_coefficient,
     problem_sequence,
     schedule_fields,
+)
+from lrbas.solver import SolverOptions, run_sequence
+
+SMALL_GEOMETRY = ChannelGeometry(
+    channel_centers=(0.6, 0.5, 0.4),
+    channel_height=0.05,
+    x_left=0.1,
+    x_right=0.9,
+    port_length=0.05,
 )
 
 
@@ -33,6 +43,32 @@ def assert_canonical_symmetric(A):
     assert np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)
     assert np.array_equal(t.data, csr.data)
     assert (csr.diagonal() > 0).all()
+
+
+def reference_assemble(grid, coefficient):
+    """Global assembly by one stable lexsort and reduceat over all element
+    triplets, then scipy row and column slicing: the summation order
+    ``assemble`` must reproduce bit for bit. Returns (A as CSR, f)."""
+    m, n = grid.m, grid.n_nodes
+    e = np.arange(grid.n_elements)
+    sw = e // m * (m + 1) + e % m
+    enodes = np.stack([sw, sw + 1, sw + m + 2, sw + m + 1], axis=1)
+    rows, cols = np.repeat(enodes, 4, axis=1).ravel(), np.tile(enodes, 4).ravel()
+    vals = (coefficient.values.ravel()[:, None, None] * K_REF[None, :, :]).ravel()
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, np.diff(r * n + c) != 0])
+    full = sp.csr_matrix((np.add.reduceat(v, starts), (r[starts], c[starts])), shape=(n, n))
+    ii = np.arange(n) % (m + 1)
+    free, diri = np.flatnonzero((ii >= 1) & (ii <= m - 1)), np.flatnonzero((ii == 0) | (ii == m))
+    rows_free = full[free]
+    return rows_free[:, free].tocsr(), -(rows_free[:, diri] @ np.where(ii[diri] == 0, 1.0, -1.0))
+
+
+def high_contrast_field(grid, seed):
+    """Element conductivities log-uniform over ten decades."""
+    rng = np.random.default_rng(seed)
+    return CoefficientField(grid, 10.0 ** rng.uniform(-5.0, 5.0, (grid.m, grid.m)))
 
 
 def reference_element_stiffness():
@@ -296,6 +332,17 @@ class TestAssemble:
         assert_canonical_symmetric(system.A)
         assert np.min(scipy.linalg.eigvalsh(system.A.to_scipy().toarray())) > 0
 
+    def test_duplicates_sum_bitwise_symmetrically(self):
+        # each entry (i, j) and its mirror (j, i) gather the same element
+        # contributions in the same order, so their sums are bitwise equal
+        for m in (2, 3, 7, 20):
+            grid = Grid(m)
+            for seed in range(3):
+                system = assemble(grid, high_contrast_field(grid, seed))
+                D = system.A.to_scipy().toarray()
+                assert np.array_equal(D, D.T)
+                assert_canonical_symmetric(system.A)
+
     def test_load_vector_carries_boundary_lift(self):
         grid = Grid(4)
         geo = ChannelGeometry.empty()
@@ -474,6 +521,49 @@ class TestProblemSequence:
                             touched.add(int(grid.free_index(x + dx, y + dy)))
             untouched = np.setdiff1d(np.arange(grid.n_free), sorted(touched))
             assert np.max(diff[np.ix_(untouched, untouched)]) == 0
+
+
+class TestAssemblyPlan:
+    @staticmethod
+    def assert_matches_reference(system, grid, coefficient):
+        A, (A0, f0) = system.A.to_scipy(), reference_assemble(grid, coefficient)
+        for got, want in ((A.indptr, A0.indptr), (A.indices, A0.indices), (A.data, A0.data), (system.f, f0)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 40])
+    def test_random_fields_bitwise_equal_to_reference_assembly(self, m):
+        grid = Grid(m)
+        for seed in range(3):
+            field = high_contrast_field(grid, seed)
+            self.assert_matches_reference(assemble(grid, field), grid, field)
+
+    def test_default_schedule_bitwise_equal_to_reference_assembly(self):
+        grid = Grid(40)
+        for field, _ in schedule_fields(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE):
+            self.assert_matches_reference(assemble(grid, field), grid, field)
+
+    def test_plan_built_once_per_grid_object(self):
+        grid = Grid(6)
+        assert grid.assembly_plan is grid.assembly_plan
+        assert Grid(6).assembly_plan is not grid.assembly_plan
+
+    def test_systems_share_one_pattern_that_solving_leaves_unchanged(self):
+        grid = Grid(20)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, ModificationSchedule(({2, 5}, {5}, {1})))
+        first = probs[0].system.A.to_scipy()
+
+        def shared(A):
+            return np.shares_memory(A.indices, first.indices) and np.shares_memory(A.indptr, first.indptr)
+
+        assert all(shared(prob.system.A.to_scipy()) for prob in probs[1:])
+        assert not first.indices.flags.writeable and not first.indptr.flags.writeable
+        indices, indptr = first.indices.copy(), first.indptr.copy()
+        dec = build_decomposition(grid, 4, 1)
+        for strategy in ("lrbas", "pcg-guess"):
+            run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
+            assert all(shared(prob.system.A.to_scipy()) for prob in probs)
+            assert np.array_equal(first.indices, indices) and np.array_equal(first.indptr, indptr)
 
 
 class TestProperties:

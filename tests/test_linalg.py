@@ -101,31 +101,6 @@ class TestSparseSymMatrix:
         with pytest.raises(ValueError):
             A.submatrix(np.array([0, 3]))
 
-    def test_from_coo_sums_duplicates_symmetrically(self):
-        # contributions come in mirrored pairs like elementwise assembly;
-        # the summed duplicates must come out bitwise symmetric
-        rng = np.random.default_rng(7)
-        n, reps = 6, 40
-        i = rng.integers(0, n, reps)
-        j = rng.integers(0, n, reps)
-        v = rng.standard_normal(reps)
-        rows = np.concatenate([np.stack([i, j], axis=1).ravel(), np.arange(n)])
-        cols = np.concatenate([np.stack([j, i], axis=1).ravel(), np.arange(n)])
-        vals = np.concatenate([np.repeat(v, 2), np.full(n, 10.0)])
-        A = SparseSymMatrix.from_coo(n, rows, cols, vals)
-        D = A.submatrix(np.arange(n)).toarray()
-        assert np.array_equal(D, D.T)
-        csr = A.to_scipy()
-        # column indices strictly increasing within each row
-        row_of = np.repeat(np.arange(n), np.diff(csr.indptr))
-        assert (np.diff(row_of * n + csr.indices) > 0).all()
-        # structure and values bitwise symmetric, diagonal present and positive
-        t = csr.T.tocsr()
-        t.sort_indices()
-        assert np.array_equal(t.indptr, csr.indptr) and np.array_equal(t.indices, csr.indices)
-        assert np.array_equal(t.data, csr.data)
-        assert (csr.diagonal() > 0).all()
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     def test_matvec_linearity(self, n, seed):
