@@ -4,7 +4,7 @@
 Each strategy writes its artifacts into <out>/<variant>/ and the
 six runs are then tabulated side by side into <out>/comparison.csv
 and <out>/comparison.txt. The reference configuration is the 200 x 200
-grid with 10 x 10 subdomains and overlap 4; expect about 30 s for all
+grid with 10 x 10 subdomains and overlap 4; expect about 20 s for all
 six at that scale on a 2-core machine. Pass
 --grid/--subdomains/--overlap to scale the experiment down for a quick
 look. The first line printed names the Python, numpy and scipy

@@ -5,7 +5,9 @@ overlap (clipped at the domain boundary); a subdomain's index set holds
 the free nodes of its extended element block. The neighbours, the
 inverse multiplicity weights of the partition of unity, local residual
 energies and each step's changed subdomains are read from one sparse
-node-subdomain incidence matrix of the index sets. The coarse space
+node-subdomain incidence matrix of the index sets; the subdomain pairs
+that A couples, over which Galerkin matrices are assembled from dense
+local blocks, from the pattern of S^T |A| S. The coarse space
 collects, per subdomain, the weighted eigenvectors of the local
 Neumann-vs-weighted pencil with eigenvalues below a threshold. Pencils
 and local matrices with the same bytes are solved and factored once per
@@ -15,12 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import _element_nodes, assemble_local_neumann
+from .fem import _element_nodes, assemble_local_neumann, neumann_plan
 from .linalg import Factorization, SparseSymMatrix, factorize, sym_gen_eig
 
 
@@ -60,6 +63,29 @@ class Decomposition:
         (c0, c1), (r0, r1) = self.subdomains[i].extended
         ex, ey = np.meshgrid(np.arange(c0, c1 + 1), np.arange(r0, r1 + 1))
         return self.grid.element_id(ex, ey).ravel()
+
+    @cached_property
+    def neumann_plans(self):
+        """Each subdomain's ``neumann_plan`` of its extended block, built on first use.
+
+        Blocks of one shape that touch the same Dirichlet edges have the
+        same local pattern, shifted, so they share one; the free nodes of
+        an extended block are its index set.
+        """
+        plans, shapes = [], {}
+        for i, s in enumerate(self.subdomains):
+            (c0, c1), (r0, r1) = s.extended
+            shape = (c1 - c0, r1 - r0, c0 == 0, c1 == self.grid.m - 1)
+            elements = self.extended_elements(i)
+            if shape not in shapes:
+                shapes[shape] = neumann_plan(self.grid, elements)
+            plans.append(replace(shapes[shape], elements=elements.astype(np.int32), free=s.indices))
+        return plans
+
+    @cached_property
+    def coupling(self):
+        """The ``Coupling`` of the index sets, built on first use."""
+        return Coupling(self)
 
 
 def build_decomposition(grid, layout, overlap):
@@ -129,6 +155,124 @@ def lift(dec, blocks):
     return sp.csc_matrix((data, rows, np.r_[0, np.cumsum(lengths)]), shape=(dec.grid.n_free, len(lengths)))
 
 
+class Coupling:
+    """The subdomain pairs that A couples, as maps between dense local blocks.
+
+    ``ext_i`` is subdomain i's index set plus every free node A couples
+    to it, the rows of ``A[ext_i, idx_i]``. ``pairs[i]`` lists ``(j, r,
+    off, s)`` for each subdomain j whose index set meets ``ext_i``, the
+    pattern of column i of ``S^T |A| S`` with S the incidence matrix.
+    Their shared nodes, ascending, lie in the positions ``r`` (a slice)
+    of ``idx_j``, at offsets ``off`` within it (None when they fill it),
+    and at the positions ``shared[i][s]`` of ``ext_i``. Two index sets
+    need not meet for A to couple them. The maps come from the grid's
+    sparsity pattern, which every system assembled on the grid shares,
+    and hold no values.
+    """
+
+    def __init__(self, dec):
+        # int32 throughout, as the grid's pattern: every count and position fits
+        indices, indptr = self.pattern = dec.grid.assembly_plan[3]
+        n, I = dec.grid.n_free, dec.n_subdomains
+        sizes = np.array([len(idx) for idx in dec.index_sets], dtype=np.int32)
+        first = np.r_[0, np.cumsum(sizes)].astype(np.int32)
+        q = np.concatenate(dec.index_sets).astype(np.int32)
+        # S with data 1 + the position of each node in its index set
+        S = sp.csc_matrix((np.arange(1, len(q) + 1, dtype=np.int32) - np.repeat(first[:-1], sizes), q, first), shape=(n, I))
+        E = (sp.csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)) @ S).tocsc()
+        E.sort_indices()  # |A| S: column i holds ext_i
+        # column q of A[ext_i, idx_i] holds row q of A, whose values are
+        # bitwise those of the column, and an index set's numbers come in
+        # runs of consecutive ones, whose rows of A are contiguous
+        starts = np.r_[True, np.diff(q) != 1]
+        starts[first[:-1]] = True
+        run = np.flatnonzero(starts)
+        spans = np.stack([indptr[q[run]], indptr[q[np.r_[run[1:], len(q)] - 1] + 1]], axis=1)
+        deg = np.diff(indptr)[q]
+        shapes, self._local = {}, []
+        for i, runs in enumerate(np.split(spans, np.searchsorted(run, first[1:-1]))):
+            ext = E.indices[E.indptr[i] : E.indptr[i + 1]]
+            where = np.empty(ext[-1] - ext[0] + 1, dtype=np.int32)  # position in ext_i, by node number
+            where[ext - ext[0]] = np.arange(len(ext), dtype=np.int32)
+            rows = where[np.concatenate([indices[u:v] for u, v in runs]) - ext[0]]
+            ptr = np.r_[0, np.cumsum(deg[first[i] : first[i + 1]])].astype(np.int32)
+            # one copy of each distinct pattern of A[ext_i, idx_i], one per shape of index set
+            rows, ptr = shapes.setdefault((rows.tobytes(), ptr.tobytes()), (rows, ptr))
+            self._local.append((runs, rows, ptr, (len(ext), len(ptr) - 1)))
+        # each node of each ext_i, once per index set j that holds it,
+        # grouped by pair (i, j) with the nodes ascending
+        Sr = S.tocsr()
+        owner = np.repeat(np.arange(I, dtype=np.int32), np.diff(E.indptr))
+        hold = np.diff(Sr.indptr)[E.indices]
+        start = np.r_[0, np.cumsum(hold)].astype(np.int32)
+        s = np.repeat(Sr.indptr[E.indices] - start[:-1], hold) + np.arange(start[-1], dtype=np.int32)
+        key = np.repeat(owner * I, hold) + Sr.indices[s]
+        # stable: a radix sort whenever the keys fit in 16 bits
+        order = np.argsort(key.astype(np.min_scalar_type(I * I)), kind="stable")
+        key, a = key[order], (Sr.data[s] - 1)[order]
+        cut = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+        lo, hi = a[cut[:-1]], a[cut[1:] - 1] + 1
+        small = np.min_scalar_type(max(sizes.max(), np.diff(E.indptr).max()))
+        a = (a - np.repeat(lo, np.diff(cut))).astype(small)
+        b = np.repeat(np.arange(E.nnz, dtype=np.int32) - E.indptr[owner], hold)[order].astype(small)
+        bound = np.searchsorted(key, np.arange(I + 1) * I)
+        self.shared = [b[u:v] for u, v in zip(bound[:-1], bound[1:])]
+        self.pairs = [[] for _ in range(I)]
+        ij = np.divmod(key[cut[:-1]], I)
+        for u, v, i, j, l, h in zip(cut[:-1].tolist(), cut[1:].tolist(), *(x.tolist() for x in (*ij, lo, hi))):
+            self.pairs[i].append((j, slice(l, h), None if h - l == v - u else a[u:v], slice(u - bound[i], v - bound[i])))
+
+    def local(self, A, i):
+        """``A[ext_i, idx_i]`` of a system matrix on the grid, in CSC form."""
+        csr = A.to_scipy()
+        indices, indptr = self.pattern
+        if not (csr.indptr is indptr or np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)):
+            raise ValueError("matrix does not have the sparsity pattern of the grid")
+        runs, rows, ptr, shape = self._local[i]
+        data = np.concatenate([csr.data[u:v] for u, v in runs.tolist()])
+        return sp.csc_matrix((data, rows, ptr), shape=shape)
+
+
+def galerkin_blocks(local, dec, columns, rows, out):
+    """Set the blocks that new local columns add to a Galerkin matrix.
+
+    ``local(i)`` gives ``A[ext_i, idx_i]`` (see ``Coupling``).
+    ``columns`` holds ``(i, Y_i, c_i)``, at most one per subdomain:
+    columns on subdomain i's index set and their rows and columns of
+    ``out``. ``rows(j)`` gives subdomain j's ``(V, q)`` pairs: blocks of
+    its columns already in ``out`` and their rows. For each
+    ``Y_i``, ``Z_i = A[ext_i, idx_i] Y_i`` is formed once, and each
+    subdomain j coupled to i gets ``out[q, c_i] = V[a]^T Z_i[b]``, with
+    ``a`` and ``b`` the positions of their shared nodes in ``idx_j`` and
+    ``ext_i``; if j has new columns too and ``j <= i``, ``out[c_j, c_i]
+    = Y_j[a]^T Z_i[b]`` is set and mirrored, a diagonal block
+    symmetrized. Entries of ``out`` outside these blocks are left as
+    they are. The product runs over a contiguous range of V's rows,
+    with ``Z_i[b]`` scattered into it where the shared nodes do not fill
+    it: a row gather of V costs more than the zeros.
+    """
+    plan = dec.coupling
+    new = {i: (Y, c) for i, Y, c in columns}
+    for i, Y, c in columns:
+        Z = (local(i) @ Y).take(plan.shared[i], axis=0)
+        for j, r, off, s in plan.pairs[i]:
+            fixed = [(V, q) for V, q in rows(j) if V.shape[1]]
+            pair = j <= i and j in new
+            if not (fixed or pair):
+                continue
+            Zj = Z[s]
+            if off is not None:  # Z_i on the rows r of idx_j, zero off ext_i
+                Zj = np.zeros((r.stop - r.start, Z.shape[1]))
+                Zj[off] = Z[s]
+            for V, q in fixed:
+                out[q, c] = V[r].T @ Zj
+            if pair:
+                Yj, cj = new[j]
+                X = Yj[r].T @ Zj
+                out[cj, c] = 0.5 * (X + X.T) if j == i else X
+                out[c, cj] = out[cj, c].T
+
+
 def _digest(*matrices):
     """blake2b digest of CSR matrices: their shapes, index arrays and values, byte for byte."""
     h = hashlib.blake2b()
@@ -149,9 +293,11 @@ class CoarseSpace:
     """
 
     def __init__(self, dec, blocks, pencils=None):
+        self.dec = dec
         self.blocks = blocks  # list of (n_i, m_i) arrays
         self.counts = np.array([b.shape[1] for b in blocks], dtype=np.int64)
         self.n0 = int(self.counts.sum())
+        self.offsets = np.r_[0, np.cumsum(self.counts)]  # block i holds columns offsets[i]:offsets[i + 1]
         self.matrix = lift(dec, enumerate(blocks))
         self.pencils = {} if pencils is None else pencils
 
@@ -191,7 +337,7 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
             blocks.append(previous.blocks[i])
             continue
         idx = dec.subdomains[i].indices
-        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.extended_elements(i))
+        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.neumann_plans[i])
         D = pou.local[i]
         B = system.A.submatrix(idx)  # a copy, scaled in place to D A_i D + delta I
         rows = np.repeat(np.arange(len(idx)), np.diff(B.indptr))
@@ -242,11 +388,13 @@ class LocalOperators:
         return cls(index_sets, factors, coarse, *_coarse_factor(A, coarse), shared)
 
     def refresh(self, A, coarse, changed):
-        """Refactor changed subdomains and the coarse matrix for a new system."""
+        """Refactor changed subdomains and re-form the coarse matrix's blocks that involve them."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
             self.factors[i] = _local_factor(A.submatrix(self.index_sets[i]), self.shared)
+        # the previous coarse space's lifted matrix is freed before the new one is formed
+        carry = (self.coarse.blocks, self.coarse.counts, self.coarse_matrix, changed)
         self.coarse = coarse
-        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse)
+        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse, carry)
 
 
 def _local_factor(A_i, shared):
@@ -257,10 +405,33 @@ def _local_factor(A_i, shared):
     return shared[key]
 
 
-def _coarse_factor(A, coarse):
-    """The dense coarse Galerkin matrix R0^T A R0 and its factorization."""
-    R0T = coarse.matrix
-    A0 = (R0T.T @ (A.to_scipy() @ R0T)).toarray()
+def _coarse_factor(A, coarse, carry=None):
+    """The dense coarse Galerkin matrix R0^T A R0 and its factorization.
+
+    Formed block by block over the coupled subdomain pairs, each pair
+    once and mirrored, so that it is exactly symmetric. ``carry``, the
+    previous coarse blocks, their column counts, their matrix and the
+    subdomains whose A_i changed since, keeps the blocks among the other
+    subdomains whose coarse block is the same array: A couples two index sets only
+    through elements with nodes in both, and a changed element flags
+    every subdomain holding one of its nodes.
+    """
+    at, kept = coarse.offsets, np.zeros(len(coarse.blocks), dtype=bool)
+    if carry is not None:
+        old_blocks, old_counts, old_A0, changed = carry
+        kept[:] = [b is o for b, o in zip(coarse.blocks, old_blocks)]
+        kept[np.asarray(changed, dtype=np.int64)] = False
+    K = np.repeat(kept, coarse.counts)  # the kept columns
+    A0 = np.zeros((coarse.n0, coarse.n0))
+    if K.any():
+        was = np.repeat(kept, old_counts)
+        A0[np.ix_(K, K)] = old_A0[np.ix_(was, was)]
+    blocks = [(i, b, slice(at[i], at[i + 1])) for i, b in enumerate(coarse.blocks)]
+    galerkin_blocks(
+        lambda i: coarse.dec.coupling.local(A, i), coarse.dec,
+        [c for c in blocks if c[1].shape[1] and not kept[c[0]]], lambda j: (blocks[j][1:],) if kept[j] else (), A0,
+    )
+    A0[np.ix_(~K, K)] = A0[np.ix_(K, ~K)].T
     return A0, factorize(A0)
 
 

@@ -334,15 +334,25 @@ def assemble(grid, coefficient):
     return LinearSystem(grid, A, -(C @ g), free, diri, g)
 
 
-def assemble_local_neumann(grid, coefficient, elements):
-    """Stiffness over an element subset with no boundary treatment.
+@dataclass(frozen=True)
+class NeumannPlan:
+    """The pattern ``assemble_local_neumann`` gives an element subset.
 
-    Global Dirichlet nodes are dropped; rows and columns follow the
-    returned ascending list of free-node indices. The matrix is a scipy
-    CSR matrix, bitwise symmetric, banded with bandwidth about the width
-    of the element subset in nodes, and its entries are bitwise those of
-    adding the element matrices into a dense array in element order.
+    ``at`` holds the CSR position of every entry of the per-element
+    flattened ``sigma_e K_REF``, one past the last for an entry of a
+    dropped Dirichlet node; ``indices`` and ``indptr`` are the CSR
+    pattern and ``free`` the free-node index of each row, ascending.
     """
+
+    elements: np.ndarray
+    at: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    free: np.ndarray
+
+
+def neumann_plan(grid, elements):
+    """The local Neumann pattern of an element subset, for ``assemble_local_neumann``."""
     elements = np.asarray(elements, dtype=np.int64).ravel()
     if len(elements) == 0:
         raise ValueError("element set must be non-empty")
@@ -350,30 +360,45 @@ def assemble_local_neumann(grid, coefficient, elements):
         raise ValueError("element id out of range")
     enodes = _element_nodes(grid, elements)
     ii = enodes % (grid.m + 1)
-    keep = (ii >= 1) & (ii <= grid.m - 1)
-    nodes = np.unique(enodes[keep])
+    nodes = np.unique(enodes[(ii >= 1) & (ii <= grid.m - 1)])
     local = np.full(grid.n_nodes, -1, dtype=np.int64)
     local[nodes] = np.arange(len(nodes))
-
     loc = local[enodes]  # (ne, 4), -1 marks dropped Dirichlet nodes
-    sigma = coefficient.values.ravel()[elements]
     lr = np.broadcast_to(loc[:, :, None], loc.shape + (4,))
     lc = np.broadcast_to(loc[:, None, :], loc.shape + (4,))
-    vals = sigma[:, None, None] * K_REF[None, :, :]
     m = (lr >= 0) & (lc >= 0)
-    # np.add.at sums each entry's element contributions in element order,
-    # as a dense accumulation does; assemble's reduceat may pair them
-    # differently and change the last bit
     n = len(nodes)
     key, at = np.unique(lr[m] * n + lc[m], return_inverse=True)
-    data = np.zeros(len(key))
-    np.add.at(data, at, vals[m])
     rows, cols = np.divmod(key, n)
-    K = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    free = grid.free_index(nodes % (grid.m + 1), nodes // (grid.m + 1))
+    # narrow integers, int32 as scipy keeps them: a plan lives as long as its decomposition
+    spot = np.full(m.size, len(key), dtype=np.min_scalar_type(len(key)))
+    spot[m.ravel()] = at
+    return NeumannPlan(elements.astype(np.int32), spot, cols.astype(np.int32), indptr.astype(np.int32), free)
 
-    i = nodes % (grid.m + 1)
-    j = nodes // (grid.m + 1)
-    return K, grid.free_index(i, j)
+
+def assemble_local_neumann(grid, coefficient, elements):
+    """Stiffness over an element subset with no boundary treatment.
+
+    ``elements`` holds element ids, or their ``neumann_plan``, which
+    leaves one gather and one sum per call. Global Dirichlet nodes are
+    dropped; rows and columns follow the returned ascending list of
+    free-node indices. The matrix is a scipy CSR matrix, bitwise
+    symmetric, banded with bandwidth about the width of the element
+    subset in nodes, and its entries are bitwise those of adding the
+    element matrices into a dense array in element order.
+    """
+    plan = elements if isinstance(elements, NeumannPlan) else neumann_plan(grid, elements)
+    vals = coefficient.values.ravel()[plan.elements][:, None] * K_REF.ravel()
+    # np.add.at sums each entry's element contributions in element order,
+    # as a dense accumulation does; assemble's reduceat may pair them
+    # differently and change the last bit. The extra last entry takes
+    # the dropped ones.
+    data = np.zeros(len(plan.indices) + 1)
+    np.add.at(data, plan.at, vals.ravel())
+    n = len(plan.free)
+    return sp.csr_matrix((data[:-1], plan.indices, plan.indptr), shape=(n, n)), plan.free
 
 
 @dataclass

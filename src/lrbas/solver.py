@@ -1,12 +1,14 @@
 """Reduced basis additive Schwarz solvers and PCG baselines.
 
 The reduced solver keeps one orthonormal basis per subdomain and solves
-the Galerkin system over the coarse space plus the lifted local bases.
-Whenever the reduced solution is not accurate enough, subdomains whose
-local residual energy exceeds an adaptive threshold are enriched by one
-Schwarz correction each, the dense reduced matrix is bordered with the
-new columns (no existing entry is recomputed), its factor is extended
-by them, and the reduced system is solved again. Between consecutive
+the Galerkin system over the coarse space plus the local bases, whose
+dense reduced matrix is assembled from local blocks over the coupled
+subdomain pairs, with no global lifted basis. Whenever the reduced
+solution is not accurate enough, subdomains whose local residual
+energy exceeds an adaptive threshold are enriched by one Schwarz
+correction each, the reduced matrix is bordered with the new columns
+(no existing entry is recomputed), its factor is extended by them, and
+the reduced system is solved again. Between consecutive
 systems of a sequence the bases are either reset to the previous
 initial basis plus the local piece of the converged solution, or kept
 in full.
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .decomposition import (
     LocalOperators,
@@ -24,7 +25,7 @@ from .decomposition import (
     build_geneo_coarse,
     build_partition_of_unity,
     detect_changed_subdomains,
-    lift,
+    galerkin_blocks,
 )
 from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
 
@@ -77,18 +78,24 @@ class LocalBasis:
 
 
 class ReducedSystem:
-    """Galerkin system over coarse space plus lifted local bases.
+    """Galerkin system over the coarse space plus the local bases.
 
-    ``W`` holds the coarse columns followed by the basis columns in the
-    order they were appended, ``owner[j]`` the subdomain of column j (-1
-    for a coarse column); ``M = W^T A W`` and ``rhs = W^T f`` follow the
-    same order. The coarse columns and their block of M come from
+    Its columns are the coarse columns, subdomain by subdomain, then the
+    basis columns in the order they were appended: ``owner[c]`` is the
+    subdomain of column c (-1 for a coarse column), ``cols[i]`` the
+    columns of subdomain i's basis vectors, in basis order, and
+    ``counts[i]`` their number. ``M`` and ``rhs`` are ``Phi^T A Phi`` and
+    ``Phi^T f`` in that order, Phi the columns lifted to the whole grid,
+    which is never formed: M comes from dense blocks over the subdomain
+    pairs that A couples (``galerkin_blocks``), each subdomain's columns
+    read in place from its coarse block and its basis, and rhs from local
+    dot products. The coarse columns and their block of M come from
     ``ops``, which must be current for ``system``. Enrichment only
     appends basis columns, so ``update`` borders M with the new columns
-    and recomputes no existing entry, and ``solve`` extends the factor
-    of its last solve by them. A column whose pivot falls to
-    ``pivot_tol`` times its own diagonal entry of M depends on the span
-    in the A-norm and is dropped.
+    and recomputes no existing entry, and ``solve`` extends the factor of
+    its last solve by them. A column whose pivot falls to ``pivot_tol``
+    times its own diagonal entry of M depends on the span in the A-norm
+    and is dropped.
     """
 
     def __init__(self, system, dec, ops, bases, pivot_tol=_ENRICH_PIVOT_TOL):
@@ -96,48 +103,63 @@ class ReducedSystem:
             raise ValueError("one basis per subdomain required")
         self.system = system
         self.dec = dec
+        self.coarse = ops.coarse
+        self._locals = {}
         self.n0 = ops.coarse.n0
         self.bases = bases
         self.pivot_tol = pivot_tol
-        self.W = ops.coarse.matrix
-        self.M = self._room = 0.5 * (ops.coarse_matrix + ops.coarse_matrix.T)
-        self.rhs = self.W.T @ system.f
+        self.M = self._room = ops.coarse_matrix.copy()
+        f = system.f
+        self.rhs = np.concatenate([b.T @ f[idx] for b, idx in zip(ops.coarse.blocks, dec.index_sets)])
         self.owner = np.full(self.n0, -1, dtype=np.int64)
-        self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)  # columns of each basis in W
+        self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
+        self.cols = [np.zeros(0, dtype=np.int64)] * dec.n_subdomains
         self.factor = None  # of M's leading block, from the last solve
         self.update(range(dec.n_subdomains))
 
+    def _local(self, i):
+        """``A[ext_i, idx_i]``, formed on first use (see ``Coupling``)."""
+        if i not in self._locals:
+            self._locals[i] = self.dec.coupling.local(self.system.A, i)
+        return self._locals[i]
+
+    def _columns(self, j):
+        """Subdomain j's column blocks, each with its columns of M."""
+        at = self.coarse.offsets
+        return (
+            (self.coarse.blocks[j], slice(at[j], at[j + 1])),
+            (self.bases[j].vectors[:, : self.counts[j]], self.cols[j]),
+        )
+
     def update(self, enriched):
         """Append the basis columns added since the last update, bordering M and rhs."""
-        blocks = []
+        N = k = len(self.rhs)
+        new = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
-            new = self.bases[i].vectors[:, self.counts[i]:]
-            if new.shape[1]:
-                blocks.append((i, new))
-                self.counts[i] += new.shape[1]
-        if not blocks:
+            Y = self.bases[i].vectors[:, self.counts[i]:]
+            if Y.shape[1]:
+                new.append((i, Y, slice(k, k + Y.shape[1])))
+                k += Y.shape[1]
+        if not new:
             return self
-        Y = lift(self.dec, blocks)
-        AY = self.system.A.to_scipy() @ Y
-        # symmetrized while sparse: dense k x k temporaries raised the peak
-        # memory of long snapshot bases by about 20 MB
-        YAY = Y.T @ AY
-        N, k = len(self.rhs), Y.shape[1]
-        if N + k > len(self._room):
+        if k > len(self._room):
             # M is the leading block of a larger array, grown by a quarter
             # at a time: bordering in place kept paper-rb's peak memory
             # about 13 MB (5%) below a fresh array per update, 10 of 10
             # paired runs (2-core host, OpenBLAS 1 thread)
-            room = np.empty((N + k + (N + k) // 4,) * 2)
+            room = np.empty((k + k // 4,) * 2)
             room[:N, :N] = self.M
             self._room = room
-        self.M = M = self._room[: N + k, : N + k]
-        M[:N, N:] = (self.W.T @ AY).toarray()
+        self.M = M = self._room[:k, :k]
+        M[:, N:] = 0.0
+        galerkin_blocks(self._local, self.dec, new, self._columns, M)
         M[N:, :N] = M[:N, N:].T
-        M[N:, N:] = (0.5 * (YAY + YAY.T)).toarray()
-        self.rhs = np.r_[self.rhs, Y.T @ self.system.f]
-        self.W = sp.hstack([self.W, Y], format="csc")
-        self.owner = np.r_[self.owner, np.repeat([i for i, _ in blocks], [b.shape[1] for _, b in blocks])]
+        f = self.system.f
+        for i, Y, c in new:
+            self.cols[i] = np.r_[self.cols[i], c]
+            self.counts[i] += Y.shape[1]
+        self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.subdomains[i].indices] for i, Y, _ in new])
+        self.owner = np.r_[self.owner, np.repeat([i for i, _, _ in new], [Y.shape[1] for _, Y, _ in new])]
         return self
 
     def dimensions(self):
@@ -151,9 +173,11 @@ class ReducedSystem:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
         self.factor = F
         c = F.solve(self.rhs)
-        # the stable sort keeps each subdomain's columns in basis order
-        by_owner = c[np.argsort(self.owner, kind="stable")]
-        return self.W @ c, np.split(by_owner[self.n0:], np.cumsum(self.counts)[:-1])
+        coeff = [c[q] for q in self.cols]
+        x = self.coarse.matrix @ c[: self.n0]
+        for idx, b, ci in zip(self.dec.index_sets, self.bases, coeff):
+            x[idx] += b.vectors[:, : len(ci)] @ ci
+        return x, coeff
 
 
 def local_residual_norms(r, dec):

@@ -27,7 +27,7 @@ from lrbas.fem import (
     build_coefficient,
     problem_sequence,
 )
-from lrbas.linalg import sym_gen_eig
+from lrbas.linalg import SparseSymMatrix, sym_gen_eig
 from lrbas.solver import run_sequence
 
 SMALL_GEOMETRY = ChannelGeometry(
@@ -154,6 +154,62 @@ class TestBuildDecomposition:
     def test_zero_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             build_decomposition(Grid(10), 2, 0)
+
+
+class TestCoupling:
+    @pytest.mark.parametrize("m, layout, overlap", [(12, 3, 2), (20, 4, 2), (40, 4, 2), (40, 8, 2)])
+    def test_pairs_and_maps_follow_the_pattern_of_A(self, m, layout, overlap):
+        grid = Grid(m)
+        dec = build_decomposition(grid, layout, overlap)
+        system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5}))
+        A = system.A.to_scipy()
+        S = dec.incidence
+        pattern = abs(S.T @ abs(A) @ S).toarray() > 0
+        plan = dec.coupling
+        for i, idx in enumerate(dec.index_sets):
+            ext = np.flatnonzero(abs(A[:, idx]).sum(axis=1))
+            assert np.array_equal(plan.local(system.A, i).toarray(), A[ext][:, idx].toarray())
+            assert sorted(p[0] for p in plan.pairs[i]) == np.flatnonzero(pattern[:, i]).tolist()
+            for j, r, off, s in plan.pairs[i]:
+                shared = np.intersect1d(dec.index_sets[j], ext)
+                in_range = dec.index_sets[j][r]
+                assert np.array_equal(in_range if off is None else in_range[off], shared)
+                assert in_range[0] == shared[0] and in_range[-1] == shared[-1]
+                assert np.array_equal(ext[plan.shared[i][s]], shared)
+
+    @pytest.mark.parametrize("m, layout, coupled", [(20, 4, 96), (40, 8, 672)])
+    def test_index_sets_that_share_no_node_can_be_coupled(self, m, layout, coupled):
+        # w - 2 overlap = 1: one element column lies between the index
+        # sets of subdomains two apart, and its element couples them
+        dec = build_decomposition(Grid(m), layout, 2)
+        pairs = [(i, p[0]) for i in range(dec.n_subdomains) for p in dec.coupling.pairs[i]]
+        assert sum(j not in dec.neighbors[i] for i, j in pairs) == coupled
+
+    def test_matrix_of_another_pattern_rejected(self):
+        grid = Grid(12)
+        dec = build_decomposition(grid, 3, 2)
+        system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY))
+        other = SparseSymMatrix(sp.identity(grid.n_free, format="csr"))
+        assert dec.coupling.local(system.A, 0).shape[1] == len(dec.index_sets[0])
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            dec.coupling.local(other, 0)
+
+
+class TestNeumannPlans:
+    @pytest.mark.parametrize("m, layout, overlap", [(40, 4, 2), (20, 4, 2), (100, 10, 2)])
+    def test_shared_plans_give_the_direct_assembly_bitwise(self, m, layout, overlap):
+        grid = Grid(m)
+        dec = build_decomposition(grid, layout, overlap)
+        field = build_coefficient(grid, ChannelGeometry(), open_ports={1, 2, 5})
+        plans = dec.neumann_plans
+        # one pattern per block shape and Dirichlet contact
+        assert len({id(p.at) for p in plans}) < dec.n_subdomains
+        for i, plan in enumerate(plans):
+            K, free = assemble_local_neumann(grid, field, plan)
+            ref, ref_free = assemble_local_neumann(grid, field, dec.extended_elements(i))
+            assert np.array_equal(free, ref_free) and np.array_equal(free, dec.index_sets[i])
+            for a, b in ((K.indptr, ref.indptr), (K.indices, ref.indices), (K.data, ref.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPartitionOfUnity:
@@ -584,6 +640,27 @@ class TestLocalOperators:
             apply_as_preconditioner(r, fresh),
             atol=1e-12 * np.abs(r).max(),
         )
+
+    def test_refreshed_coarse_matrix_matches_a_fresh_one(self):
+        # refresh keeps the coarse blocks between subdomains whose A_i and
+        # coarse vectors did not change, and forms the rest
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        pou = build_partition_of_unity(dec)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
+        coarse = build_geneo_coarse(dec, pou, probs[0].system, probs[0].coefficient, 0.5)
+        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
+        for prob in probs[1:]:
+            changed = detect_changed_subdomains(prob.changed_elements, dec)
+            assert 0 < len(changed) < dec.n_subdomains
+            coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse, recompute=changed)
+            ops.refresh(prob.system.A, coarse, changed)
+            R0 = coarse.matrix.toarray()
+            want = R0.T @ prob.system.A.to_scipy().toarray() @ R0
+            assert np.array_equal(ops.coarse_matrix, ops.coarse_matrix.T)
+            assert np.max(np.abs(ops.coarse_matrix - want)) <= 1e-14 * np.abs(want).max()
+            fresh = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
+            assert np.max(np.abs(ops.coarse_matrix - fresh.coarse_matrix)) <= 1e-14 * np.abs(want).max()
 
 
 class TestChangeSoundness:

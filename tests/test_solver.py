@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from lrbas.decomposition import (
     build_decomposition,
     build_geneo_coarse,
     build_partition_of_unity,
+    lift,
 )
 from lrbas.fem import (
     DEFAULT_SCHEDULE,
@@ -93,6 +95,52 @@ def reduced_space_matrix(dec, coarse, bases):
     if not cols:
         return np.zeros((dec.grid.n_free, 0))
     return np.hstack(cols)
+
+
+class SparseBorder:
+    """The reduced system as it was assembled before the block assembly.
+
+    A reference copy: the columns are lifted into one global sparse W,
+    and each update forms ``A @ Y``, ``W^T (AY)`` and ``Y^T (AY)`` as
+    sparse products and appends Y to W with ``sp.hstack``. Columns stand
+    in the order ``ReducedSystem`` appends them.
+    """
+
+    def __init__(self, system, dec, ops, bases):
+        self.A, self.f, self.dec, self.bases = system.A.to_scipy(), system.f, dec, bases
+        self.W = ops.coarse.matrix
+        A0 = (self.W.T @ (self.A @ self.W)).toarray()
+        self.M = 0.5 * (A0 + A0.T)
+        self.rhs = self.W.T @ system.f
+        self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
+        self.update(range(dec.n_subdomains))
+
+    def update(self, enriched):
+        blocks = []
+        for i in np.unique(np.asarray(enriched, dtype=np.int64)):
+            new = self.bases[i].vectors[:, self.counts[i]:]
+            if new.shape[1]:
+                blocks.append((i, new))
+                self.counts[i] += new.shape[1]
+        if not blocks:
+            return
+        Y = lift(self.dec, blocks)
+        AY = self.A @ Y
+        YAY = Y.T @ AY
+        border = (self.W.T @ AY).toarray()
+        self.M = np.block([[self.M, border], [border.T, (0.5 * (YAY + YAY.T)).toarray()]])
+        self.rhs = np.r_[self.rhs, Y.T @ self.f]
+        self.W = sp.hstack([self.W, Y], format="csc")
+
+
+def random_sweeps(dec, bases, systems, rng, sweeps=3):
+    """Append random vectors to random subdomains' bases, updating each reduced system per sweep."""
+    for _ in range(sweeps):
+        enriched = np.flatnonzero(rng.random(dec.n_subdomains) < 0.5)
+        for i in enriched:
+            bases[i].append(rng.standard_normal(len(dec.index_sets[i])))
+        for rs in systems:
+            rs.update(enriched)
 
 
 class TestLocalBasis:
@@ -208,10 +256,13 @@ class TestReducedSystem:
         rs = ReducedSystem(system, dec, ops, empty_bases(dec))
         R0T = coarse.matrix
         A0 = (R0T.T @ (system.A.to_scipy() @ R0T)).toarray()
-        # the preconditioner's coarse matrix is the reduced system's coarse block, bit for bit
-        assert np.array_equal(ops.coarse_matrix, A0)
+        # the block assembly sums in another order than the sparse product
+        assert np.max(np.abs(ops.coarse_matrix - A0)) <= 1e-13 * np.abs(A0).max()
+        # each block is formed once and mirrored, and the preconditioner's
+        # coarse matrix is the reduced system's coarse block, bit for bit
+        assert np.array_equal(ops.coarse_matrix, ops.coarse_matrix.T)
         n0 = coarse.n0
-        assert np.array_equal(rs.M[:n0, :n0], 0.5 * (A0 + A0.T))
+        assert np.array_equal(rs.M[:n0, :n0], ops.coarse_matrix)
         x, coeff = rs.solve()
         want = R0T @ np.linalg.solve(A0, R0T.T @ system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
@@ -297,6 +348,46 @@ class TestReducedSystem:
         scale = np.abs(fresh.M).max()
         assert np.max(np.abs(rs.M[np.ix_(at, at)] - fresh.M)) <= 1e-12 * scale
         assert np.max(np.abs(rs.rhs[at] - fresh.rhs)) <= 1e-12 * np.abs(fresh.rhs).max()
+
+    @pytest.mark.parametrize("stack", ["layout2", "layout4"])
+    def test_block_border_matches_the_sparse_reference(self, stack):
+        system, dec, _, _, ops = _CACHE20() if stack == "layout2" else _LAYOUT4()
+        rng = np.random.default_rng(5)
+        bases = empty_bases(dec)
+        for i, idx in enumerate(dec.index_sets):
+            for _ in range(1 + i % 3):
+                bases[i].append(rng.standard_normal(len(idx)))
+        rs = ReducedSystem(system, dec, ops, bases)
+        ref = SparseBorder(system, dec, ops, bases)
+        random_sweeps(dec, bases, (rs, ref), rng)
+        scale = np.abs(ref.M).max()
+        assert rs.M.shape == ref.M.shape
+        assert np.max(np.abs(rs.M - ref.M)) <= 1e-13 * scale
+        assert np.max(np.abs(rs.rhs - ref.rhs)) <= 1e-13 * np.abs(ref.rhs).max()
+
+    def test_pairs_that_share_no_node_are_assembled(self):
+        # at 20 x 20, layout 4, overlap 2 one element column separates the
+        # index sets of subdomains two apart, and A couples them
+        system, dec, _, coarse, ops = _LAYOUT4()
+        coupled = [(i, p[0]) for i in range(dec.n_subdomains) for p in dec.coupling.pairs[i]]
+        assert sum(j not in dec.neighbors[i] for i, j in coupled) == 96
+        rng = np.random.default_rng(6)
+        bases = empty_bases(dec)
+        rs = ReducedSystem(system, dec, ops, bases)
+        random_sweeps(dec, bases, (rs,), rng)
+        A = system.A.to_scipy().toarray()
+        R0 = coarse.matrix.toarray()
+        A0 = R0.T @ A @ R0
+        assert np.max(np.abs(ops.coarse_matrix - A0)) <= 1e-12 * np.abs(A0).max()
+        phi = reduced_space_matrix(dec, coarse, bases)
+        at = np.argsort(rs.owner, kind="stable")  # phi column j is rs column at[j]
+        want = phi.T @ A @ phi
+        assert np.max(np.abs(rs.M[np.ix_(at, at)] - want)) <= 1e-12 * np.abs(want).max()
+        assert np.max(np.abs(rs.rhs[at] - phi.T @ system.f)) <= 1e-12 * np.abs(phi.T @ system.f).max()
+        x, _ = rs.solve()
+        c = rs.factor.solve(rs.rhs)[at]
+        # relative to the summed magnitudes: the coefficients reach 1e6 and cancel
+        assert np.all(np.abs(x - phi @ c) <= 1e-12 * (np.abs(phi) @ np.abs(c)))
 
     def test_corrupted_system_reports_indefiniteness(self):
         system, dec, _, _, ops = _CACHE20()
@@ -636,6 +727,25 @@ class TestRunSequence:
         for prev, cur in zip(dims, dims[1:]):
             assert cur[0] >= prev[-1]
 
+    def test_sequences_share_no_state(self):
+        # the per-decomposition structures are built on first use; a second
+        # sequence on the same decomposition, or one on a fresh
+        # decomposition, must repeat the first bit for bit
+        grid = Grid(20)
+        walk = ModificationSchedule(({2, 5}, {2, 3, 5}, {3, 5}, {3}, {1, 3}, {1, 3, 6}, {1, 6}))
+        probs = problem_sequence(grid, SMALL_GEOMETRY, walk)
+        dec = build_decomposition(grid, 4, 2)
+        for strategy in ("lrbas", "pcg-guess"):
+            opts = SolverOptions(strategy=strategy)
+            first = run_sequence(probs, dec, opts=opts)
+            assert first.total_iterations > 0
+            for other in (run_sequence(probs, dec, opts=opts), run_sequence(probs, build_decomposition(grid, 4, 2), opts=opts)):
+                for a, b in zip(first.entries, other.entries, strict=True):
+                    assert (a.k, a.iterations, a.coarse_solves) == (b.k, b.iterations, b.coarse_solves)
+                    assert a.residual_history == b.residual_history
+                    for u, v in ((a.corrections, b.corrections), (a.geneo_counts, b.geneo_counts), (a.solution, b.solution)):
+                        assert np.array_equal(u, v)
+
     def test_geneo_counts_recorded(self):
         grid = Grid(20)
         dec = build_decomposition(grid, 2, 2)
@@ -672,6 +782,13 @@ def _CACHE20():
     if "s" not in _CACHE:
         _CACHE["s"] = geneo_stack(20, 2, 2, open_ports={2, 5})
     return _CACHE["s"]
+
+
+def _LAYOUT4():
+    """The 20x20 stack on 4x4 subdomains, where A couples index sets that share no node."""
+    if "4" not in _CACHE:
+        _CACHE["4"] = geneo_stack(20, 4, 2, open_ports={2, 5})
+    return _CACHE["4"]
 
 
 def _MILD20():
