@@ -2,16 +2,16 @@
 
 Subdomains are an s x s layout of element blocks extended by a fixed
 overlap (clipped at the domain boundary); a subdomain's index set holds
-the free nodes of its extended element block. The neighbours, the
-inverse multiplicity weights of the partition of unity, local residual
-energies and each step's changed subdomains are read from one sparse
-node-subdomain incidence matrix of the index sets; the subdomain pairs
-that A couples, over which Galerkin matrices are assembled from dense
-local blocks, from the pattern of S^T |A| S. The coarse space
-collects, per subdomain, the weighted eigenvectors of the local
-Neumann-vs-weighted pencil with eigenvalues below a threshold. Pencils
-and local matrices with the same bytes are solved and factored once per
-sequence.
+the free nodes of its extended element block. The index sets stand end
+to end in one array, through which vectors move between the grid and
+the subdomains. The partition of unity, local residual energies and
+each step's changed subdomains are read from one sparse node-subdomain
+incidence matrix S of the index sets; the subdomain pairs that A
+couples, over which Galerkin matrices are assembled from dense local
+blocks, from the pattern of S^T |A| S. The coarse space collects, per
+subdomain, the weighted eigenvectors of the local Neumann-vs-weighted
+pencil with eigenvalues below a threshold. Pencils and local matrices
+with the same bytes are solved and factored once per sequence.
 """
 from __future__ import annotations
 
@@ -34,30 +34,38 @@ class Subdomain:
 
 
 class Decomposition:
-    """Uniform overlapping decomposition of a Grid."""
+    """Uniform overlapping decomposition of a Grid.
+
+    Index set i is the segment ``segments[i]``, from ``bounds[i]`` to
+    ``bounds[i + 1]``, of the read-only array ``stacked``; ``index_sets[i]``
+    and the subdomain's ``indices`` are views of it.
+    """
 
     def __init__(self, grid, layout, subdomains):
         self.grid = grid
         self.layout = layout
-        self.subdomains = subdomains
-        sizes = [len(s.indices) for s in subdomains]
-        csc = (np.ones(sum(sizes)), np.concatenate(self.index_sets), np.r_[0, np.cumsum(sizes)])
-        S = sp.csc_matrix(csc, shape=(grid.n_free, len(sizes)))
+        self.stacked = np.concatenate([s.indices for s in subdomains])
+        self.stacked.flags.writeable = False
+        self.bounds = np.r_[0, np.cumsum([len(s.indices) for s in subdomains])]
+        self.segments = [slice(a, b) for a, b in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist())]
+        self.index_sets = [self.stacked[s] for s in self.segments]
+        self.subdomains = [replace(s, indices=idx) for s, idx in zip(subdomains, self.index_sets)]
+        S = sp.csc_matrix((np.ones(len(self.stacked)), self.stacked, self.bounds), shape=(grid.n_free, len(subdomains)))
         self.incidence = S.tocsr()  # S[p, i] = 1 when free node p lies in subdomain i's index set
-        # per subdomain, a sorted tuple of the subdomains whose index sets meet
-        # its own, itself included: the pattern of S^T S, whose indices a
-        # sparse product does not promise to sort
-        G = (S.T @ S).tocsr()
-        G.sort_indices()
-        self.neighbors = [tuple(G.indices[a:b].tolist()) for a, b in zip(G.indptr, G.indptr[1:])]
 
     @property
     def n_subdomains(self):
         return len(self.subdomains)
 
-    @property
-    def index_sets(self):
-        return [s.indices for s in self.subdomains]
+    def gather(self, v):
+        """``v[stacked]``: a vector over the free nodes restricted to every index set."""
+        if v.shape != (self.grid.n_free,):
+            raise ValueError(f"vector of shape {v.shape} does not match {self.grid.n_free} free nodes")
+        return v[self.stacked]
+
+    def scatter(self, u):
+        """The transpose of ``gather``: each node sums its entries of u in subdomain order."""
+        return np.bincount(self.stacked, weights=u, minlength=self.grid.n_free)
 
     def extended_elements(self, i):
         (c0, c1), (r0, r1) = self.subdomains[i].extended
@@ -146,15 +154,6 @@ def detect_changed_subdomains(changed_elements, dec):
     return np.unique(rows.indices).astype(np.int64)
 
 
-def lift(dec, blocks):
-    """Lift (subdomain, (n_i, m) column array) pairs, in order, into one sparse (n_free, k) matrix."""
-    blocks = [(dec.subdomains[i].indices, b) for i, b in blocks]
-    lengths = np.repeat([len(idx) for idx, _ in blocks], [b.shape[1] for _, b in blocks])
-    data = np.concatenate([b.T.ravel() for _, b in blocks])
-    rows = np.concatenate([np.tile(idx, b.shape[1]) for idx, b in blocks])
-    return sp.csc_matrix((data, rows, np.r_[0, np.cumsum(lengths)]), shape=(dec.grid.n_free, len(lengths)))
-
-
 class Coupling:
     """The subdomain pairs that A couples, as maps between dense local blocks.
 
@@ -174,9 +173,8 @@ class Coupling:
         # int32 throughout, as the grid's pattern: every count and position fits
         indices, indptr = self.pattern = dec.grid.assembly_plan[3]
         n, I = dec.grid.n_free, dec.n_subdomains
-        sizes = np.array([len(idx) for idx in dec.index_sets], dtype=np.int32)
-        first = np.r_[0, np.cumsum(sizes)].astype(np.int32)
-        q = np.concatenate(dec.index_sets).astype(np.int32)
+        first, q = dec.bounds.astype(np.int32), dec.stacked.astype(np.int32)
+        sizes = np.diff(first)
         # S with data 1 + the position of each node in its index set
         S = sp.csc_matrix((np.arange(1, len(q) + 1, dtype=np.int32) - np.repeat(first[:-1], sizes), q, first), shape=(n, I))
         E = (sp.csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)) @ S).tocsc()
@@ -297,8 +295,8 @@ class CoarseSpace:
         self.blocks = blocks  # list of (n_i, m_i) arrays
         self.counts = np.array([b.shape[1] for b in blocks], dtype=np.int64)
         self.n0 = int(self.counts.sum())
-        self.offsets = np.r_[0, np.cumsum(self.counts)]  # block i holds columns offsets[i]:offsets[i + 1]
-        self.matrix = lift(dec, enumerate(blocks))
+        ends = np.cumsum(self.counts).tolist()
+        self.columns = [slice(a, b) for a, b in zip([0] + ends, ends)]  # the columns of block i
         self.pencils = {} if pencils is None else pencils
 
 
@@ -362,9 +360,9 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
 class LocalOperators:
     """Factorized local Dirichlet matrices plus the coarse space and matrix.
 
-    Each local matrix A_i is factored by banded Cholesky in the natural
-    (ascending) node order of its index set, where its bandwidth is about
-    the subdomain's width in nodes. ``coarse_matrix`` is the dense
+    Each local matrix A_i on an index set of ``coarse.dec`` is factored by
+    banded Cholesky in the natural (ascending) node order of its index set,
+    where its bandwidth is about the subdomain's width in nodes. ``coarse_matrix`` is the dense
     ``R0^T A R0`` of ``coarse``, which the preconditioner factors and the
     reduced systems start from. The caller keeps them current: ``refresh``
     after each change of system.
@@ -374,7 +372,6 @@ class LocalOperators:
     its factor.
     """
 
-    index_sets: list
     factors: list
     coarse: CoarseSpace
     coarse_matrix: np.ndarray
@@ -382,19 +379,17 @@ class LocalOperators:
     shared: dict
 
     @classmethod
-    def build(cls, A, index_sets, coarse):
+    def build(cls, A, coarse):
         shared = {}
-        factors = [_local_factor(A.submatrix(idx), shared) for idx in index_sets]
-        return cls(index_sets, factors, coarse, *_coarse_factor(A, coarse), shared)
+        factors = [_local_factor(A.submatrix(idx), shared) for idx in coarse.dec.index_sets]
+        return cls(factors, coarse, *_coarse_factor(A, coarse), shared)
 
     def refresh(self, A, coarse, changed):
         """Refactor changed subdomains and re-form the coarse matrix's blocks that involve them."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
-            self.factors[i] = _local_factor(A.submatrix(self.index_sets[i]), self.shared)
-        # the previous coarse space's lifted matrix is freed before the new one is formed
-        carry = (self.coarse.blocks, self.coarse.counts, self.coarse_matrix, changed)
+            self.factors[i] = _local_factor(A.submatrix(coarse.dec.index_sets[i]), self.shared)
+        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse, (self.coarse, self.coarse_matrix, changed))
         self.coarse = coarse
-        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse, carry)
 
 
 def _local_factor(A_i, shared):
@@ -410,23 +405,23 @@ def _coarse_factor(A, coarse, carry=None):
 
     Formed block by block over the coupled subdomain pairs, each pair
     once and mirrored, so that it is exactly symmetric. ``carry``, the
-    previous coarse blocks, their column counts, their matrix and the
-    subdomains whose A_i changed since, keeps the blocks among the other
-    subdomains whose coarse block is the same array: A couples two index sets only
+    previous coarse space, its matrix and the subdomains whose A_i
+    changed since, keeps the blocks among the other subdomains whose
+    coarse block is the same array: A couples two index sets only
     through elements with nodes in both, and a changed element flags
     every subdomain holding one of its nodes.
     """
-    at, kept = coarse.offsets, np.zeros(len(coarse.blocks), dtype=bool)
+    kept = np.zeros(len(coarse.blocks), dtype=bool)
     if carry is not None:
-        old_blocks, old_counts, old_A0, changed = carry
-        kept[:] = [b is o for b, o in zip(coarse.blocks, old_blocks)]
+        old, old_A0, changed = carry
+        kept[:] = [b is o for b, o in zip(coarse.blocks, old.blocks)]
         kept[np.asarray(changed, dtype=np.int64)] = False
     K = np.repeat(kept, coarse.counts)  # the kept columns
     A0 = np.zeros((coarse.n0, coarse.n0))
     if K.any():
-        was = np.repeat(kept, old_counts)
+        was = np.repeat(kept, old.counts)
         A0[np.ix_(K, K)] = old_A0[np.ix_(was, was)]
-    blocks = [(i, b, slice(at[i], at[i + 1])) for i, b in enumerate(coarse.blocks)]
+    blocks = [(i, b, q) for i, (b, q) in enumerate(zip(coarse.blocks, coarse.columns))]
     galerkin_blocks(
         lambda i: coarse.dec.coupling.local(A, i), coarse.dec,
         [c for c in blocks if c[1].shape[1] and not kept[c[0]]], lambda j: (blocks[j][1:],) if kept[j] else (), A0,
@@ -438,11 +433,15 @@ def _coarse_factor(A, coarse, carry=None):
 def apply_as_preconditioner(r, ops):
     """Two-level additive Schwarz application M^-1 r.
 
-    ``ops`` must be built or refreshed for r's system; an empty coarse space adds exact zeros.
+    r is gathered onto the stacked index sets, each segment overwritten
+    by its local solve plus its coarse part, and the segments summed by
+    one scatter. ``ops`` must be built or refreshed for r's system; an
+    empty coarse space adds exact zeros.
     """
-    r = np.asarray(r, dtype=np.float64)
-    R0T = ops.coarse.matrix
-    z = R0T @ ops.coarse_factor.solve(R0T.T @ r)
-    for idx, F in zip(ops.index_sets, ops.factors):
-        z[idx] += F.solve(r[idx])
-    return z
+    coarse = ops.coarse
+    dec = coarse.dec
+    u = dec.gather(np.asarray(r, dtype=np.float64))
+    c = ops.coarse_factor.solve(np.concatenate([b.T @ u[s] for b, s in zip(coarse.blocks, dec.segments)]))
+    for b, s, q, F in zip(coarse.blocks, dec.segments, coarse.columns, ops.factors):
+        u[s] = F.solve(u[s]) + b @ c[q]
+    return dec.scatter(u)

@@ -81,16 +81,16 @@ class ReducedSystem:
     """Galerkin system over the coarse space plus the local bases.
 
     Its columns are the coarse columns, subdomain by subdomain, then the
-    basis columns in the order they were appended: ``owner[c]`` is the
-    subdomain of column c (-1 for a coarse column), ``cols[i]`` the
+    basis columns in the order they were appended: ``cols[i]`` holds the
     columns of subdomain i's basis vectors, in basis order, and
     ``counts[i]`` their number. ``M`` and ``rhs`` are ``Phi^T A Phi`` and
     ``Phi^T f`` in that order, Phi the columns lifted to the whole grid,
     which is never formed: M comes from dense blocks over the subdomain
     pairs that A couples (``galerkin_blocks``), each subdomain's columns
-    read in place from its coarse block and its basis, and rhs from local
-    dot products. The coarse columns and their block of M come from
-    ``ops``, which must be current for ``system``. Enrichment only
+    read in place from its coarse block and its basis, rhs from local
+    dot products, and the iterate by one scatter of the subdomains'
+    parts. The coarse columns and their block of M come from ``ops``,
+    which must be current for ``system``. Enrichment only
     appends basis columns, so ``update`` borders M with the new columns
     and recomputes no existing entry, and ``solve`` extends the factor of
     its last solve by them. A column whose pivot falls to ``pivot_tol``
@@ -111,7 +111,6 @@ class ReducedSystem:
         self.M = self._room = ops.coarse_matrix.copy()
         f = system.f
         self.rhs = np.concatenate([b.T @ f[idx] for b, idx in zip(ops.coarse.blocks, dec.index_sets)])
-        self.owner = np.full(self.n0, -1, dtype=np.int64)
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
         self.cols = [np.zeros(0, dtype=np.int64)] * dec.n_subdomains
         self.factor = None  # of M's leading block, from the last solve
@@ -125,9 +124,8 @@ class ReducedSystem:
 
     def _columns(self, j):
         """Subdomain j's column blocks, each with its columns of M."""
-        at = self.coarse.offsets
         return (
-            (self.coarse.blocks[j], slice(at[j], at[j + 1])),
+            (self.coarse.blocks[j], self.coarse.columns[j]),
             (self.bases[j].vectors[:, : self.counts[j]], self.cols[j]),
         )
 
@@ -159,7 +157,6 @@ class ReducedSystem:
             self.cols[i] = np.r_[self.cols[i], c]
             self.counts[i] += Y.shape[1]
         self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.subdomains[i].indices] for i, Y, _ in new])
-        self.owner = np.r_[self.owner, np.repeat([i for i, _, _ in new], [Y.shape[1] for _, Y, _ in new])]
         return self
 
     def dimensions(self):
@@ -174,10 +171,9 @@ class ReducedSystem:
         self.factor = F
         c = F.solve(self.rhs)
         coeff = [c[q] for q in self.cols]
-        x = self.coarse.matrix @ c[: self.n0]
-        for idx, b, ci in zip(self.dec.index_sets, self.bases, coeff):
-            x[idx] += b.vectors[:, : len(ci)] @ ci
-        return x, coeff
+        blocks = zip(self.coarse.blocks, self.coarse.columns, self.bases, coeff)
+        parts = [b @ c[q] + B.vectors[:, : len(ci)] @ ci for b, q, B, ci in blocks]
+        return self.dec.scatter(np.concatenate(parts)), coeff
 
 
 def local_residual_norms(r, dec):
@@ -407,7 +403,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 dec, pou, prob.system, prob.coefficient, opts.tau, previous=coarse, recompute=changed
             )
             if ops is None:
-                ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
+                ops = LocalOperators.build(prob.system.A, coarse)
             else:
                 ops.refresh(prob.system.A, coarse, changed)
             if opts.strategy == "lrbas":

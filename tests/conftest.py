@@ -30,6 +30,23 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture
+def neighbors():
+    """``neighbors(dec)``: per subdomain, a sorted tuple of the subdomains
+    whose index sets meet its own, itself included.
+
+    Read from the pattern of ``S^T S``, S the node-subdomain incidence
+    matrix, whose indices a sparse product does not promise to sort.
+    """
+
+    def read(dec):
+        G = (dec.incidence.T @ dec.incidence).tocsr()
+        G.sort_indices()
+        return [tuple(G.indices[a:b].tolist()) for a, b in zip(G.indptr, G.indptr[1:])]
+
+    return read
+
+
+@pytest.fixture
 def spy_solver(monkeypatch):
     """Run one call while recording what the reduced basis solver did.
 

@@ -136,7 +136,7 @@ def test_criterion_3_invariant_suite(small_scale, spy_solver):
     # single-port modification, adaptive enrichment
     for prob, eps_loc in ((small_scale.problems[0], 0.0), (small_scale.problems[3], 0.25)):
         coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
-        ops = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
+        ops = LocalOperators.build(prob.system.A, coarse)
         bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
         opts = SolverOptions(strategy="lrbas", eps_loc=eps_loc)
         _, log = spy_solver(lrbas_solve_one, prob.system, dec, ops, bases, opts)
@@ -296,14 +296,15 @@ def stale_local_matrices(problems, dec):
     return stale
 
 
-def test_criterion_9_locality_and_change_soundness(paper_scale):
+def test_criterion_9_locality_and_change_soundness(paper_scale, neighbors):
     dec = paper_scale.dec
+    nbrs = neighbors(dec)
     sets = [frozenset(map(int, s.indices)) for s in dec.subdomains]
     disjoint = all(
         not (sets[i] & sets[j])
         for i in range(dec.n_subdomains)
         for j in range(i + 1, dec.n_subdomains)
-        if j not in dec.neighbors[i]
+        if j not in nbrs[i]
     )
     paper_stale = stale_local_matrices(paper_scale.problems, dec)
     # a walk of single-port toggles on a finer decomposition, where a

@@ -43,6 +43,14 @@ def empty_coarse(dec):
     return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets])
 
 
+def dense_coarse(dec, coarse):
+    """The coarse prolongation R0 as a dense matrix: each block on its index set."""
+    R0 = np.zeros((dec.grid.n_free, coarse.n0))
+    for i, (idx, b) in enumerate(zip(dec.index_sets, coarse.blocks)):
+        R0[idx, coarse.columns[i]] = b
+    return R0
+
+
 def band_to_dense(band):
     """The lower triangular matrix held in LAPACK lower band storage."""
     n = band.shape[1]
@@ -118,12 +126,13 @@ class TestBuildDecomposition:
         assert len(s.indices) == 841  # (20 + 2*4 + 1)^2 nodes, none Dirichlet
         assert len(dec.extended_elements(44)) == 28 * 28
 
-    def test_paper_layout_neighbor_counts(self):
+    def test_paper_layout_neighbor_counts(self, neighbors):
         dec = build_decomposition(Grid(200), 10, 4)
-        assert len(dec.neighbors[44]) == 9
-        assert len(dec.neighbors[0]) == 4
-        assert all(i in dec.neighbors[i] for i in range(dec.n_subdomains))
-        assert max(len(nb) for nb in dec.neighbors) <= 9
+        nbrs = neighbors(dec)
+        assert len(nbrs[44]) == 9
+        assert len(nbrs[0]) == 4
+        assert all(i in nbrs[i] for i in range(dec.n_subdomains))
+        assert max(len(nb) for nb in nbrs) <= 9
 
     def test_extended_blocks_clip_at_boundary(self):
         dec = build_decomposition(Grid(200), 10, 4)
@@ -138,14 +147,38 @@ class TestBuildDecomposition:
             covered[idx] = True
         assert covered.all()
 
-    def test_neighbors_match_index_set_intersections(self):
+    def test_neighbors_match_index_set_intersections(self, neighbors):
         dec = build_decomposition(Grid(40), 4, 2)
+        nbrs = neighbors(dec)
         sets = [set(idx.tolist()) for idx in dec.index_sets]
         for i in range(dec.n_subdomains):
             for j in range(dec.n_subdomains):
                 intersects = bool(sets[i] & sets[j])
-                assert intersects == (j in dec.neighbors[i])
-            assert list(dec.neighbors[i]) == sorted(dec.neighbors[i])
+                assert intersects == (j in nbrs[i])
+            assert list(nbrs[i]) == sorted(nbrs[i])
+
+    def test_index_sets_are_segments_of_one_stacked_array(self):
+        dec = build_decomposition(Grid(20), 4, 2)
+        assert np.array_equal(dec.stacked, np.concatenate(dec.index_sets))
+        assert not dec.stacked.flags.writeable
+        for i, (s, seg) in enumerate(zip(dec.subdomains, dec.segments)):
+            assert s.indices is dec.index_sets[i] and np.shares_memory(s.indices, dec.stacked)
+            assert (seg.start, seg.stop) == (dec.bounds[i], dec.bounds[i + 1])
+            assert np.array_equal(dec.stacked[seg], s.indices)
+        # scatter is the transpose of gather
+        rng = np.random.default_rng(8)
+        v, u = rng.standard_normal(dec.grid.n_free), rng.standard_normal(len(dec.stacked))
+        assert u @ dec.gather(v) == pytest.approx(dec.scatter(u) @ v, rel=1e-13)
+        want = np.zeros(dec.grid.n_free)
+        for idx, seg in zip(dec.index_sets, dec.segments):
+            want[idx] += u[seg]
+        assert np.array_equal(dec.scatter(u), want)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_gather_rejects_a_vector_of_another_length(self, extra):
+        dec = build_decomposition(Grid(12), 3, 2)
+        with pytest.raises(ValueError, match="free nodes"):
+            dec.gather(np.zeros(dec.grid.n_free + extra))
 
     def test_invalid_layout_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -178,12 +211,13 @@ class TestCoupling:
                 assert np.array_equal(ext[plan.shared[i][s]], shared)
 
     @pytest.mark.parametrize("m, layout, coupled", [(20, 4, 96), (40, 8, 672)])
-    def test_index_sets_that_share_no_node_can_be_coupled(self, m, layout, coupled):
+    def test_index_sets_that_share_no_node_can_be_coupled(self, neighbors, m, layout, coupled):
         # w - 2 overlap = 1: one element column lies between the index
         # sets of subdomains two apart, and its element couples them
         dec = build_decomposition(Grid(m), layout, 2)
+        nbrs = neighbors(dec)
         pairs = [(i, p[0]) for i in range(dec.n_subdomains) for p in dec.coupling.pairs[i]]
-        assert sum(j not in dec.neighbors[i] for i, j in pairs) == coupled
+        assert sum(j not in nbrs[i] for i, j in pairs) == coupled
 
     def test_matrix_of_another_pattern_rejected(self):
         grid = Grid(12)
@@ -300,9 +334,9 @@ class TestDetectChangedSubdomains:
         assert np.array_equal(flagged, changed_local_matrices(dec, probs[0].system.A, probs[1].system.A))
         assert np.array_equal(flagged, [40, 41, 50, 51])
         coarse = empty_coarse(dec)
-        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
+        ops = LocalOperators.build(probs[0].system.A, coarse)
         ops.refresh(probs[1].system.A, coarse, flagged)
-        fresh = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
+        fresh = LocalOperators.build(probs[1].system.A, coarse)
         r = np.random.default_rng(3).standard_normal(probs[1].system.n)
         assert np.allclose(
             apply_as_preconditioner(r, ops),
@@ -337,7 +371,7 @@ class TestGeneoCoarse:
         with pytest.warns(UserWarning, match="no vectors"):
             cs = build_geneo_coarse(dec, pou, system, field, 0.0)
         assert cs.n0 == 0
-        assert cs.matrix.shape == (grid.n_free, 0)
+        assert dense_coarse(dec, cs).shape == (grid.n_free, 0)
 
     def test_columns_supported_on_their_subdomain(self):
         grid = Grid(40)
@@ -347,9 +381,11 @@ class TestGeneoCoarse:
         system = assemble(grid, field)
         cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert cs.n0 == cs.counts.sum() and cs.n0 > 0
-        dense = cs.matrix.toarray()
+        dense = dense_coarse(dec, cs)
         offsets = np.r_[0, np.cumsum(cs.counts)]
         for i in range(dec.n_subdomains):
+            assert cs.blocks[i].shape == (len(dec.subdomains[i].indices), cs.counts[i])
+            assert (cs.columns[i].start, cs.columns[i].stop) == (offsets[i], offsets[i + 1])
             cols = dense[:, offsets[i] : offsets[i + 1]]
             outside = np.setdiff1d(np.arange(grid.n_free), dec.subdomains[i].indices)
             assert np.all(cols[outside] == 0)
@@ -363,7 +399,8 @@ class TestGeneoCoarse:
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
         cs = build_geneo_coarse(dec, pou, system, field, 0.5)
-        A0 = (cs.matrix.T @ (system.A.to_scipy() @ cs.matrix)).toarray()
+        R0 = dense_coarse(dec, cs)
+        A0 = R0.T @ (system.A.to_scipy() @ R0)
         F = factorize(A0, 1e-10)
         assert len(F.perm[F.rank:]) == 0
 
@@ -379,7 +416,7 @@ class TestGeneoCoarse:
         )
         full2 = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
         assert np.array_equal(cs2.counts, full2.counts)
-        assert np.allclose((cs2.matrix - full2.matrix).toarray(), 0, atol=1e-12)
+        assert np.allclose(dense_coarse(dec, cs2) - dense_coarse(dec, full2), 0, atol=1e-12)
         unchanged = np.setdiff1d(np.arange(dec.n_subdomains), changed)
         for i in unchanged:
             assert cs2.blocks[i] is cs1.blocks[i]
@@ -546,7 +583,7 @@ class TestLocalOperators:
         factored = []
         factorize = lrbas.decomposition.factorize
         monkeypatch.setattr(lrbas.decomposition, "factorize", lambda M: factored.append(M) or factorize(M))
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         keys = [csr_bytes(system.A.submatrix(idx)) for idx in dec.index_sets]
         sparse = [M for M in factored if sp.issparse(M)]
         assert len(sparse) == len(set(keys)) < dec.n_subdomains
@@ -560,7 +597,7 @@ class TestLocalOperators:
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (20, 20)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         for idx, F in zip(dec.index_sets, ops.factors):
             want = system.A.submatrix(idx).toarray()
             got = np.empty_like(want)
@@ -572,7 +609,7 @@ class TestLocalOperators:
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5}))
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         A = system.A.to_scipy()
         for idx, F in zip(dec.index_sets, ops.factors):
             assert F.lower.nbytes <= (bandwidth(A[idx][:, idx]) + 1) * len(idx) * 8
@@ -582,7 +619,7 @@ class TestLocalOperators:
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         rng = np.random.default_rng(0)
         r = rng.standard_normal(system.n)
         want = np.linalg.solve(system.A.to_scipy().toarray(), r)
@@ -592,7 +629,7 @@ class TestLocalOperators:
         grid = Grid(10)
         system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
         dec = build_decomposition(grid, 2, 1)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         assert np.array_equal(apply_as_preconditioner(np.zeros(system.n), ops), 0 * system.f)
 
     def test_matches_dense_subdomain_sum(self):
@@ -601,13 +638,20 @@ class TestLocalOperators:
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (8, 8)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
-        ops = LocalOperators.build(system.A, dec.index_sets, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
         A = system.A.to_scipy().toarray()
         r = rng.standard_normal(system.n)
         want = np.zeros_like(r)
         for idx in dec.index_sets:
             want[idx] += np.linalg.solve(A[np.ix_(idx, idx)], r[idx])
         assert np.allclose(apply_as_preconditioner(r, ops), want, atol=1e-11 * np.abs(want).max())
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_residual_of_another_length_rejected(self, extra):
+        dec, _, system, _ = small_geneo_problem()
+        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        with pytest.raises(ValueError, match="free nodes"):
+            apply_as_preconditioner(np.ones(system.n + extra), ops)
 
     def test_preconditioner_is_symmetric_with_coarse_level(self):
         grid = Grid(40)
@@ -616,7 +660,7 @@ class TestLocalOperators:
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
         cs = build_geneo_coarse(dec, pou, system, field, 0.5)
-        ops = LocalOperators.build(system.A, dec.index_sets, cs)
+        ops = LocalOperators.build(system.A, cs)
         rng = np.random.default_rng(2)
         for _ in range(3):
             r, s = rng.standard_normal((2, system.n))
@@ -629,10 +673,10 @@ class TestLocalOperators:
         dec = build_decomposition(grid, 4, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
         coarse = empty_coarse(dec)
-        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
+        ops = LocalOperators.build(probs[0].system.A, coarse)
         changed = detect_changed_subdomains(probs[1].changed_elements, dec)
         ops.refresh(probs[1].system.A, coarse, changed)
-        fresh = LocalOperators.build(probs[1].system.A, dec.index_sets, coarse)
+        fresh = LocalOperators.build(probs[1].system.A, coarse)
         rng = np.random.default_rng(3)
         r = rng.standard_normal(probs[1].system.n)
         assert np.allclose(
@@ -649,17 +693,17 @@ class TestLocalOperators:
         pou = build_partition_of_unity(dec)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
         coarse = build_geneo_coarse(dec, pou, probs[0].system, probs[0].coefficient, 0.5)
-        ops = LocalOperators.build(probs[0].system.A, dec.index_sets, coarse)
+        ops = LocalOperators.build(probs[0].system.A, coarse)
         for prob in probs[1:]:
             changed = detect_changed_subdomains(prob.changed_elements, dec)
             assert 0 < len(changed) < dec.n_subdomains
             coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse, recompute=changed)
             ops.refresh(prob.system.A, coarse, changed)
-            R0 = coarse.matrix.toarray()
+            R0 = dense_coarse(dec, coarse)
             want = R0.T @ prob.system.A.to_scipy().toarray() @ R0
             assert np.array_equal(ops.coarse_matrix, ops.coarse_matrix.T)
             assert np.max(np.abs(ops.coarse_matrix - want)) <= 1e-14 * np.abs(want).max()
-            fresh = LocalOperators.build(prob.system.A, dec.index_sets, coarse)
+            fresh = LocalOperators.build(prob.system.A, coarse)
             assert np.max(np.abs(ops.coarse_matrix - fresh.coarse_matrix)) <= 1e-14 * np.abs(want).max()
 
 

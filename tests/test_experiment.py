@@ -1,6 +1,8 @@
-"""Configuration, report serialization, experiment runner, and CLI."""
+"""Configuration, report serialization, experiment runner, CLI, and the paper script."""
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -674,3 +676,26 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert main(["compare", str(tmp_path / "out"), str(tmp_path / "o3")]) == 1
         assert "not comparable" in capsys.readouterr().err
+
+
+class TestPaperScript:
+    def test_small_run_writes_the_comparison_table(self, tmp_path, capsys):
+        # scripts/run_paper_experiment.py at a scale quick enough for every run
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_paper_experiment.py"
+        spec = importlib.util.spec_from_file_location("run_paper_experiment", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        argv = ["--grid", "40", "--subdomains", "4", "--overlap", "2", "--out", str(tmp_path)]
+        assert script.main(argv) == 0
+        assert capsys.readouterr().out.startswith("python ")
+        assert (tmp_path / "comparison.csv").read_text() == (
+            "strategy,eps_loc,keep_full_bases,iterations,local_solutions,coarse_solves\n"
+            "pcg,0.25,false,35,560,35\n"
+            "pcg-guess,0.25,false,7,112,12\n"
+            "lrbas,0.0,false,7,112,12\n"
+            "lrbas,0.25,false,7,52,12\n"
+            "lrbas,0.0,true,7,112,12\n"
+            "lrbas,0.25,true,9,60,14\n"
+        )
+        for variant in script.VARIANTS:
+            assert (tmp_path / variant / "summary.csv").is_file()
