@@ -13,11 +13,13 @@ sparse pencil it runs ARPACK through one factor of ``A + B``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpstrf, dtbtrs
+from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrs, dpstrf, dtbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # The ARPACK path of sym_gen_eig, placed by measurement on the GenEO
@@ -33,6 +35,16 @@ _ARPACK_K_FRACTION = 16
 # solve takes over.
 _ARPACK_MIN_NCV = 20
 _ARPACK_MAX_RESTARTS = 30
+# ARPACK's tolerance on C = L^-1 B L^-T: it stops once each Ritz pair has
+# ||C y - theta y|| <= tol theta, so, C being symmetric, an eigenvalue lies
+# within tol theta of theta and y, whose 2-norm is the (A + B) energy norm
+# of p = L^-T y, within an angle tol theta / gap of its eigenspace
+# (Parlett, The Symmetric Eigenvalue Problem, ch. 11). An attempt with a
+# Ritz value within tol theta of 1 / (1 + upper) is repeated at tol 0, so
+# no keep-or-drop decision is made at reduced accuracy; so is one with two
+# Ritz values that close, whose gap leaves the bound void and where Lanczos
+# can hold fewer copies of a tight cluster than it has.
+_ARPACK_TOL = 1e-8
 # Roundoff allowed in a scaled Schur pivot of a semidefinite matrix, per
 # unit of the pivot's growth factor (see _require_semidefinite).
 _ROUNDOFF = 64 * np.finfo(np.float64).eps
@@ -56,12 +68,9 @@ class ConvergenceFailure(RuntimeError):
 
 
 def _require_symmetric(M, tol=1e-12, what="matrix", start=0):
-    """M as float64, dense or CSR, after checking it is square and that its
+    """Dense M as float64, after checking it is square and that its
     columns from ``start`` on equal its rows from ``start`` on."""
-    if sp.issparse(M):
-        M = sp.csr_matrix(M, dtype=np.float64)
-    else:
-        M = np.asarray(M, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
     if start < M.shape[0]:
@@ -148,7 +157,7 @@ class Factorization:
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side length {b.shape[0]} does not match dimension {self.n}")
         if self.banded:
-            return sla.cho_solve_banded((self.lower, True), b, check_finite=False)
+            return dpbtrs(self.lower, b, lower=1)[0]
         r = self.rank
         x = np.zeros_like(b)
         if r:
@@ -281,23 +290,36 @@ def _require_semidefinite(M, F, dropped, tail):
 
 
 def _factorize_banded(M, pivot_tol):
+    band, _ = _lower_band(M, 0.0)
+    n = band.shape[1]
+    return Factorization(n, _banded_cholesky(band, pivot_tol), np.arange(n, dtype=np.int64), n, banded=True)
+
+
+def _lower_band(M, tol, what="matrix"):
+    """Lower band ``band[d, j] = M[j + d, j]`` of square scipy sparse M, and
+    whether M equals its transpose; raises unless the mirrored upper band
+    ``M[j, j + d]`` agrees to ``tol`` relative to M's largest entry."""
     M = sp.csr_matrix(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if (M != M.T).nnz:
-        raise ValueError("matrix is not symmetric")
-    L = _banded_cholesky(sp.tril(M), pivot_tol)
-    return Factorization(n, L, np.arange(n, dtype=np.int64), n, banded=True)
+        raise ValueError(f"{what} must be square, got shape {M.shape}")
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    offset = rows - M.indices
+    bands = np.zeros((2, int(np.abs(offset).max(initial=0)) + 1, n))
+    low, up = offset >= 0, offset <= 0
+    bands[0, offset[low], M.indices[low]] = M.data[low]
+    bands[1, -offset[up], rows[up]] = M.data[up]
+    diff = abs(bands[0] - bands[1]).max()
+    if diff > tol * abs(bands).max():
+        raise ValueError(f"{what} is not symmetric" + (f" to relative tolerance {tol}" if tol else ""))
+    return bands[0], diff == 0
 
 
-def _banded_cholesky(low, pivot_tol):
-    """Lower band Cholesky factor of the symmetric matrix with lower triangle ``low``."""
-    low = sp.coo_matrix(low)
-    low.sum_duplicates()
-    offset = low.row - low.col
-    band = np.zeros((int(offset.max(initial=0)) + 1, low.shape[0]))
-    band[offset, low.col] = low.data
+def _banded_cholesky(band, pivot_tol):
+    """Lower band Cholesky factor of the symmetric matrix with lower band ``band``."""
     try:
         L = sla.cholesky_banded(band, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -319,21 +341,23 @@ def sym_gen_eig(A, B, upper):
     least ``_ARPACK_MIN_N`` unknowns and a finite ``upper``: there ARPACK
     computes the largest nu of ``B p = nu (A + B) p``, with
     ``nu = 1 / (1 + lambda)``, in standard symmetric form through one
-    banded Cholesky factor of ``A + B``. Should ARPACK need too many
-    eigenpairs or stop converging, dense ``eigh`` takes over.
+    banded Cholesky factor of ``A + B``, to the tolerance
+    ``_ARPACK_TOL``. Should ARPACK need too many eigenpairs or stop
+    converging, dense ``eigh`` takes over.
     """
     arpack = np.isfinite(upper) and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
-    if not arpack:
+    pencil = ((A, "left-hand matrix"), (B, "right-hand matrix"))
+    if arpack:
+        (low_A, _), (low_B, exact) = (_lower_band(M, 1e-12, what) for M, what in pencil)
+    else:
         # sparse checks cost more than dense ones on small matrices
-        A, B = (M.toarray() if sp.issparse(M) else M for M in (A, B))
-    A = _require_symmetric(A, what="left-hand matrix")
-    B = _require_symmetric(B, what="right-hand matrix")
+        A, B = (_require_symmetric(M.toarray() if sp.issparse(M) else M, what=what) for M, what in pencil)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
     if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
     if arpack:
-        found = _lowest_by_arpack(A, B, upper)
+        found = _lowest_by_arpack(low_A, low_B, B if exact else None, upper)
         if found is not None:
             return found
         A, B = A.toarray(), B.toarray()
@@ -344,47 +368,55 @@ def sym_gen_eig(A, B, upper):
     return w, V
 
 
-def _lowest_by_arpack(A, B, upper):
+def _lowest_by_arpack(low_A, low_B, B, upper):
     """Eigenpairs of A p = lambda B p with lambda <= upper, or None.
 
     Solves ``B p = nu (A + B) p`` for the largest nu, doubling the count
     asked for until the smallest nu found lies beyond the bound. With
     ``A + B = L L^T`` banded, ARPACK runs on the standard symmetric
     problem ``L^-1 B L^-T y = nu y``, and ``p = L^-T y``. Like dense
-    ``eigh``, both matrices are read from their lower triangle.
+    ``eigh``, it reads both matrices' lower bands; a sparse ``B`` that is
+    bitwise symmetric, else None, multiplies in place of ``low_B``.
     Returns None when B or ``A + B`` has no banded Cholesky factor, when
     the count would pass n / 16 or when ARPACK fails; the dense solve
     then decides.
     """
-    n = A.shape[0]
-    low_B = sp.tril(B, format="csr")
+    n = low_A.shape[1]
+    band = np.zeros((max(len(low_A), len(low_B)), n))
+    band[: len(low_A)] = low_A
+    band[: len(low_B)] += low_B
     try:
         _banded_cholesky(low_B, 0.0)
-        band = _banded_cholesky(sp.tril(A, format="csr") + low_B, 0.0)
+        band = _banded_cholesky(band, 0.0)
     except IndefiniteMatrixError:
         return None
-    B = low_B + sp.tril(low_B, -1).T
+    mult = B.dot if B is not None else partial(dsbmv, len(low_B) - 1, 1.0, np.asfortranarray(low_B), lower=1)
 
     def back(y):  # L^-T y; L has positive pivots, so the solve cannot fail
         return dtbtrs(band, y, uplo="L", trans="T")[0]
 
-    C = LinearOperator((n, n), matvec=lambda y: dtbtrs(band, B @ back(y), uplo="L")[0], dtype=np.float64)
+    C = LinearOperator((n, n), matvec=lambda y: dtbtrs(band, mult(back(y)), uplo="L")[0], dtype=np.float64)
     # a fixed start vector makes the result independent of call order
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     k = _ARPACK_K0
     while k <= n // _ARPACK_K_FRACTION:
         try:
-            nu, Y = eigsh(
-                C, k, which="LA", v0=v0,
-                ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
-            )
+            for tol in (_ARPACK_TOL, 0.0):
+                nu, Y = eigsh(
+                    C, k, which="LA", v0=v0, tol=tol,
+                    ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
+                )
+                lam, theta = 1.0 / nu - 1.0, np.sort(nu)
+                # a Ritz value within tol theta of nu_upper = 1 / (1 + upper), or of another one
+                if not ((np.abs(lam - upper) <= tol * (1.0 + upper)).any()
+                        or (np.diff(theta) <= tol * theta[1:]).any()):
+                    break
         except ArpackError:
             return None
-        lam = 1.0 / nu - 1.0
         if lam.max() > upper:
             order = np.argsort(lam, kind="stable")
             keep = order[lam[order] <= upper]
-            # the columns of Y are orthonormal, so p^T B p = nu
-            return lam[keep], back(Y[:, keep]) / np.sqrt(nu[keep])
+            # p^T B p = nu; dtbtrs corrupts the heap on an empty Y[:, keep]
+            return lam[keep], back(Y)[:, keep] / np.sqrt(nu[keep])
         k *= 2
     return None

@@ -7,6 +7,7 @@ import numpy
 import pytest
 import scipy
 
+import lrbas.linalg
 import lrbas.solver
 from lrbas.solver import LocalBasis, ReducedSystem
 
@@ -44,6 +45,38 @@ def neighbors():
         return [tuple(G.indices[a:b].tolist()) for a, b in zip(G.indptr, G.indptr[1:])]
 
     return read
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Records each ARPACK attempt of ``sym_gen_eig``, in call order: its
+    keyword arguments (``tol`` among them) plus the count ``k`` asked for."""
+    calls = []
+    eigsh = lrbas.linalg.eigsh
+
+    def spy(C, k, **kwargs):
+        calls.append(dict(kwargs, k=k))
+        return eigsh(C, k, **kwargs)
+
+    monkeypatch.setattr(lrbas.linalg, "eigsh", spy)
+    return calls
+
+
+@pytest.fixture
+def force_arpack(monkeypatch):
+    """Sends every sparse pencil with a finite bound down the ARPACK path;
+    the list returned receives each ARPACK attempt's result (None: fell
+    back to dense ``eigh``)."""
+    monkeypatch.setattr(lrbas.linalg, "_ARPACK_MIN_N", 0)
+    attempts = []
+    lowest = lrbas.linalg._lowest_by_arpack
+
+    def spy(*args):
+        attempts.append(lowest(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(lrbas.linalg, "_lowest_by_arpack", spy)
+    return attempts
 
 
 @pytest.fixture

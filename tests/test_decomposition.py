@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import lrbas.decomposition
@@ -101,21 +102,6 @@ def changed_local_matrices(dec, before, after):
     return [
         i for i, idx in enumerate(dec.index_sets) if (before.submatrix(idx) != after.submatrix(idx)).nnz
     ]
-
-
-def force_arpack(monkeypatch):
-    """Send every sparse GenEO pencil down the ARPACK path; returns the
-    list that receives each ARPACK attempt's result (None: fell back)."""
-    monkeypatch.setattr(lrbas.linalg, "_ARPACK_MIN_N", 0)
-    attempts = []
-    lowest = lrbas.linalg._lowest_by_arpack
-
-    def spy(*args):
-        attempts.append(lowest(*args))
-        return attempts[-1]
-
-    monkeypatch.setattr(lrbas.linalg, "_lowest_by_arpack", spy)
-    return attempts
 
 
 class TestBuildDecomposition:
@@ -464,10 +450,10 @@ class TestGeneoCoarse:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert B.shape == ref.shape and digest(B) == digest(ref)
 
-    def test_arpack_path_matches_dense_eigh(self, monkeypatch):
+    def test_arpack_path_matches_dense_eigh(self, request):
         dec, pou, system, field = small_geneo_problem()
         dense = build_geneo_coarse(dec, pou, system, field, 0.5)
-        attempts = force_arpack(monkeypatch)
+        attempts = request.getfixturevalue("force_arpack")
         arpack = build_geneo_coarse(dec, pou, system, field, 0.5)
         # each distinct pencil is solved once (12 of the 16)
         assert len(attempts) == distinct_pencils(dec, pou, system, field) < dec.n_subdomains
@@ -484,19 +470,19 @@ class TestGeneoCoarse:
             # the B-orthogonal projectors onto the two spans
             assert np.abs(P @ P.T @ Bd - P_dense @ P_dense.T @ Bd).max() <= 1e-10
 
-    def test_arpack_path_is_deterministic(self, monkeypatch):
+    def test_arpack_path_is_deterministic(self, force_arpack):
         dec, pou, system, field = small_geneo_problem()
-        attempts = force_arpack(monkeypatch)
+        attempts = force_arpack
         first = build_geneo_coarse(dec, pou, system, field, 0.5)
         second = build_geneo_coarse(dec, pou, system, field, 0.5)
         assert all(a is not None for a in attempts)
         for a, b in zip(first.blocks, second.blocks):
             assert np.array_equal(a, b)
 
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch, request):
         dec, pou, system, field = small_geneo_problem()
         dense = build_geneo_coarse(dec, pou, system, field, 0.5)
-        attempts = force_arpack(monkeypatch)
+        attempts = request.getfixturevalue("force_arpack")
 
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("injected", np.zeros(0), np.zeros((0, 0)))
@@ -546,10 +532,10 @@ def record_geneo(monkeypatch):
 
 class TestPencilReuse:
     @pytest.mark.parametrize("path", ["dense", "arpack"])
-    def test_revisited_sequence_solves_each_distinct_pencil_once(self, monkeypatch, path):
+    def test_revisited_sequence_solves_each_distinct_pencil_once(self, monkeypatch, request, path):
         dec, pou, probs = revisiting_sequence()
         if path == "arpack":
-            force_arpack(monkeypatch)
+            request.getfixturevalue("force_arpack")
         builds = record_geneo(monkeypatch)
         run_sequence(probs, dec, pou)
         assert len(builds) == 3
@@ -575,6 +561,91 @@ class TestPencilReuse:
         del builds[:]
         run_sequence(probs, dec, pou)
         assert sum(calls for _, _, calls in builds) == first > 0
+
+
+def solved_pencils(monkeypatch, grid, layout, overlap, schedule):
+    """Every pencil GenEO at tau 0.5 solves along a sequence, each distinct
+    one once, with what ``sym_gen_eig`` returned for it: [(K, B, w, P)]."""
+    dec = build_decomposition(grid, layout, overlap)
+    pou = build_partition_of_unity(dec)
+    solved, solve = [], lrbas.decomposition.sym_gen_eig
+
+    def spy(K, B, upper):
+        solved.append((K, B, *solve(K, B, upper)))
+        return solved[-1][2:]
+
+    monkeypatch.setattr(lrbas.decomposition, "sym_gen_eig", spy)
+    coarse = None
+    for prob in problem_sequence(grid, ChannelGeometry(), schedule):
+        coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse)
+    return solved
+
+
+def pcg_condition_number(A, f, precond, rtol=1e-10, max_iter=1000):
+    """kappa(M^-1 A) read from the Lanczos tridiagonal of PCG's coefficients
+    (Saad, Iterative Methods for Sparse Linear Systems, sec. 6.7.3)."""
+    r = f.copy()
+    z = precond(r)
+    p, rz = z.copy(), r @ z
+    alpha, beta = [], [0.0]
+    for _ in range(max_iter):
+        Ap = A @ p
+        alpha.append(rz / (p @ Ap))
+        r = r - alpha[-1] * Ap
+        if np.linalg.norm(r) <= rtol * np.linalg.norm(f):
+            break
+        z = precond(r)
+        beta.append(r @ z / rz)
+        rz = r @ z
+        p = z + beta[-1] * p
+    alpha = np.array(alpha)
+    beta = np.array(beta[: len(alpha)])
+    diag = 1.0 / alpha + np.r_[0.0, beta[1:] / alpha[:-1]]
+    theta = eigvalsh_tridiagonal(diag, np.sqrt(beta[1:]) / alpha[:-1])
+    return theta[-1] / theta[0]
+
+
+class TestArpackAccuracy:
+    @pytest.mark.parametrize(
+        "m, layout, overlap, schedule, n_pencils",
+        [
+            (200, 10, 4, ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1]), 35),  # paper system 1
+            (100, 10, 2, ModificationSchedule(({2, 5}, {2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 5, 6})), 47),
+        ],
+        ids=["paper", "toggle"],
+    )
+    def test_kept_pairs_match_those_at_full_accuracy(self, monkeypatch, force_arpack, m, layout, overlap,
+                                                     schedule, n_pencils):
+        solved = solved_pencils(monkeypatch, Grid(m), layout, overlap, schedule)
+        assert len(solved) == n_pencils
+        assert sum(a is not None for a in force_arpack) >= len(solved) // 2
+        monkeypatch.setattr(lrbas.linalg, "_ARPACK_TOL", 0.0)
+        for K, B, w, P in solved:
+            w_full, _ = sym_gen_eig(K, B, upper=0.5)
+            assert len(w) == len(w_full)
+            assert np.count_nonzero(np.maximum(w, 0.0) < 0.5) == np.count_nonzero(np.maximum(w_full, 0.0) < 0.5)
+            assert np.abs(w - w_full).max(initial=0.0) <= 1e-12
+            assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max(initial=0.0) <= 1e-12
+
+    def test_two_level_condition_number_does_not_grow_with_the_contrast(self, force_arpack):
+        # GenEO bounds kappa(M^-1 A) by tau and the overlap multiplicity
+        # whatever the coefficient; the near-kernel space alone does not
+        grid = Grid(100)
+        dec = build_decomposition(grid, 10, 2)
+        pou = build_partition_of_unity(dec)
+        kappa = {}
+        for sigma_high in (11.0, 1001.0, 100001.0):
+            field = build_coefficient(grid, ChannelGeometry(sigma_high=sigma_high), open_ports={2, 5})
+            system = assemble(grid, field)
+            A = system.A.to_scipy()
+            for tau in (0.5, 1e-9):
+                ops = LocalOperators.build(system.A, build_geneo_coarse(dec, pou, system, field, tau))
+                kappa[tau, sigma_high] = pcg_condition_number(A, system.f, lambda r: apply_as_preconditioner(r, ops))
+        assert any(a is not None for a in force_arpack)
+        geneo = [kappa[0.5, s] for s in (11.0, 1001.0, 100001.0)]
+        assert max(geneo) <= 1.1 * min(geneo)
+        assert kappa[1e-9, 100001.0] >= 100 * kappa[1e-9, 11.0]
+        assert kappa[1e-9, 100001.0] >= 100 * max(geneo)
 
 
 class TestLocalOperators:

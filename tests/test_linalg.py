@@ -48,20 +48,6 @@ def neumann_pencil(rows, cols):
     return A.tocsr(), sp.identity(rows * cols, format="csr")
 
 
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """Records the keyword arguments of each ARPACK call of sym_gen_eig."""
-    calls = []
-    eigsh = lrbas.linalg.eigsh
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs)
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(lrbas.linalg, "eigsh", counted)
-    return calls
-
-
 # ---------------------------------------------------------------- storage
 
 
@@ -287,6 +273,20 @@ class TestFactorizeSparse:
             factorize(sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]])))
 
     @pytest.mark.parametrize(
+        "skew",
+        [
+            lambda M: M.__setitem__((4, 1), 1.0),  # no transposed partner
+            lambda M: M.__setitem__((3, 2), np.nextafter(M[2, 3], np.inf)),
+        ],
+        ids=["one-sided", "one-ulp"],
+    )
+    def test_any_asymmetry_of_a_banded_input_rejected(self, skew):
+        M = random_banded_spd(np.random.default_rng(2), 8, 1).tolil()
+        skew(M)
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            factorize(M.tocsr())
+
+    @pytest.mark.parametrize(
         "M",
         [
             [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues 3, -1
@@ -369,8 +369,71 @@ class TestSymGenEig:
         A, B = neumann_pencil(20, 20)
         w, P = sym_gen_eig(A, B, upper=1.0)
         w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=1.0)
-        assert len(eigsh_calls) == 3
+        # k = 6, 12 and 24; the square grid's double eigenvalues repeat each at full accuracy
+        assert [(call["k"], call["tol"]) for call in eigsh_calls] == [
+            (k, tol) for k in (6, 12, 24) for tol in (lrbas.linalg._ARPACK_TOL, 0.0)
+        ]
         assert np.array_equal(w, w_dense) and np.array_equal(P, P_dense)
+
+    @pytest.mark.parametrize("margin", [1e-10, 0.5])
+    def test_ritz_value_near_the_bound_repeats_its_attempt_at_full_accuracy(self, eigsh_calls, margin):
+        # the bound lies a margin of the way from the 10th eigenvalue to the 11th
+        A, B = neumann_pencil(20, 21)
+        lam = np.linalg.eigvalsh(A.toarray())[9:11]
+        upper = lam[0] + margin * (lam[1] - lam[0])
+        w, P = sym_gen_eig(A, B, upper)
+        w_dense, _ = sym_gen_eig(A.toarray(), B.toarray(), upper)
+        assert len(w) == len(w_dense) == 10
+        assert np.abs(w - w_dense).max() <= 1e-12
+        attempts = [(call["k"], call["tol"]) for call in eigsh_calls]
+        tol = lrbas.linalg._ARPACK_TOL
+        if margin < tol:
+            # only the attempt that reached the 10th eigenvalue is repeated
+            assert attempts == [(6, tol), (12, tol), (12, 0.0)]
+        else:
+            assert attempts == [(6, tol), (12, tol)]
+
+    @pytest.mark.parametrize("size, spread", [(8, 1e-9), (20, 1e-11)])
+    def test_unresolved_cluster_repeats_its_attempt_at_full_accuracy(self, eigsh_calls, size, spread):
+        # a cluster tighter than the tolerance: at 1e-8 Lanczos converged on
+        # fewer copies of it than there are, and dropped the rest
+        cluster = 4e-5 * (1.0 + spread * np.arange(size))
+        lam = np.r_[cluster, np.linspace(0.1, 0.45, 5), np.linspace(0.6, 10.0, 400 - size - 5)]
+        A, B = sp.diags(lam).tocsr(), sp.identity(400, format="csr")
+        w, _ = sym_gen_eig(A, B, upper=0.5)
+        assert len(w) == size + 5
+        assert (eigsh_calls[0]["k"], eigsh_calls[0]["tol"]) == (6, lrbas.linalg._ARPACK_TOL)
+        assert (eigsh_calls[1]["k"], eigsh_calls[1]["tol"]) == (6, 0.0)
+
+    def test_arpack_path_with_no_pair_below_the_bound(self, eigsh_calls):
+        A, B = neumann_pencil(20, 21)  # eigenvalues from 0 up
+        for _ in range(50):  # an unguarded empty solve corrupted the heap
+            w, P = sym_gen_eig(A, B, upper=-0.5)
+            assert w.shape == (0,) and P.shape == (420, 0)
+        assert len(eigsh_calls) == 50
+
+    def test_asymmetric_pencil_rejected_on_arpack_path(self, eigsh_calls):
+        A, B = neumann_pencil(20, 20)
+        skewed = A.copy()
+        skewed[0, 1] *= 1.0 + 1e-10
+        with pytest.raises(ValueError, match="left-hand matrix is not symmetric to relative tolerance 1e-12"):
+            sym_gen_eig(skewed, B, upper=0.3)
+        one_sided = (B + sp.csr_matrix(([1e-3], ([0], [5])), shape=B.shape)).tocsr()
+        with pytest.raises(ValueError, match="right-hand matrix is not symmetric to relative tolerance 1e-12"):
+            sym_gen_eig(A, one_sided, upper=0.3)
+        assert eigsh_calls == []
+
+    def test_right_matrix_symmetric_to_roundoff_is_read_from_its_lower_band(self, eigsh_calls):
+        A, B = neumann_pencil(20, 20)
+        B = (B + 0.25 * A).tocsr()
+        B[1, 0] *= 1.0 + 1e-15  # no longer bitwise symmetric
+        w, P = sym_gen_eig(A, B, upper=0.3)
+        low = sp.tril(B).toarray()
+        B_low = low + np.tril(low, -1).T
+        w_dense, _ = sym_gen_eig(A.toarray(), B_low, upper=0.3)
+        assert eigsh_calls
+        assert len(w) == len(w_dense) and np.abs(w - w_dense).max() <= 1e-12
+        assert np.abs(P.T @ B_low @ P - np.eye(len(w))).max() <= 1e-12
 
     def test_indefinite_right_matrix_rejected_on_arpack_path(self, eigsh_calls):
         A, B = neumann_pencil(20, 20)
