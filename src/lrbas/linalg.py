@@ -13,12 +13,10 @@ sparse pencil it runs ARPACK through one factor of ``A + B``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs, dpstrf, dtbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -42,8 +40,8 @@ _ARPACK_MAX_RESTARTS = 30
 # (Parlett, The Symmetric Eigenvalue Problem, ch. 11). An attempt with a
 # Ritz value within tol theta of 1 / (1 + upper) is repeated at tol 0, so
 # no keep-or-drop decision is made at reduced accuracy; so is one with two
-# Ritz values that close, whose gap leaves the bound void and where Lanczos
-# can hold fewer copies of a tight cluster than it has.
+# kept Ritz values that close, whose gap leaves the bound void and where
+# Lanczos can hold fewer copies of a tight cluster than it has.
 _ARPACK_TOL = 1e-8
 # Roundoff allowed in a scaled Schur pivot of a semidefinite matrix, per
 # unit of the pivot's growth factor (see _require_semidefinite).
@@ -157,7 +155,8 @@ class Factorization:
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side length {b.shape[0]} does not match dimension {self.n}")
         if self.banded:
-            return dpbtrs(self.lower, b, lower=1)[0]
+            # no empty block goes to LAPACK: the band solve dtbtrs corrupts the heap on one
+            return dpbtrs(self.lower, b, lower=1)[0] if b.size else np.zeros_like(b)
         r = self.rank
         x = np.zeros_like(b)
         if r:
@@ -290,15 +289,15 @@ def _require_semidefinite(M, F, dropped, tail):
 
 
 def _factorize_banded(M, pivot_tol):
-    band, _ = _lower_band(M, 0.0)
+    band = _lower_band(M, 0.0)
     n = band.shape[1]
     return Factorization(n, _banded_cholesky(band, pivot_tol), np.arange(n, dtype=np.int64), n, banded=True)
 
 
 def _lower_band(M, tol, what="matrix"):
-    """Lower band ``band[d, j] = M[j + d, j]`` of square scipy sparse M, and
-    whether M equals its transpose; raises unless the mirrored upper band
-    ``M[j, j + d]`` agrees to ``tol`` relative to M's largest entry."""
+    """Lower band ``band[d, j] = M[j + d, j]`` of square scipy sparse M;
+    raises unless the mirrored upper band ``M[j, j + d]`` agrees to
+    ``tol`` relative to M's largest entry."""
     M = sp.csr_matrix(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
@@ -312,10 +311,9 @@ def _lower_band(M, tol, what="matrix"):
     low, up = offset >= 0, offset <= 0
     bands[0, offset[low], M.indices[low]] = M.data[low]
     bands[1, -offset[up], rows[up]] = M.data[up]
-    diff = abs(bands[0] - bands[1]).max()
-    if diff > tol * abs(bands).max():
+    if abs(bands[0] - bands[1]).max(initial=0.0) > tol * abs(bands).max(initial=0.0):
         raise ValueError(f"{what} is not symmetric" + (f" to relative tolerance {tol}" if tol else ""))
-    return bands[0], diff == 0
+    return bands[0]
 
 
 def _banded_cholesky(band, pivot_tol):
@@ -348,7 +346,7 @@ def sym_gen_eig(A, B, upper):
     arpack = np.isfinite(upper) and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
     pencil = ((A, "left-hand matrix"), (B, "right-hand matrix"))
     if arpack:
-        (low_A, _), (low_B, exact) = (_lower_band(M, 1e-12, what) for M, what in pencil)
+        low_A, low_B = (_lower_band(M, 1e-12, what) for M, what in pencil)
     else:
         # sparse checks cost more than dense ones on small matrices
         A, B = (_require_symmetric(M.toarray() if sp.issparse(M) else M, what=what) for M, what in pencil)
@@ -357,7 +355,7 @@ def sym_gen_eig(A, B, upper):
     if A.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
     if arpack:
-        found = _lowest_by_arpack(low_A, low_B, B if exact else None, upper)
+        found = _lowest_by_arpack(low_A, low_B, B, upper)
         if found is not None:
             return found
         A, B = A.toarray(), B.toarray()
@@ -375,8 +373,8 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
     asked for until the smallest nu found lies beyond the bound. With
     ``A + B = L L^T`` banded, ARPACK runs on the standard symmetric
     problem ``L^-1 B L^-T y = nu y``, and ``p = L^-T y``. Like dense
-    ``eigh``, it reads both matrices' lower bands; a sparse ``B`` that is
-    bitwise symmetric, else None, multiplies in place of ``low_B``.
+    ``eigh``, it factors from both matrices' lower bands; the sparse
+    ``B``, symmetric to roundoff, multiplies.
     Returns None when B or ``A + B`` has no banded Cholesky factor, when
     the count would pass n / 16 or when ARPACK fails; the dense solve
     then decides.
@@ -390,12 +388,11 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
         band = _banded_cholesky(band, 0.0)
     except IndefiniteMatrixError:
         return None
-    mult = B.dot if B is not None else partial(dsbmv, len(low_B) - 1, 1.0, np.asfortranarray(low_B), lower=1)
 
     def back(y):  # L^-T y; L has positive pivots, so the solve cannot fail
         return dtbtrs(band, y, uplo="L", trans="T")[0]
 
-    C = LinearOperator((n, n), matvec=lambda y: dtbtrs(band, mult(back(y)), uplo="L")[0], dtype=np.float64)
+    C = LinearOperator((n, n), matvec=lambda y: dtbtrs(band, B @ back(y), uplo="L")[0], dtype=np.float64)
     # a fixed start vector makes the result independent of call order
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     k = _ARPACK_K0
@@ -406,8 +403,9 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
                     C, k, which="LA", v0=v0, tol=tol,
                     ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
                 )
-                lam, theta = 1.0 / nu - 1.0, np.sort(nu)
-                # a Ritz value within tol theta of nu_upper = 1 / (1 + upper), or of another one
+                lam = 1.0 / nu - 1.0
+                theta = np.sort(nu[lam <= upper])
+                # a Ritz value within tol theta of nu_upper = 1 / (1 + upper), or a kept one of another
                 if not ((np.abs(lam - upper) <= tol * (1.0 + upper)).any()
                         or (np.diff(theta) <= tol * theta[1:]).any()):
                     break
