@@ -11,7 +11,8 @@ correction each, the reduced matrix is bordered with the new columns
 the reduced system is solved again. Between consecutive
 systems of a sequence the bases are either reset to the previous
 initial basis plus the local piece of the converged solution, or kept
-in full.
+in full, and the reduced system is carried over: it keeps the entries
+and the factor of the columns that no change touched.
 """
 from __future__ import annotations
 
@@ -36,6 +37,15 @@ STRATEGIES = ("pcg", "pcg-guess", "lrbas")
 _ENRICH_PIVOT_TOL = 1e-7
 _SNAPSHOT_PIVOT_TOL = 1e-12
 _BASIS_DROP_TOL = 1e-10  # LocalBasis.append's, relative to the appended vector's norm
+_MOVE_BLOCK = 1 << 18  # entries of ReducedSystem._move's temporaries (2 MB)
+# A chain of bordered factors, each pivoted within its own columns only,
+# can lose accuracy: on toggle walks with keep-full bases the estimate of
+# ReducedSystem._misses grew from 1e-15 to 6e-11 over nine systems, and
+# the tenth stalled. Sound factors stayed below 5e-5 of eps / pivot_tol
+# (3e-15 at the enrichment drop tolerance, 1e-8 at the snapshot one); a
+# bordered factor past this fraction of it is replaced.
+_BORDER_TOL = 1e-3
+_EPS = np.finfo(np.float64).eps
 
 
 class LocalBasis:
@@ -80,41 +90,55 @@ class LocalBasis:
 class ReducedSystem:
     """Galerkin system over the coarse space plus the local bases.
 
-    Its columns are the coarse columns, subdomain by subdomain, then the
-    basis columns in the order they were appended: ``cols[i]`` holds the
-    columns of subdomain i's basis vectors, in basis order, and
-    ``counts[i]`` their number. ``M`` and ``rhs`` are ``Phi^T A Phi`` and
-    ``Phi^T f`` in that order, Phi the columns lifted to the whole grid,
-    which is never formed: M comes from dense blocks over the subdomain
-    pairs that A couples (``galerkin_blocks``), each subdomain's columns
-    read in place from its coarse block and its basis, rhs from local
-    dot products, and the iterate by one scatter of the subdomains'
-    parts. The coarse columns and their block of M come from ``ops``,
-    which must be current for ``system``. Enrichment only
-    appends basis columns, so ``update`` borders M with the new columns
-    and recomputes no existing entry, and ``solve`` extends the factor of
-    its last solve by them. A column whose pivot falls to ``pivot_tol``
-    times its own diagonal entry of M depends on the span in the A-norm
-    and is dropped.
+    Every column lives on one subdomain's index set: ``coarse_cols[i]``,
+    a slice, holds the columns of subdomain i's coarse block and
+    ``cols[i]`` those of its basis vectors, in basis order, ``counts[i]``
+    their number.
+    ``M`` and ``rhs`` are ``Phi^T A Phi`` and ``Phi^T f`` in column
+    order, Phi the columns lifted to the whole grid, which is never
+    formed: M comes from dense blocks over the subdomain pairs that A
+    couples (``galerkin_blocks``), each subdomain's columns read in place
+    from its coarse block and its basis, rhs from local dot products, and
+    the iterate by one scatter of the subdomains' parts. A new system
+    starts from the coarse matrix of ``ops``, which must be current for
+    ``system``, followed by the basis columns. Enrichment only appends
+    basis columns, so ``update`` borders M with the new columns and
+    recomputes no existing entry, and ``solve`` extends the factor of its
+    last solve by them. A column whose pivot falls to ``pivot_tol`` times
+    its own diagonal entry of M depends on the span in the A-norm and is
+    dropped.
+
+    One reduced system serves a whole sequence: ``rebase`` carries it to
+    the next system. The ``untouched`` columns, those of the subdomains
+    that no system has changed so far, stand first. The first solve on
+    each system factors that leading block, extending the ``prefix``
+    factor of the one before, and keeps it as the next ``prefix``; the
+    other columns border it.
     """
 
     def __init__(self, system, dec, ops, bases, pivot_tol=_ENRICH_PIVOT_TOL):
         if len(bases) != dec.n_subdomains:
             raise ValueError("one basis per subdomain required")
-        self.system = system
         self.dec = dec
-        self.coarse = ops.coarse
-        self._locals = {}
-        self.n0 = ops.coarse.n0
-        self.bases = bases
         self.pivot_tol = pivot_tol
+        self._locals = {}
         self.M = self._room = ops.coarse_matrix.copy()
-        f = system.f
-        self.rhs = np.concatenate([b.T @ f[idx] for b, idx in zip(ops.coarse.blocks, dec.index_sets)])
+        self.coarse_cols = list(ops.coarse.columns)
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
         self.cols = [np.zeros(0, dtype=np.int64)] * dec.n_subdomains
-        self.factor = None  # of M's leading block, from the last solve
+        self.touched = np.zeros(dec.n_subdomains, dtype=bool)  # changed by a system so far
+        self.prefix = None
+        self._current(system, ops, bases)
+        self.rhs = self._rhs()
         self.update(range(dec.n_subdomains))
+        self.untouched = len(self.rhs)
+
+    def _current(self, system, ops, bases):
+        self.system = system
+        self.coarse = ops.coarse
+        self.n0 = ops.coarse.n0
+        self.bases = bases
+        self.factor = None  # of M's leading block, from the last solve
 
     def _local(self, i):
         """``A[ext_i, idx_i]``, formed on first use (see ``Coupling``)."""
@@ -123,18 +147,32 @@ class ReducedSystem:
         return self._locals[i]
 
     def _columns(self, j):
-        """Subdomain j's column blocks, each with its columns of M."""
-        return (
-            (self.coarse.blocks[j], self.coarse.columns[j]),
-            (self.bases[j].vectors[:, : self.counts[j]], self.cols[j]),
-        )
+        """Subdomain j's column blocks in M, each with its columns of M."""
+        basis = (self.bases[j].vectors[:, : self.counts[j]], self.cols[j])
+        q = self.coarse_cols[j]
+        return (basis,) if q is None else ((self.coarse.blocks[j], q), basis)
+
+    def _rhs(self):
+        """``Phi^T f`` over the columns in M."""
+        f = self.system.f
+        rhs = np.empty(len(self.M))
+        for j, idx in enumerate(self.dec.index_sets):
+            for V, q in self._columns(j):
+                rhs[q] = V.T @ f[idx]
+        return rhs
 
     def update(self, enriched):
-        """Append the basis columns added since the last update, bordering M and rhs."""
+        """Append the columns of ``enriched`` subdomains not yet in M, bordering M and rhs.
+
+        These are the basis vectors added since the last update and,
+        after a re-base, a changed subdomain's coarse block.
+        """
         N = k = len(self.rhs)
         new = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             Y = self.bases[i].vectors[:, self.counts[i]:]
+            if self.coarse_cols[i] is None:
+                Y = np.hstack([self.coarse.blocks[i], Y])
             if Y.shape[1]:
                 new.append((i, Y, slice(k, k + Y.shape[1])))
                 k += Y.shape[1]
@@ -154,24 +192,129 @@ class ReducedSystem:
         M[N:, :N] = M[:N, N:].T
         f = self.system.f
         for i, Y, c in new:
-            self.cols[i] = np.r_[self.cols[i], c]
-            self.counts[i] += Y.shape[1]
-        self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.subdomains[i].indices] for i, Y, _ in new])
+            start = c.start
+            if self.coarse_cols[i] is None:
+                start += self.coarse.counts[i]
+                self.coarse_cols[i] = slice(c.start, start)
+            self.cols[i] = np.r_[self.cols[i], start : c.stop]
+            self.counts[i] += c.stop - start
+        self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.index_sets[i]] for i, Y, _ in new])
         return self
+
+    def rebase(self, system, ops, bases, changed):
+        """Carry the reduced system to the next system of its sequence.
+
+        ``ops`` is current for ``system``, ``bases`` are the bases carried
+        into it and ``changed`` the subdomains whose A_i changed. A column
+        keeps its entries of M when no change touched its subdomain and it
+        is still in the basis: the same coarse block array, or a basis
+        vector that, with every vector before it, is bitwise the one in M.
+        A changed element couples only subdomains that hold its nodes, all
+        of them changed, so no kept entry changes. The other columns leave
+        M, and ``update`` forms the changed subdomains' columns and the
+        new basis vectors. The untouched columns are then moved first,
+        each group in its old order, and rhs is formed again. The
+        ``prefix`` stays when all its columns were kept.
+        """
+        changed = np.unique(np.asarray(changed, dtype=np.int64))
+        self.touched[changed] = True
+        hit = np.zeros(self.dec.n_subdomains, dtype=bool)
+        hit[changed] = True
+        kept = np.zeros(len(self.rhs), dtype=bool)
+        for i, (old, new) in enumerate(zip(self.bases, bases)):
+            n = 0
+            if hit[i]:
+                self._locals.pop(i, None)
+            else:
+                m = min(self.counts[i], new.dim)
+                same = (old.vectors[:, :m] == new.vectors[:, :m]).all(axis=0)
+                n = m if same.all() else int(np.argmin(same))
+                kept[self.cols[i][:n]] = True
+            self.cols[i] = self.cols[i][:n]
+            self.counts[i] = n
+            if not hit[i] and ops.coarse.blocks[i] is self.coarse.blocks[i]:
+                kept[self.coarse_cols[i]] = True
+            else:  # formed again by update, unless the new block is empty
+                self.coarse_cols[i] = None if ops.coarse.counts[i] else slice(0, 0)
+        if self.prefix is not None and not kept[: self.prefix.n].all():
+            self.prefix = None
+        self._current(system, ops, bases)
+        self.update(range(self.dec.n_subdomains))
+        group = np.full(len(self.rhs), -1)  # of each column: 0 untouched, 1 touched, -1 left M
+        for j in range(self.dec.n_subdomains):
+            for _, q in self._columns(j):
+                group[q] = self.touched[j]
+        order = np.r_[np.flatnonzero(group == 0), np.flatnonzero(group == 1)]
+        self.untouched = int((group == 0).sum())
+        self._move(order)
+        where = np.empty(len(group), dtype=np.int64)
+        where[order] = np.arange(len(order))
+        for i, q in enumerate(self.coarse_cols):  # kept or formed together, so still contiguous
+            if q.stop > q.start:
+                self.coarse_cols[i] = slice(where[q.start], where[q.start] + q.stop - q.start)
+        self.cols = [where[q] for q in self.cols]
+        self.rhs = self._rhs()
+        return self
+
+    def _move(self, order):
+        """Make M's rows and columns ``order`` of the current ones, in place.
+
+        Columns before the first that moves stay where they are; the
+        others are gathered a block of rows, then of columns, at a time,
+        through temporaries of at most ``_MOVE_BLOCK`` entries.
+        """
+        n, room = len(order), self._room
+        moved = np.flatnonzero(order != np.arange(n))
+        s = int(moved[0]) if len(moved) else n
+        src = order[s:]
+        step = max(1, _MOVE_BLOCK // max(n - s, 1))
+        for a in range(0, len(self.M), step):
+            room[a : a + step, s:n] = room[a : a + step, src]
+        for a in range(0, n, step):
+            room[s:n, a : a + step] = room[src, a : a + step]
+        self.M = room[:n, :n]
+
+    def _misses(self, F, c):
+        """Whether F's solution c lies further from the Galerkin solution than ``_BORDER_TOL`` allows.
+
+        Row j of ``M c - rhs`` is ``phi_j^T A e``, e the difference
+        between c's iterate and the Galerkin solution over the kept
+        columns, which is a combination of them, so ``sum_j |c_j (M c -
+        rhs)_j| / c^T rhs`` estimates ``||e||_A^2 / ||Phi c||_A^2`` while
+        c is the larger. A sound factor keeps it far below ``eps /
+        pivot_tol``, the bound that its smallest scaled pivot allows.
+        """
+        kept = F.perm[: F.rank]
+        miss = np.abs(c[kept] * (self.M @ c - self.rhs)[kept]).sum()
+        return miss > _BORDER_TOL * _EPS / self.pivot_tol * max(c @ self.rhs, 0.0)
 
     def dimensions(self):
         return np.r_[self.n0, self.counts]
 
     def solve(self):
-        """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients."""
+        """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients.
+
+        A bordered factor whose solution ``_misses`` the Galerkin solution
+        is replaced by a factor of the whole of M, and the next system
+        starts a new ``prefix``.
+        """
         try:
-            F = factorize(self.M, self.pivot_tol, lead=self.factor)
+            lead = self.factor
+            if lead is None and self.untouched:
+                u = self.untouched
+                lead = self.prefix = factorize(self.M[:u, :u], self.pivot_tol, lead=self.prefix)
+            F = factorize(self.M, self.pivot_tol, lead=lead)
+            c = F.solve(self.rhs)
+            if F.panels and self._misses(F, c):
+                # the bordered factors go first: at large N each holds about N^2 / 2 entries
+                F = lead = self.factor = self.prefix = None
+                F = factorize(self.M, self.pivot_tol)
+                c = F.solve(self.rhs)
         except IndefiniteMatrixError as exc:
             raise IndefiniteMatrixError(f"reduced system not positive semidefinite: {exc}") from exc
         self.factor = F
-        c = F.solve(self.rhs)
         coeff = [c[q] for q in self.cols]
-        blocks = zip(self.coarse.blocks, self.coarse.columns, self.bases, coeff)
+        blocks = zip(self.coarse.blocks, self.coarse_cols, self.bases, coeff)
         parts = [b @ c[q] + B.vectors[:, : len(ci)] @ ci for b, q, B, ci in blocks]
         return self.dec.scatter(np.concatenate(parts)), coeff
 
@@ -252,18 +395,20 @@ class SolveReport:
         return sum(e.coarse_solves for e in self.entries)
 
 
-def lrbas_solve_one(system, dec, ops, bases, opts):
+def lrbas_solve_one(system, dec, ops, bases, opts, rs=None):
     """One reduced basis solve with adaptive enrichment.
 
     ``ops`` must be current for ``system``. Mutates ``bases`` (appends
-    enrichment vectors). Returns the final iterate, the list of each
-    subdomain's basis coefficients in the last reduced solve, the
-    iteration count, per-subdomain correction counts, and the residual
-    history.
+    enrichment vectors). ``rs`` is the reduced system over ``bases``,
+    already re-based on ``system``; a new one is built when it is None.
+    Returns the final iterate, the list of each subdomain's basis
+    coefficients in the last reduced solve, the iteration count,
+    per-subdomain correction counts, and the residual history.
     """
     f = system.f
     nf = np.linalg.norm(f)
-    rs = ReducedSystem(system, dec, ops, bases)
+    if rs is None:
+        rs = ReducedSystem(system, dec, ops, bases)
     x, coeff = rs.solve()
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
@@ -360,15 +505,17 @@ def append_snapshot(snaps, dec, pou, x):
         snaps[i].append(pou.local[i] * x[s.indices])
 
 
-def pou_snapshot_guess(system, dec, ops, snaps):
+def pou_snapshot_guess(system, dec, ops, snaps, rs=None):
     """Initial guess from partition-of-unity snapshots of previous solutions.
 
     Solves the Galerkin system over the coarse space of ``ops`` (current
     for ``system``) plus the snapshot bases ``snaps``, one per subdomain,
     which ``append_snapshot`` fills. With empty snapshot bases this is
-    the coarse-only Galerkin solution.
+    the coarse-only Galerkin solution. ``rs`` is that system, already
+    re-based on ``system``; a new one is built when it is None.
     """
-    rs = ReducedSystem(system, dec, ops, snaps, pivot_tol=_SNAPSHOT_PIVOT_TOL)
+    if rs is None:
+        rs = ReducedSystem(system, dec, ops, snaps, pivot_tol=_SNAPSHOT_PIVOT_TOL)
     x0, _ = rs.solve()
     return x0
 
@@ -378,7 +525,9 @@ def run_sequence(problems, dec, pou=None, opts=None):
 
     Refreshes local factorizations and the GenEO coarse space only for
     subdomains whose index set holds a node of a changed element;
-    step 1 builds everything. A numerical failure anywhere in a step
+    step 1 builds everything. The reduced system over the bases (lrbas)
+    or the snapshots (pcg-guess) is built once and re-based on each
+    later system. A numerical failure anywhere in a step
     (stalled iteration, indefinite matrix, LAPACK error) is raised as
     ConvergenceFailure naming the step, with the report of the steps
     completed before it.
@@ -392,6 +541,7 @@ def run_sequence(problems, dec, pou=None, opts=None):
     snaps = [LocalBasis(len(s.indices)) for s in dec.subdomains]
     ops = None
     coarse = None
+    rs = None
     report = SolveReport(opts.strategy)
     for k, prob in enumerate(problems, start=1):
         try:
@@ -406,14 +556,21 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 ops = LocalOperators.build(prob.system.A, coarse)
             else:
                 ops.refresh(prob.system.A, coarse, changed)
+            if opts.strategy != "pcg":
+                carried = bases if opts.strategy == "lrbas" else snaps
+                if rs is None:
+                    tol = _ENRICH_PIVOT_TOL if opts.strategy == "lrbas" else _SNAPSHOT_PIVOT_TOL
+                    rs = ReducedSystem(prob.system, dec, ops, carried, pivot_tol=tol)
+                else:
+                    rs.rebase(prob.system, ops, carried, changed)
             if opts.strategy == "lrbas":
                 initial = [b.copy() for b in bases]
-                x, coeff, iters, corrections, history = lrbas_solve_one(prob.system, dec, ops, bases, opts)
+                x, coeff, iters, corrections, history = lrbas_solve_one(prob.system, dec, ops, bases, opts, rs=rs)
                 bases = transition_bases(initial, bases, coeff, opts.keep_full_bases)
                 coarse_solves = iters + 1
             else:
                 if opts.strategy == "pcg-guess":
-                    x0 = pou_snapshot_guess(prob.system, dec, ops, snaps)
+                    x0 = pou_snapshot_guess(prob.system, dec, ops, snaps, rs=rs)
                     guess_solves = 1
                 else:
                     x0 = np.zeros(prob.system.n)

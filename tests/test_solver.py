@@ -1,5 +1,6 @@
 """Tests for the reduced basis solver, its enrichment loop, and the CG baselines."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import lrbas.solver
 from lrbas.decomposition import (
     CoarseSpace,
+    Coupling,
     LocalOperators,
     build_decomposition,
     build_geneo_coarse,
@@ -97,6 +99,26 @@ def owners(rs):
     for i, q in enumerate(rs.cols):
         owner[q] = i
     return owner
+
+
+def columns_of(rs, j):
+    """Subdomain j's columns of a reduced system: its coarse block's, then its basis vectors'."""
+    return np.r_[rs.coarse_cols[j], rs.cols[j]]
+
+
+def lifted(dec, bases):
+    """The basis vectors, each lifted to the whole grid, subdomain by subdomain."""
+    cols = []
+    for s, b in zip(dec.subdomains, bases):
+        lift = np.zeros((dec.grid.n_free, b.shape[1]))
+        lift[s.indices] = b
+        cols.append(lift)
+    return np.hstack(cols)
+
+
+# a 40 x 40 port walk whose changes wander over subdomains 4, 7, 8 and 11
+# of a 4 x 4 layout and then come back to them
+CARRY_WALK = ModificationSchedule(({2, 5}, {2, 3, 5}, {3, 5}, {3}, {1, 3}, {1, 3, 6}, {1, 6}))
 
 
 def reduced_space_matrix(dec, coarse, bases):
@@ -434,6 +456,96 @@ class TestReducedSystem:
             rs.solve()
 
 
+class TestCarriedSystem:
+    @pytest.mark.parametrize(
+        "opts",
+        [SolverOptions(), SolverOptions(keep_full_bases=True), SolverOptions(strategy="pcg-guess")],
+        ids=["reset", "keep-full", "snapshots"],
+    )
+    def test_carried_system_equals_a_fresh_build(self, monkeypatch, opts):
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, CARRY_WALK)
+        rebase, solve = ReducedSystem.rebase, ReducedSystem.solve
+        fresh, prefixes, residuals = {}, [], []
+
+        def spy_rebase(rs, system, ops, bases, changed):
+            rebase(rs, system, ops, bases, changed)
+            new = fresh[id(rs)] = ReducedSystem(system, dec, ops, bases, rs.pivot_tol)
+            at = np.empty(len(new.rhs), dtype=np.int64)  # fresh column j is carried column at[j]
+            for j in range(dec.n_subdomains):
+                at[columns_of(new, j)] = columns_of(rs, j)
+            assert np.max(np.abs(rs.M[np.ix_(at, at)] - new.M)) <= 1e-14 * np.abs(new.M).max()
+            assert np.max(np.abs(rs.rhs[at] - new.rhs)) <= 1e-14 * np.abs(new.rhs).max()
+            prefixes.append(rs.prefix is not None)
+            return rs
+
+        def spy_solve(rs):
+            result = solve(rs)
+            new = fresh.pop(id(rs), None)
+            if new is not None:  # the first solve since the re-base, and a fresh one
+                solve(new)
+                residuals.append([np.linalg.norm(s.M @ s.factor.solve(s.rhs) - s.rhs) / np.linalg.norm(s.rhs) for s in (rs, new)])
+            return result
+
+        monkeypatch.setattr(ReducedSystem, "rebase", spy_rebase)
+        monkeypatch.setattr(ReducedSystem, "solve", spy_solve)
+        run_sequence(probs, dec, opts=opts)
+        assert len(residuals) == len(probs) - 1
+        # the changes wander over new subdomains, then the prefix is carried
+        # (until a factor that lost accuracy is replaced, see _misses)
+        assert not any(prefixes[:3]) and prefixes[3]
+        # dropped columns leave a residual at the drop tolerance's level,
+        # and bordering reaches it as a full factor does (measured: within
+        # a factor 2.7, and below 1e-13 where nothing is dropped)
+        for carried, new in residuals:
+            assert carried <= max(10 * new, 1e-10)
+
+    @pytest.mark.parametrize("strategy, built", [("lrbas", 1), ("pcg-guess", 1), ("pcg", 0)])
+    def test_one_system_per_sequence_forms_again_only_changed_blocks(self, monkeypatch, strategy, built):
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, CARRY_WALK)
+        init, update, rebase, local = ReducedSystem.__init__, ReducedSystem.update, ReducedSystem.rebase, Coupling.local
+        log = SimpleNamespace(built=0, updating=False, formed=[], rebases=[])
+
+        def spy_init(rs, *args, **kwargs):
+            log.built += 1
+            init(rs, *args, **kwargs)
+
+        def spy_update(rs, enriched):
+            log.updating = True
+            try:
+                return update(rs, enriched)
+            finally:
+                log.updating = False
+
+        def spy_local(coupling, A, i):
+            if log.updating:  # formed for the reduced system, not for the coarse matrix
+                log.formed.append(i)
+            return local(coupling, A, i)
+
+        def spy_rebase(rs, system, ops, bases, changed):
+            start = len(log.formed)
+            rebase(rs, system, ops, bases, changed)
+            log.rebases.append((set(changed.tolist()), log.formed[start:], set(log.formed[:start])))
+            return rs
+
+        for name, spy in (("__init__", spy_init), ("update", spy_update), ("rebase", spy_rebase)):
+            monkeypatch.setattr(ReducedSystem, name, spy)
+        monkeypatch.setattr(Coupling, "local", spy_local)
+        run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
+        assert log.built == built
+        assert len(log.rebases) == (len(probs) - 1 if built else 0)
+        for changed, formed, before in log.rebases:
+            assert len(formed) == len(set(formed))
+            # a block is formed again only for a changed subdomain; an
+            # unchanged one is formed when its first column comes in
+            assert all(i in changed or i not in before for i in formed)
+        if built:
+            assert any(changed & set(formed) for changed, formed, _ in log.rebases)
+
+
 class TestPcg:
     def test_exact_preconditioner_converges_in_one_iteration(self):
         grid = Grid(10)
@@ -512,9 +624,9 @@ class TestSnapshotGuess:
         carried = []
         guess = lrbas.solver.pou_snapshot_guess
 
-        def spy(system, dec, ops, snaps):
+        def spy(system, dec, ops, snaps, rs=None):
             carried.append([b.vectors.copy() for b in snaps])
-            return guess(system, dec, ops, snaps)
+            return guess(system, dec, ops, snaps, rs=rs)
 
         monkeypatch.setattr(lrbas.solver, "pou_snapshot_guess", spy)
         report = run_sequence(probs, dec, pou, SolverOptions(strategy="pcg-guess"))
@@ -724,6 +836,52 @@ class TestMpcgOracle:
         assert np.max(np.abs(np.subtract(history, want)) / want) <= history_tol
         energy = lambda v: np.sqrt(v @ (A @ v))
         assert max(energy(x - y) / energy(y) for x, y in zip(log.iterates, iterates, strict=True)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "geometry, history_tol, eps_loc",
+        [
+            (MILD_GEOMETRY, 1e-8, 0.0),
+            (MILD_GEOMETRY, 1e-8, 0.25),
+            (SMALL_GEOMETRY, 1e-6, 0.0),
+            # at contrast 1e5 the adaptive case's last residuals part by
+            # 6.1e-5 relative and its iterates by 3.6e-10 in the energy
+            # norm, with no direction dropped, alike when each system
+            # builds its reduced system afresh
+            pytest.param(
+                SMALL_GEOMETRY, 1e-6, 0.25,
+                marks=pytest.mark.xfail(strict=True, reason="oracle gap above the tolerances at contrast 1e5"),
+            ),
+        ],
+        ids=["mild-0.0", "mild-0.25", "contrast-0.0", "contrast-0.25"],
+    )
+    def test_second_system_deflates_the_carried_bases(self, monkeypatch, spy_solver, geometry, history_tol, eps_loc):
+        # system 2 starts from the bases carried out of system 1, which the
+        # re-based reduced system holds with the new coarse space: its
+        # solves are the MPCG iterates deflated by both
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        probs = problem_sequence(grid, geometry, DEFAULT_SCHEDULE)[:2]
+        starts = []
+        solve_one = lrbas.solver.lrbas_solve_one
+
+        def spy(system, dec, ops, bases, opts, rs=None):
+            starts.append((ops.coarse, [b.vectors.copy() for b in bases]))
+            return solve_one(system, dec, ops, bases, opts, rs=rs)
+
+        monkeypatch.setattr(lrbas.solver, "lrbas_solve_one", spy)
+        opts = SolverOptions(eps_loc=eps_loc)
+        report, log = spy_solver(run_sequence, probs, dec, opts=opts)
+        coarse, carried = starts[1]
+        assert sum(b.shape[1] for b in carried) > 0
+        second = report.entries[1]
+        A = probs[1].system.A.to_scipy().toarray()
+        deflation = np.hstack([dense_coarse(dec, coarse), lifted(dec, carried)])
+        want, iterates = mpcg(A, probs[1].system.f, dec, deflation, opts.eps, eps_loc)
+        assert second.iterations == len(want) - 1 > 0
+        assert np.max(np.abs(np.subtract(second.residual_history, want)) / want) <= history_tol
+        energy = lambda v: np.sqrt(v @ (A @ v))
+        got = log.iterates[report.entries[0].coarse_solves :]
+        assert max(energy(x - y) / energy(y) for x, y in zip(got, iterates, strict=True)) <= 1e-10
 
 
 class TestRunSequence:
