@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import _element_nodes, assemble_local_neumann, neumann_plan
-from .linalg import Factorization, SparseSymMatrix, factorize, sym_gen_eig
+from .linalg import factorize, sym_gen_eig
 
 
 @dataclass(frozen=True)
@@ -358,14 +358,15 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
 
 @dataclass
 class LocalOperators:
-    """Factorized local Dirichlet matrices plus the coarse space and matrix.
+    """Factorized local Dirichlet matrices plus the coarse space.
 
     Each local matrix A_i on an index set of ``coarse.dec`` is factored by
     banded Cholesky in the natural (ascending) node order of its index set,
-    where its bandwidth is about the subdomain's width in nodes. ``coarse_matrix`` is the dense
-    ``R0^T A R0`` of ``coarse``, which the preconditioner factors and the
-    reduced systems start from. The caller keeps them current: ``refresh``
-    after each change of system.
+    where its bandwidth is about the subdomain's width in nodes. The caller
+    keeps them current: ``refresh`` after each change of system. The
+    coarse Galerkin matrix is not here: it is the coarse block of a
+    ``ReducedSystem``, whose factor ``_coarse_factor`` gives the
+    preconditioner.
 
     Subdomains whose A_i have the same bytes share one factor object:
     ``shared`` maps the digest of each A_i factored since ``build`` to
@@ -374,21 +375,18 @@ class LocalOperators:
 
     factors: list
     coarse: CoarseSpace
-    coarse_matrix: np.ndarray
-    coarse_factor: Factorization
     shared: dict
 
     @classmethod
     def build(cls, A, coarse):
         shared = {}
         factors = [_local_factor(A.submatrix(idx), shared) for idx in coarse.dec.index_sets]
-        return cls(factors, coarse, *_coarse_factor(A, coarse), shared)
+        return cls(factors, coarse, shared)
 
     def refresh(self, A, coarse, changed):
-        """Refactor changed subdomains and re-form the coarse matrix's blocks that involve them."""
+        """Refactor the changed subdomains and take the new coarse space."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
             self.factors[i] = _local_factor(A.submatrix(coarse.dec.index_sets[i]), self.shared)
-        self.coarse_matrix, self.coarse_factor = _coarse_factor(A, coarse, (self.coarse, self.coarse_matrix, changed))
         self.coarse = coarse
 
 
@@ -400,48 +398,30 @@ def _local_factor(A_i, shared):
     return shared[key]
 
 
-def _coarse_factor(A, coarse, carry=None):
-    """The dense coarse Galerkin matrix R0^T A R0 and its factorization.
+def _coarse_factor(M, cols):
+    """The factor of the coarse Galerkin matrix R0^T A R0 held in a reduced system's M.
 
-    Formed block by block over the coupled subdomain pairs, each pair
-    once and mirrored, so that it is exactly symmetric. ``carry``, the
-    previous coarse space, its matrix and the subdomains whose A_i
-    changed since, keeps the blocks among the other subdomains whose
-    coarse block is the same array: A couples two index sets only
-    through elements with nodes in both, and a changed element flags
-    every subdomain holding one of its nodes.
+    ``cols`` holds each subdomain's coarse columns of M, a slice per
+    subdomain in subdomain order, so that the factor numbers them as
+    ``CoarseSpace.columns`` does.
     """
-    kept = np.zeros(len(coarse.blocks), dtype=bool)
-    if carry is not None:
-        old, old_A0, changed = carry
-        kept[:] = [b is o for b, o in zip(coarse.blocks, old.blocks)]
-        kept[np.asarray(changed, dtype=np.int64)] = False
-    K = np.repeat(kept, coarse.counts)  # the kept columns
-    A0 = np.zeros((coarse.n0, coarse.n0))
-    if K.any():
-        was = np.repeat(kept, old.counts)
-        A0[np.ix_(K, K)] = old_A0[np.ix_(was, was)]
-    blocks = [(i, b, q) for i, (b, q) in enumerate(zip(coarse.blocks, coarse.columns))]
-    galerkin_blocks(
-        lambda i: coarse.dec.coupling.local(A, i), coarse.dec,
-        [c for c in blocks if c[1].shape[1] and not kept[c[0]]], lambda j: (blocks[j][1:],) if kept[j] else (), A0,
-    )
-    A0[np.ix_(~K, K)] = A0[np.ix_(K, ~K)].T
-    return A0, factorize(A0)
+    q = np.r_[tuple(cols)]
+    return factorize(M[np.ix_(q, q)])
 
 
-def apply_as_preconditioner(r, ops):
+def apply_as_preconditioner(r, ops, coarse_factor):
     """Two-level additive Schwarz application M^-1 r.
 
     r is gathered onto the stacked index sets, each segment overwritten
     by its local solve plus its coarse part, and the segments summed by
-    one scatter. ``ops`` must be built or refreshed for r's system; an
-    empty coarse space adds exact zeros.
+    one scatter. ``ops`` must be built or refreshed for r's system and
+    ``coarse_factor`` be the ``_coarse_factor`` of its coarse space on
+    that system; an empty coarse space adds exact zeros.
     """
     coarse = ops.coarse
     dec = coarse.dec
     u = dec.gather(np.asarray(r, dtype=np.float64))
-    c = ops.coarse_factor.solve(np.concatenate([b.T @ u[s] for b, s in zip(coarse.blocks, dec.segments)]))
+    c = coarse_factor.solve(np.concatenate([b.T @ u[s] for b, s in zip(coarse.blocks, dec.segments)]))
     for b, s, q, F in zip(coarse.blocks, dec.segments, coarse.columns, ops.factors):
         u[s] = F.solve(u[s]) + b @ c[q]
     return dec.scatter(u)

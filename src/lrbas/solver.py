@@ -12,7 +12,9 @@ the reduced system is solved again. Between consecutive
 systems of a sequence the bases are either reset to the previous
 initial basis plus the local piece of the converged solution, or kept
 in full, and the reduced system is carried over: it keeps the entries
-and the factor of the columns that no change touched.
+and the factor of the columns that no change touched. The PCG
+baselines carry one too, over their snapshots or over empty bases,
+and their preconditioner factors its coarse block.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from .decomposition import (
     LocalOperators,
+    _coarse_factor,
     apply_as_preconditioner,
     build_geneo_coarse,
     build_partition_of_unity,
@@ -99,14 +102,17 @@ class ReducedSystem:
     formed: M comes from dense blocks over the subdomain pairs that A
     couples (``galerkin_blocks``), each subdomain's columns read in place
     from its coarse block and its basis, rhs from local dot products, and
-    the iterate by one scatter of the subdomains' parts. A new system
-    starts from the coarse matrix of ``ops``, which must be current for
-    ``system``, followed by the basis columns. Enrichment only appends
-    basis columns, so ``update`` borders M with the new columns and
-    recomputes no existing entry, and ``solve`` extends the factor of its
-    last solve by them. A column whose pivot falls to ``pivot_tol`` times
-    its own diagonal entry of M depends on the span in the A-norm and is
-    dropped.
+    the iterate by one scatter of the subdomains' parts. A new system is
+    a re-base of an empty one: ``update`` forms every column, subdomain
+    by subdomain, its coarse block and then its basis vectors, with
+    ``ops`` current for ``system``. Over empty bases M is the coarse
+    Galerkin matrix ``R0^T A R0``, and on any system the coarse columns
+    hold it, whose factor the preconditioner takes (``_coarse_factor``).
+    Enrichment only appends basis columns, so ``update`` borders M with
+    the new columns and recomputes no existing entry, and ``solve``
+    extends the factor of its last solve by them. A column whose pivot
+    falls to ``pivot_tol`` times its own diagonal entry of M depends on
+    the span in the A-norm and is dropped.
 
     One reduced system serves a whole sequence: ``rebase`` carries it to
     the next system. The ``untouched`` columns, those of the subdomains
@@ -122,15 +128,16 @@ class ReducedSystem:
         self.dec = dec
         self.pivot_tol = pivot_tol
         self._locals = {}
-        self.M = self._room = ops.coarse_matrix.copy()
-        self.coarse_cols = list(ops.coarse.columns)
+        self.M = self._room = np.zeros((0, 0))
+        self.rhs = np.zeros(0)
+        self.coarse_cols = [None if m else slice(0, 0) for m in ops.coarse.counts]  # None: not yet in M
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
         self.cols = [np.zeros(0, dtype=np.int64)] * dec.n_subdomains
         self.touched = np.zeros(dec.n_subdomains, dtype=bool)  # changed by a system so far
         self.prefix = None
         self._current(system, ops, bases)
-        self.rhs = self._rhs()
         self.update(range(dec.n_subdomains))
+        self.rhs = self._rhs()  # as a re-base forms it
         self.untouched = len(self.rhs)
 
     def _current(self, system, ops, bases):
@@ -141,10 +148,17 @@ class ReducedSystem:
         self.factor = None  # of M's leading block, from the last solve
 
     def _local(self, i):
-        """``A[ext_i, idx_i]``, formed on first use (see ``Coupling``)."""
-        if i not in self._locals:
-            self._locals[i] = self.dec.coupling.local(self.system.A, i)
-        return self._locals[i]
+        """``A[ext_i, idx_i]`` (see ``Coupling``), kept once subdomain i has basis vectors.
+
+        Only new basis vectors form a block again on the same system, so
+        a subdomain without any would keep it for nothing.
+        """
+        if i in self._locals:
+            return self._locals[i]
+        local = self.dec.coupling.local(self.system.A, i)
+        if self.bases[i].dim:
+            self._locals[i] = local
+        return local
 
     def _columns(self, j):
         """Subdomain j's column blocks in M, each with its columns of M."""
@@ -164,15 +178,16 @@ class ReducedSystem:
     def update(self, enriched):
         """Append the columns of ``enriched`` subdomains not yet in M, bordering M and rhs.
 
-        These are the basis vectors added since the last update and,
-        after a re-base, a changed subdomain's coarse block.
+        These are the basis vectors added since the last update and, on
+        a new or re-based system, the coarse blocks not yet in M.
         """
         N = k = len(self.rhs)
         new = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             Y = self.bases[i].vectors[:, self.counts[i]:]
             if self.coarse_cols[i] is None:
-                Y = np.hstack([self.coarse.blocks[i], Y])
+                # read in place when it comes alone: a copy changes the roundoff
+                Y = np.hstack([self.coarse.blocks[i], Y]) if Y.shape[1] else self.coarse.blocks[i]
             if Y.shape[1]:
                 new.append((i, Y, slice(k, k + Y.shape[1])))
                 k += Y.shape[1]
@@ -395,20 +410,19 @@ class SolveReport:
         return sum(e.coarse_solves for e in self.entries)
 
 
-def lrbas_solve_one(system, dec, ops, bases, opts, rs=None):
+def lrbas_solve_one(rs, ops, opts):
     """One reduced basis solve with adaptive enrichment.
 
-    ``ops`` must be current for ``system``. Mutates ``bases`` (appends
-    enrichment vectors). ``rs`` is the reduced system over ``bases``,
-    already re-based on ``system``; a new one is built when it is None.
-    Returns the final iterate, the list of each subdomain's basis
-    coefficients in the last reduced solve, the iteration count,
-    per-subdomain correction counts, and the residual history.
+    ``rs`` is the reduced system over the bases, built or re-based on
+    its system, and ``ops`` must be current for that system. Mutates
+    ``rs.bases`` (appends enrichment vectors). Returns the final
+    iterate, the list of each subdomain's basis coefficients in the last
+    reduced solve, the iteration count, per-subdomain correction counts,
+    and the residual history.
     """
+    system, dec, bases = rs.system, rs.dec, rs.bases
     f = system.f
     nf = np.linalg.norm(f)
-    if rs is None:
-        rs = ReducedSystem(system, dec, ops, bases)
     x, coeff = rs.solve()
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
@@ -462,12 +476,14 @@ def transition_bases(initial, final, coeff, keep_full):
     return out
 
 
-def pcg(system, ops, x0, eps, max_iter):
+def pcg(system, ops, coarse_factor, x0, eps, max_iter):
     """Preconditioned conjugate gradients with recomputed residuals.
 
-    ``ops`` must be current for ``system``. Returns (solution, iterations,
-    relative residual history); the history starts with the residual of
-    the initial guess. One preconditioner application per iteration.
+    ``ops`` must be current for ``system`` and ``coarse_factor`` be the
+    factor of its coarse Galerkin matrix (see ``apply_as_preconditioner``).
+    Returns (solution, iterations, relative residual history); the
+    history starts with the residual of the initial guess. One
+    preconditioner application per iteration.
     """
     f = system.f
     nf = np.linalg.norm(f)
@@ -476,7 +492,7 @@ def pcg(system, ops, x0, eps, max_iter):
     history = [np.linalg.norm(r) / nf if nf else 0.0]
     if history[-1] <= eps:
         return x, 0, history
-    z = apply_as_preconditioner(r, ops)
+    z = apply_as_preconditioner(r, ops, coarse_factor)
     p = z.copy()
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
@@ -489,7 +505,7 @@ def pcg(system, ops, x0, eps, max_iter):
         history.append(np.linalg.norm(r) / nf if nf else 0.0)
         if history[-1] <= eps:
             return x, it, history
-        z = apply_as_preconditioner(r, ops)
+        z = apply_as_preconditioner(r, ops, coarse_factor)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -505,17 +521,13 @@ def append_snapshot(snaps, dec, pou, x):
         snaps[i].append(pou.local[i] * x[s.indices])
 
 
-def pou_snapshot_guess(system, dec, ops, snaps, rs=None):
+def pou_snapshot_guess(rs):
     """Initial guess from partition-of-unity snapshots of previous solutions.
 
-    Solves the Galerkin system over the coarse space of ``ops`` (current
-    for ``system``) plus the snapshot bases ``snaps``, one per subdomain,
-    which ``append_snapshot`` fills. With empty snapshot bases this is
-    the coarse-only Galerkin solution. ``rs`` is that system, already
-    re-based on ``system``; a new one is built when it is None.
+    Solves ``rs``, the Galerkin system over the coarse space plus the
+    snapshot bases, one per subdomain, which ``append_snapshot`` fills.
+    With empty snapshot bases this is the coarse-only Galerkin solution.
     """
-    if rs is None:
-        rs = ReducedSystem(system, dec, ops, snaps, pivot_tol=_SNAPSHOT_PIVOT_TOL)
     x0, _ = rs.solve()
     return x0
 
@@ -525,9 +537,11 @@ def run_sequence(problems, dec, pou=None, opts=None):
 
     Refreshes local factorizations and the GenEO coarse space only for
     subdomains whose index set holds a node of a changed element;
-    step 1 builds everything. The reduced system over the bases (lrbas)
-    or the snapshots (pcg-guess) is built once and re-based on each
-    later system. A numerical failure anywhere in a step
+    step 1 builds everything. One reduced system per sequence, over the
+    bases (lrbas) or the snapshots (pcg-guess; pcg's stay empty), is
+    built on step 1 and re-based on each later system; the PCG
+    strategies factor its coarse block for the preconditioner once per
+    system. A numerical failure anywhere in a step
     (stalled iteration, indefinite matrix, LAPACK error) is raised as
     ConvergenceFailure naming the step, with the report of the steps
     completed before it.
@@ -556,26 +570,26 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 ops = LocalOperators.build(prob.system.A, coarse)
             else:
                 ops.refresh(prob.system.A, coarse, changed)
-            if opts.strategy != "pcg":
-                carried = bases if opts.strategy == "lrbas" else snaps
-                if rs is None:
-                    tol = _ENRICH_PIVOT_TOL if opts.strategy == "lrbas" else _SNAPSHOT_PIVOT_TOL
-                    rs = ReducedSystem(prob.system, dec, ops, carried, pivot_tol=tol)
-                else:
-                    rs.rebase(prob.system, ops, carried, changed)
+            carried = bases if opts.strategy == "lrbas" else snaps
+            if rs is None:
+                tol = _ENRICH_PIVOT_TOL if opts.strategy == "lrbas" else _SNAPSHOT_PIVOT_TOL
+                rs = ReducedSystem(prob.system, dec, ops, carried, pivot_tol=tol)
+            else:
+                rs.rebase(prob.system, ops, carried, changed)
             if opts.strategy == "lrbas":
                 initial = [b.copy() for b in bases]
-                x, coeff, iters, corrections, history = lrbas_solve_one(prob.system, dec, ops, bases, opts, rs=rs)
+                x, coeff, iters, corrections, history = lrbas_solve_one(rs, ops, opts)
                 bases = transition_bases(initial, bases, coeff, opts.keep_full_bases)
                 coarse_solves = iters + 1
             else:
+                coarse_factor = _coarse_factor(rs.M, rs.coarse_cols)
                 if opts.strategy == "pcg-guess":
-                    x0 = pou_snapshot_guess(prob.system, dec, ops, snaps, rs=rs)
+                    x0 = pou_snapshot_guess(rs)
                     guess_solves = 1
                 else:
                     x0 = np.zeros(prob.system.n)
                     guess_solves = 0
-                x, iters, history = pcg(prob.system, ops, x0, opts.eps, opts.max_iter)
+                x, iters, history = pcg(prob.system, ops, coarse_factor, x0, opts.eps, opts.max_iter)
                 if opts.strategy == "pcg-guess":
                     append_snapshot(snaps, dec, pou, x)
                 corrections = np.full(I, iters, dtype=np.int64)

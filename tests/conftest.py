@@ -9,6 +9,7 @@ import scipy
 
 import lrbas.linalg
 import lrbas.solver
+from lrbas.decomposition import _coarse_factor
 from lrbas.solver import LocalBasis, ReducedSystem
 
 
@@ -45,6 +46,20 @@ def neighbors():
         return [tuple(G.indices[a:b].tolist()) for a, b in zip(G.indptr, G.indptr[1:])]
 
     return read
+
+
+@pytest.fixture
+def coarse_factor():
+    """``coarse_factor(system, ops)``: the preconditioner's coarse factor on
+    ``system``, taken as ``run_sequence`` takes it, from the coarse block
+    of a reduced system over empty bases."""
+
+    def factor(system, ops):
+        dec = ops.coarse.dec
+        rs = ReducedSystem(system, dec, ops, [LocalBasis(len(idx)) for idx in dec.index_sets])
+        return _coarse_factor(rs.M, rs.coarse_cols)
+
+    return factor
 
 
 @pytest.fixture

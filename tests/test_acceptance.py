@@ -37,7 +37,7 @@ from lrbas import (
     run_sequence,
 )
 from lrbas.decomposition import LocalOperators, build_geneo_coarse, build_partition_of_unity
-from lrbas.solver import lrbas_solve_one
+from lrbas.solver import ReducedSystem, lrbas_solve_one
 
 MILD_GEOMETRY = ChannelGeometry(
     sigma_high=11.0,
@@ -139,7 +139,7 @@ def test_criterion_3_invariant_suite(small_scale, spy_solver):
         ops = LocalOperators.build(prob.system.A, coarse)
         bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
         opts = SolverOptions(strategy="lrbas", eps_loc=eps_loc)
-        _, log = spy_solver(lrbas_solve_one, prob.system, dec, ops, bases, opts)
+        _, log = spy_solver(lrbas_solve_one, ReducedSystem(prob.system, dec, ops, bases), ops, opts)
 
         A = prob.system.A.to_scipy().toarray()
         x_exact = direct_solve(prob.system)

@@ -28,6 +28,7 @@ from lrbas.fem import (
 )
 from lrbas.linalg import ConvergenceFailure, IndefiniteMatrixError
 from lrbas.solver import (
+    STRATEGIES,
     LocalBasis,
     ReducedSystem,
     SolverOptions,
@@ -106,6 +107,25 @@ def columns_of(rs, j):
     return np.r_[rs.coarse_cols[j], rs.cols[j]]
 
 
+def matching_columns(rs, fresh):
+    """``at`` such that column j of ``fresh`` is column ``at[j]`` of ``rs``, subdomain by subdomain."""
+    at = np.empty(len(fresh.rhs), dtype=np.int64)
+    for j in range(fresh.dec.n_subdomains):
+        at[columns_of(fresh, j)] = columns_of(rs, j)
+    return at
+
+
+def coarse_block(rs):
+    """The coarse Galerkin block of a reduced system's M, its columns in subdomain order."""
+    q = np.r_[tuple(rs.coarse_cols)]
+    return rs.M[np.ix_(q, q)]
+
+
+def snapshot_system(system, dec, ops, snaps):
+    """The reduced system over snapshot bases, as ``run_sequence`` builds it for pcg-guess."""
+    return ReducedSystem(system, dec, ops, snaps, pivot_tol=lrbas.solver._SNAPSHOT_PIVOT_TOL)
+
+
 def lifted(dec, bases):
     """The basis vectors, each lifted to the whole grid, subdomain by subdomain."""
     cols = []
@@ -140,25 +160,26 @@ class SparseBorder:
     A reference copy: the columns are lifted into one global sparse W,
     and each update forms ``A @ Y``, ``W^T (AY)`` and ``Y^T (AY)`` as
     sparse products and appends Y to W with ``sp.hstack``. Columns stand
-    in the order ``ReducedSystem`` appends them.
+    in the order ``ReducedSystem`` appends them: on construction each
+    subdomain's coarse block, then its basis vectors.
     """
 
     def __init__(self, system, dec, ops, bases):
         self.A, self.f, self.dec, self.bases = system.A.to_scipy(), system.f, dec, bases
-        self.W = self.lift(dec, enumerate(ops.coarse.blocks))
-        A0 = (self.W.T @ (self.A @ self.W)).toarray()
-        self.M = 0.5 * (A0 + A0.T)
-        self.rhs = self.W.T @ system.f
+        self.W = sp.csc_matrix((dec.grid.n_free, 0))
+        self.M, self.rhs = np.zeros((0, 0)), np.zeros(0)
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
-        self.update(range(dec.n_subdomains))
+        self.update(range(dec.n_subdomains), ops.coarse.blocks)
 
-    def update(self, enriched):
+    def update(self, enriched, coarse_blocks=None):
         blocks = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
             new = self.bases[i].vectors[:, self.counts[i]:]
+            self.counts[i] += new.shape[1]
+            if coarse_blocks is not None:
+                new = np.hstack([coarse_blocks[i], new])
             if new.shape[1]:
                 blocks.append((i, new))
-                self.counts[i] += new.shape[1]
         if not blocks:
             return
         Y = self.lift(self.dec, blocks)
@@ -302,13 +323,13 @@ class TestReducedSystem:
         rs = ReducedSystem(system, dec, ops, empty_bases(dec))
         R0 = dense_coarse(dec, coarse)
         A0 = R0.T @ (system.A.to_scipy() @ R0)
+        # over empty bases the columns stand as the coarse space numbers
+        # them, so M is the coarse matrix that the preconditioner factors
+        assert np.array_equal(np.r_[tuple(rs.coarse_cols)], np.arange(coarse.n0))
         # the block assembly sums in another order than the dense product
-        assert np.max(np.abs(ops.coarse_matrix - A0)) <= 1e-13 * np.abs(A0).max()
-        # each block is formed once and mirrored, and the preconditioner's
-        # coarse matrix is the reduced system's coarse block, bit for bit
-        assert np.array_equal(ops.coarse_matrix, ops.coarse_matrix.T)
-        n0 = coarse.n0
-        assert np.array_equal(rs.M[:n0, :n0], ops.coarse_matrix)
+        assert np.max(np.abs(rs.M - A0)) <= 1e-13 * np.abs(A0).max()
+        # each block is formed once and mirrored
+        assert np.array_equal(rs.M, rs.M.T)
         x, coeff = rs.solve()
         want = R0 @ np.linalg.solve(A0, R0.T @ system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
@@ -387,9 +408,10 @@ class TestReducedSystem:
                     enriched.append(i)
             rs.update(enriched)
         fresh = ReducedSystem(system, dec, ops, bases)
-        # a fresh system appends subdomain by subdomain; map the
-        # incremental one's columns by owner, each owner's in basis order
-        at = np.argsort(owners(rs), kind="stable")
+        # a fresh system forms subdomain by subdomain, the incremental one
+        # appended each sweep's vectors: match them by subdomain, each
+        # subdomain's in basis order
+        at = matching_columns(rs, fresh)
         assert np.array_equal(owners(rs)[at], owners(fresh))
         scale = np.abs(fresh.M).max()
         assert np.max(np.abs(rs.M[np.ix_(at, at)] - fresh.M)) <= 1e-12 * scale
@@ -425,7 +447,7 @@ class TestReducedSystem:
         A = system.A.to_scipy().toarray()
         R0 = dense_coarse(dec, coarse)
         A0 = R0.T @ A @ R0
-        assert np.max(np.abs(ops.coarse_matrix - A0)) <= 1e-12 * np.abs(A0).max()
+        assert np.max(np.abs(coarse_block(rs) - A0)) <= 1e-12 * np.abs(A0).max()
         phi = reduced_space_matrix(dec, coarse, bases)
         at = np.argsort(owners(rs), kind="stable")  # phi column j is rs column at[j]
         want = phi.T @ A @ phi
@@ -472,9 +494,7 @@ class TestCarriedSystem:
         def spy_rebase(rs, system, ops, bases, changed):
             rebase(rs, system, ops, bases, changed)
             new = fresh[id(rs)] = ReducedSystem(system, dec, ops, bases, rs.pivot_tol)
-            at = np.empty(len(new.rhs), dtype=np.int64)  # fresh column j is carried column at[j]
-            for j in range(dec.n_subdomains):
-                at[columns_of(new, j)] = columns_of(rs, j)
+            at = matching_columns(rs, new)
             assert np.max(np.abs(rs.M[np.ix_(at, at)] - new.M)) <= 1e-14 * np.abs(new.M).max()
             assert np.max(np.abs(rs.rhs[at] - new.rhs)) <= 1e-14 * np.abs(new.rhs).max()
             prefixes.append(rs.prefix is not None)
@@ -513,9 +533,7 @@ class TestCarriedSystem:
         rs.rebase(system, ops, bases, np.arange(dec.n_subdomains))
         assert rs.prefix is None and rs.untouched == 0 and rs.touched.all()
         fresh = ReducedSystem(system, dec, ops, bases)
-        at = np.empty(len(fresh.rhs), dtype=np.int64)
-        for j in range(dec.n_subdomains):
-            at[columns_of(fresh, j)] = columns_of(rs, j)
+        at = matching_columns(rs, fresh)
         assert np.max(np.abs(rs.M[np.ix_(at, at)] - fresh.M)) <= 1e-14 * np.abs(fresh.M).max()
         assert np.array_equal(rs.rhs[at], fresh.rhs)
         x, _ = rs.solve()
@@ -523,8 +541,8 @@ class TestCarriedSystem:
         # the columns stand in another order, so the pivots differ (measured 2e-9 to 4.5e-9)
         assert np.linalg.norm(x - y) <= 1e-7 * np.linalg.norm(y)
 
-    @pytest.mark.parametrize("strategy, built", [("lrbas", 1), ("pcg-guess", 1), ("pcg", 0)])
-    def test_one_system_per_sequence_forms_again_only_changed_blocks(self, monkeypatch, strategy, built):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_system_per_sequence_forms_again_only_changed_blocks(self, monkeypatch, strategy):
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, CARRY_WALK)
@@ -543,68 +561,107 @@ class TestCarriedSystem:
                 log.updating = False
 
         def spy_local(coupling, A, i):
-            if log.updating:  # formed for the reduced system, not for the coarse matrix
-                log.formed.append(i)
+            assert log.updating  # the reduced system forms every block, the coarse ones too
+            log.formed.append(i)
             return local(coupling, A, i)
 
         def spy_rebase(rs, system, ops, bases, changed):
-            start = len(log.formed)
+            start, empty = len(log.formed), set(np.flatnonzero(rs.counts == 0).tolist())
             rebase(rs, system, ops, bases, changed)
-            log.rebases.append((set(changed.tolist()), log.formed[start:], set(log.formed[:start])))
+            log.rebases.append((set(changed.tolist()), log.formed[start:], empty))
             return rs
 
         for name, spy in (("__init__", spy_init), ("update", spy_update), ("rebase", spy_rebase)):
             monkeypatch.setattr(ReducedSystem, name, spy)
         monkeypatch.setattr(Coupling, "local", spy_local)
         run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
-        assert log.built == built
-        assert len(log.rebases) == (len(probs) - 1 if built else 0)
-        for changed, formed, before in log.rebases:
+        assert log.built == 1
+        assert len(log.rebases) == len(probs) - 1
+        for changed, formed, empty in log.rebases:
             assert len(formed) == len(set(formed))
             # a block is formed again only for a changed subdomain; an
-            # unchanged one is formed when its first column comes in
-            assert all(i in changed or i not in before for i in formed)
-        if built:
-            assert any(changed & set(formed) for changed, formed, _ in log.rebases)
+            # unchanged one is formed when its first basis column comes in
+            assert all(i in changed or i in empty for i in formed)
+        assert any(changed & set(formed) for changed, formed, _ in log.rebases)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_carried_coarse_block_is_the_coarse_galerkin_matrix(self, monkeypatch, strategy):
+        # the one carried system holds R0^T A R0 on every system, and the
+        # PCG strategies factor it for the preconditioner once per system
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, CARRY_WALK)
+        init, rebase, factor = ReducedSystem.__init__, ReducedSystem.rebase, lrbas.solver._coarse_factor
+        carried, factored = [], []
+
+        def check(rs):
+            R0 = dense_coarse(dec, rs.coarse)
+            want = R0.T @ (rs.system.A.to_scipy() @ R0)
+            got = coarse_block(rs)
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+            carried.append(rs)
+
+        def spy_init(rs, *args, **kwargs):
+            init(rs, *args, **kwargs)
+            check(rs)
+
+        def spy_rebase(rs, *args):
+            rebase(rs, *args)
+            check(rs)
+            return rs
+
+        def spy_factor(M, cols):
+            assert M is carried[-1].M and cols is carried[-1].coarse_cols
+            factored.append(len(carried))
+            return factor(M, cols)
+
+        monkeypatch.setattr(ReducedSystem, "__init__", spy_init)
+        monkeypatch.setattr(ReducedSystem, "rebase", spy_rebase)
+        monkeypatch.setattr(lrbas.solver, "_coarse_factor", spy_factor)
+        run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
+        assert len(carried) == len(probs) and len({id(rs) for rs in carried}) == 1
+        assert factored == ([] if strategy == "lrbas" else list(range(1, len(probs) + 1)))
 
 
 class TestPcg:
-    def test_exact_preconditioner_converges_in_one_iteration(self):
+    def test_exact_preconditioner_converges_in_one_iteration(self, coarse_factor):
         grid = Grid(10)
         system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
         dec = build_decomposition(grid, 1, 1)
         ops = LocalOperators.build(system.A, empty_coarse(dec))
-        x, iters, history = pcg(system, ops, np.zeros(system.n), 1e-10, 50)
+        x, iters, history = pcg(system, ops, coarse_factor(system, ops), np.zeros(system.n), 1e-10, 50)
         assert iters == 1
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
         assert np.allclose(x, want, atol=1e-8 * np.abs(want).max())
 
-    def test_reported_residuals_are_true_residuals(self):
+    def test_reported_residuals_are_true_residuals(self, coarse_factor):
         system, dec, _, _, ops = _CACHE20()
-        x, iters, history = pcg(system, ops, np.zeros(system.n), 1e-8, 100)
+        x, iters, history = pcg(system, ops, coarse_factor(system, ops), np.zeros(system.n), 1e-8, 100)
         recomputed = np.linalg.norm(system.f - system.A.matvec(x)) / np.linalg.norm(system.f)
         assert history[-1] == pytest.approx(recomputed, rel=1e-13)
         assert history[-1] <= 1e-8
         assert len(history) == iters + 1
 
-    def test_warm_start_reduces_initial_residual(self):
+    def test_warm_start_reduces_initial_residual(self, coarse_factor):
         system, dec, _, _, ops = _CACHE20()
+        F0 = coarse_factor(system, ops)
         x_exact = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
-        _, iters_cold, _ = pcg(system, ops, np.zeros(system.n), 1e-8, 100)
-        _, iters_warm, history = pcg(system, ops, 0.999 * x_exact, 1e-8, 100)
+        _, iters_cold, _ = pcg(system, ops, F0, np.zeros(system.n), 1e-8, 100)
+        _, iters_warm, history = pcg(system, ops, F0, 0.999 * x_exact, 1e-8, 100)
         assert history[0] < 1e-2
         assert iters_warm <= iters_cold
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, coarse_factor):
         system, dec, _, _, ops = _CACHE20()
         with pytest.raises(ConvergenceFailure, match="pcg stalled at relative residual"):
-            pcg(system, ops, np.zeros(system.n), 1e-12, 2)
+            pcg(system, ops, coarse_factor(system, ops), np.zeros(system.n), 1e-12, 2)
 
 
 class TestSnapshotGuess:
     def test_no_previous_solutions_gives_coarse_galerkin(self):
         system, dec, pou, coarse, ops = _CONSTANT12()
-        x0 = pou_snapshot_guess(system, dec, ops, empty_bases(dec))
+        x0 = pou_snapshot_guess(snapshot_system(system, dec, ops, empty_bases(dec)))
         R0 = dense_coarse(dec, coarse)
         A0 = R0.T @ (system.A.to_scipy() @ R0)
         want = R0 @ np.linalg.solve(A0, R0.T @ system.f)
@@ -616,7 +673,7 @@ class TestSnapshotGuess:
         x_exact = np.linalg.solve(A, system.f)
         snaps = empty_bases(dec)
         append_snapshot(snaps, dec, pou, x_exact)
-        x0 = pou_snapshot_guess(system, dec, ops, snaps)
+        x0 = pou_snapshot_guess(snapshot_system(system, dec, ops, snaps))
         err = x_exact - x0
         rel = np.sqrt(err @ (A @ err)) / np.sqrt(x_exact @ (A @ x_exact))
         assert rel < 1e-8
@@ -632,7 +689,7 @@ class TestSnapshotGuess:
         ops = LocalOperators.build(probs[1].system.A, coarse)
         snaps = empty_bases(dec)
         append_snapshot(snaps, dec, pou, prev_x)
-        x0 = pou_snapshot_guess(probs[1].system, dec, ops, snaps)
+        x0 = pou_snapshot_guess(snapshot_system(probs[1].system, dec, ops, snaps))
         A = probs[1].system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, probs[1].system.f)
         e = x_exact - x0
@@ -646,9 +703,9 @@ class TestSnapshotGuess:
         carried = []
         guess = lrbas.solver.pou_snapshot_guess
 
-        def spy(system, dec, ops, snaps, rs=None):
-            carried.append([b.vectors.copy() for b in snaps])
-            return guess(system, dec, ops, snaps, rs=rs)
+        def spy(rs):
+            carried.append([b.vectors.copy() for b in rs.bases])
+            return guess(rs)
 
         monkeypatch.setattr(lrbas.solver, "pou_snapshot_guess", spy)
         report = run_sequence(probs, dec, pou, SolverOptions(strategy="pcg-guess"))
@@ -711,7 +768,7 @@ class TestSolveOne:
         opts = SolverOptions(eps=1e-6, eps_loc=0.0)
         bases = empty_bases(dec)
         (x, coeff, iters, corrections, history), log = spy_solver(
-            lrbas_solve_one, system, dec, ops, bases, opts
+            lrbas_solve_one, ReducedSystem(system, dec, ops, bases), ops, opts
         )
         A = system.A.to_scipy().toarray()
         x_exact = np.linalg.solve(A, system.f)
@@ -758,7 +815,7 @@ class TestSolveOne:
         dec = build_decomposition(grid, 1, 1)
         ops = LocalOperators.build(system.A, empty_coarse(dec))
         opts = SolverOptions(eps=1e-10, eps_loc=0.0)
-        x, _, iters, corrections, history = lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
+        x, _, iters, corrections, history = lrbas_solve_one(ReducedSystem(system, dec, ops, empty_bases(dec)), ops, opts)
         assert iters == 1
         assert corrections.sum() == 1
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
@@ -768,7 +825,7 @@ class TestSolveOne:
         system, dec, _, _, ops = _CACHE20()
         opts = SolverOptions(eps=1e-12, eps_loc=0.25, max_iter=1)
         with pytest.raises(ConvergenceFailure) as info:
-            lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
+            lrbas_solve_one(ReducedSystem(system, dec, ops, empty_bases(dec)), ops, opts)
         iters, corrections, history, x = info.value.report
         assert iters == 1
         assert len(history) == 2
@@ -785,7 +842,7 @@ class TestSolveOne:
             monkeypatch.setattr(LocalBasis, "append", lambda basis, y: False)
         opts = SolverOptions(eps=1e-12, eps_loc=eps_loc, max_iter=200)
         with pytest.raises(ConvergenceFailure, match=cause) as info:
-            lrbas_solve_one(system, dec, ops, empty_bases(dec), opts)
+            lrbas_solve_one(ReducedSystem(system, dec, ops, empty_bases(dec)), ops, opts)
         iters, corrections, history, x = info.value.report
         assert iters == 0
         assert len(history) == 1
@@ -797,7 +854,7 @@ class TestSolveOne:
         f[0] = np.nan
         opts = SolverOptions(max_iter=2)
         with pytest.raises(ConvergenceFailure, match="stalled at relative residual nan"):
-            lrbas_solve_one(replace(system, f=f), dec, ops, empty_bases(dec), opts)
+            lrbas_solve_one(ReducedSystem(replace(system, f=f), dec, ops, empty_bases(dec)), ops, opts)
 
 
 def mpcg(A, f, dec, R0, eps, eps_loc, max_iter=50):
@@ -851,7 +908,8 @@ class TestMpcgOracle:
         coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
         ops = LocalOperators.build(prob.system.A, coarse)
         opts = SolverOptions(eps_loc=eps_loc)
-        (_, _, iters, _, history), log = spy_solver(lrbas_solve_one, prob.system, dec, ops, empty_bases(dec), opts)
+        rs = ReducedSystem(prob.system, dec, ops, empty_bases(dec))
+        (_, _, iters, _, history), log = spy_solver(lrbas_solve_one, rs, ops, opts)
         A = prob.system.A.to_scipy().toarray()
         want, iterates = mpcg(A, prob.system.f, dec, dense_coarse(dec, coarse), opts.eps, eps_loc)
         assert iters == len(want) - 1 > 0
@@ -886,9 +944,9 @@ class TestMpcgOracle:
         starts = []
         solve_one = lrbas.solver.lrbas_solve_one
 
-        def spy(system, dec, ops, bases, opts, rs=None):
-            starts.append((ops.coarse, [b.vectors.copy() for b in bases]))
-            return solve_one(system, dec, ops, bases, opts, rs=rs)
+        def spy(rs, ops, opts):
+            starts.append((rs.coarse, [b.vectors.copy() for b in rs.bases]))
+            return solve_one(rs, ops, opts)
 
         monkeypatch.setattr(lrbas.solver, "lrbas_solve_one", spy)
         opts = SolverOptions(eps_loc=eps_loc)
