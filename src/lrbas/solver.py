@@ -102,10 +102,10 @@ class ReducedSystem:
     formed: M comes from dense blocks over the subdomain pairs that A
     couples (``galerkin_blocks``), each subdomain's columns read in place
     from its coarse block and its basis, rhs from local dot products, and
-    the iterate by one scatter of the subdomains' parts. A new system is
-    a re-base of an empty one: ``update`` forms every column, subdomain
-    by subdomain, its coarse block and then its basis vectors, with
-    ``ops`` current for ``system``. Over empty bases M is the coarse
+    the iterate by one scatter of the subdomains' parts. A new system
+    forms its columns by ``update``, with ``ops`` current for ``system``:
+    first every coarse block, as the coarse space numbers them, then the
+    basis vectors, subdomain by subdomain. Over empty bases M is the coarse
     Galerkin matrix ``R0^T A R0``, and on any system the coarse columns
     hold it, whose factor the preconditioner takes (``_coarse_factor``).
     Enrichment only appends basis columns, so ``update`` borders M with
@@ -136,6 +136,7 @@ class ReducedSystem:
         self.touched = np.zeros(dec.n_subdomains, dtype=bool)  # changed by a system so far
         self.prefix = None
         self._current(system, ops, bases)
+        self.update(range(dec.n_subdomains), coarse_only=True)
         self.update(range(dec.n_subdomains))
         self.rhs = self._rhs()  # as a re-base forms it
         self.untouched = len(self.rhs)
@@ -175,16 +176,17 @@ class ReducedSystem:
                 rhs[q] = V.T @ f[idx]
         return rhs
 
-    def update(self, enriched):
+    def update(self, enriched, coarse_only=False):
         """Append the columns of ``enriched`` subdomains not yet in M, bordering M and rhs.
 
         These are the basis vectors added since the last update and, on
-        a new or re-based system, the coarse blocks not yet in M.
+        a new or re-based system, the coarse blocks not yet in M;
+        ``coarse_only`` leaves the basis vectors to a later update.
         """
         N = k = len(self.rhs)
         new = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
-            Y = self.bases[i].vectors[:, self.counts[i]:]
+            Y = self.bases[i].vectors[:, self.counts[i] : self.counts[i] if coarse_only else None]
             if self.coarse_cols[i] is None:
                 # read in place when it comes alone: a copy changes the roundoff
                 Y = np.hstack([self.coarse.blocks[i], Y]) if Y.shape[1] else self.coarse.blocks[i]

@@ -160,8 +160,8 @@ class SparseBorder:
     A reference copy: the columns are lifted into one global sparse W,
     and each update forms ``A @ Y``, ``W^T (AY)`` and ``Y^T (AY)`` as
     sparse products and appends Y to W with ``sp.hstack``. Columns stand
-    in the order ``ReducedSystem`` appends them: on construction each
-    subdomain's coarse block, then its basis vectors.
+    in the order ``ReducedSystem`` appends them: on construction every
+    coarse block, then each subdomain's basis vectors.
     """
 
     def __init__(self, system, dec, ops, bases):
@@ -170,14 +170,16 @@ class SparseBorder:
         self.M, self.rhs = np.zeros((0, 0)), np.zeros(0)
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
         self.update(range(dec.n_subdomains), ops.coarse.blocks)
+        self.update(range(dec.n_subdomains))
 
     def update(self, enriched, coarse_blocks=None):
         blocks = []
         for i in np.unique(np.asarray(enriched, dtype=np.int64)):
-            new = self.bases[i].vectors[:, self.counts[i]:]
-            self.counts[i] += new.shape[1]
-            if coarse_blocks is not None:
-                new = np.hstack([coarse_blocks[i], new])
+            if coarse_blocks is None:
+                new = self.bases[i].vectors[:, self.counts[i]:]
+                self.counts[i] += new.shape[1]
+            else:
+                new = coarse_blocks[i]
             if new.shape[1]:
                 blocks.append((i, new))
         if not blocks:
@@ -553,10 +555,10 @@ class TestCarriedSystem:
             log.built += 1
             init(rs, *args, **kwargs)
 
-        def spy_update(rs, enriched):
+        def spy_update(rs, enriched, **kwargs):
             log.updating = True
             try:
-                return update(rs, enriched)
+                return update(rs, enriched, **kwargs)
             finally:
                 log.updating = False
 
