@@ -7,10 +7,11 @@ to end in one array, through which vectors move between the grid and
 the subdomains. The partition of unity, local residual energies and
 each step's changed subdomains are read from one sparse node-subdomain
 incidence matrix S of the index sets; the subdomain pairs that A
-couples, over which Galerkin matrices are assembled from dense local
-blocks, from the pattern of S^T |A| S. The coarse space collects, per
-subdomain, the weighted eigenvectors of the local Neumann-vs-weighted
-pencil with eigenvalues below a threshold. Pencils and local matrices
+couples, from the pattern of S^T |A| S. Over those pairs the reduced
+system (``solver.ReducedSystem``) assembles its Galerkin matrix from
+dense local blocks. The coarse space collects, per subdomain, the
+weighted eigenvectors of the local Neumann-vs-weighted pencil with
+eigenvalues below a threshold. Pencils and local matrices
 with the same bytes are solved and factored once per sequence.
 """
 from __future__ import annotations
@@ -229,46 +230,6 @@ class Coupling:
         runs, rows, ptr, shape = self._local[i]
         data = np.concatenate([csr.data[u:v] for u, v in runs.tolist()])
         return sp.csc_matrix((data, rows, ptr), shape=shape)
-
-
-def galerkin_blocks(local, dec, columns, rows, out):
-    """Set the blocks that new local columns add to a Galerkin matrix.
-
-    ``local(i)`` gives ``A[ext_i, idx_i]`` (see ``Coupling``).
-    ``columns`` holds ``(i, Y_i, c_i)``, at most one per subdomain:
-    columns on subdomain i's index set and their rows and columns of
-    ``out``. ``rows(j)`` gives subdomain j's ``(V, q)`` pairs: blocks of
-    its columns already in ``out`` and their rows. For each
-    ``Y_i``, ``Z_i = A[ext_i, idx_i] Y_i`` is formed once, and each
-    subdomain j coupled to i gets ``out[q, c_i] = V[a]^T Z_i[b]``, with
-    ``a`` and ``b`` the positions of their shared nodes in ``idx_j`` and
-    ``ext_i``; if j has new columns too and ``j <= i``, ``out[c_j, c_i]
-    = Y_j[a]^T Z_i[b]`` is set and mirrored, a diagonal block
-    symmetrized. Entries of ``out`` outside these blocks are left as
-    they are. The product runs over a contiguous range of V's rows,
-    with ``Z_i[b]`` scattered into it where the shared nodes do not fill
-    it: a row gather of V costs more than the zeros.
-    """
-    plan = dec.coupling
-    new = {i: (Y, c) for i, Y, c in columns}
-    for i, Y, c in columns:
-        Z = (local(i) @ Y).take(plan.shared[i], axis=0)
-        for j, r, off, s in plan.pairs[i]:
-            fixed = [(V, q) for V, q in rows(j) if V.shape[1]]
-            pair = j <= i and j in new
-            if not (fixed or pair):
-                continue
-            Zj = Z[s]
-            if off is not None:  # Z_i on the rows r of idx_j, zero off ext_i
-                Zj = np.zeros((r.stop - r.start, Z.shape[1]))
-                Zj[off] = Z[s]
-            for V, q in fixed:
-                out[q, c] = V[r].T @ Zj
-            if pair:
-                Yj, cj = new[j]
-                X = Yj[r].T @ Zj
-                out[cj, c] = 0.5 * (X + X.T) if j == i else X
-                out[c, cj] = out[cj, c].T
 
 
 def _digest(*matrices):

@@ -12,7 +12,9 @@ the reduced system is solved again. Between consecutive
 systems of a sequence the bases are either reset to the previous
 initial basis plus the local piece of the converged solution, or kept
 in full, and the reduced system is carried over: it keeps the entries
-and the factor of the columns that no change touched. The PCG
+and the factor of the columns that no change touched, and forms the
+others in the one order in which a new system forms all of its
+columns, the coarse blocks before the basis vectors. The PCG
 baselines carry one too, over their snapshots or over empty bases,
 and their preconditioner factors its coarse block.
 """
@@ -29,7 +31,6 @@ from .decomposition import (
     build_geneo_coarse,
     build_partition_of_unity,
     detect_changed_subdomains,
-    galerkin_blocks,
 )
 from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
 
@@ -100,14 +101,15 @@ class ReducedSystem:
     ``M`` and ``rhs`` are ``Phi^T A Phi`` and ``Phi^T f`` in column
     order, Phi the columns lifted to the whole grid, which is never
     formed: M comes from dense blocks over the subdomain pairs that A
-    couples (``galerkin_blocks``), each subdomain's columns read in place
+    couples (``_galerkin``), each subdomain's columns read in place
     from its coarse block and its basis, rhs from local dot products, and
-    the iterate by one scatter of the subdomains' parts. A new system
-    forms its columns by ``update``, with ``ops`` current for ``system``:
-    first every coarse block, as the coarse space numbers them, then the
-    basis vectors, subdomain by subdomain. Over empty bases M is the coarse
-    Galerkin matrix ``R0^T A R0``, and on any system the coarse columns
-    hold it, whose factor the preconditioner takes (``_coarse_factor``).
+    the iterate by one scatter of the subdomains' parts. ``update`` forms
+    columns in one order: first every coarse block not yet in M, as the
+    coarse space numbers them, then the new basis vectors, subdomain by
+    subdomain. A new system is a re-base of an empty one, with ``ops``
+    current for ``system``. Over empty bases M is the coarse Galerkin
+    matrix ``R0^T A R0``, and on any system the coarse columns hold it,
+    whose factor the preconditioner takes (``_coarse_factor``).
     Enrichment only appends basis columns, so ``update`` borders M with
     the new columns and recomputes no existing entry, and ``solve``
     extends the factor of its last solve by them. A column whose pivot
@@ -128,25 +130,16 @@ class ReducedSystem:
         self.dec = dec
         self.pivot_tol = pivot_tol
         self._locals = {}
+        # an empty system over ``bases``: no coarse block and none of their vectors is in M yet
         self.M = self._room = np.zeros((0, 0))
         self.rhs = np.zeros(0)
-        self.coarse_cols = [None if m else slice(0, 0) for m in ops.coarse.counts]  # None: not yet in M
+        self.coarse_cols = [None] * dec.n_subdomains  # None: not yet in M
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
         self.cols = [np.zeros(0, dtype=np.int64)] * dec.n_subdomains
+        self.bases = bases
         self.touched = np.zeros(dec.n_subdomains, dtype=bool)  # changed by a system so far
         self.prefix = None
-        self._current(system, ops, bases)
-        self.update(range(dec.n_subdomains), coarse_only=True)
-        self.update(range(dec.n_subdomains))
-        self.rhs = self._rhs()  # as a re-base forms it
-        self.untouched = len(self.rhs)
-
-    def _current(self, system, ops, bases):
-        self.system = system
-        self.coarse = ops.coarse
-        self.n0 = ops.coarse.n0
-        self.bases = bases
-        self.factor = None  # of M's leading block, from the last solve
+        self.rebase(system, ops, bases, ())
 
     def _local(self, i):
         """``A[ext_i, idx_i]`` (see ``Coupling``), kept once subdomain i has basis vectors.
@@ -176,20 +169,20 @@ class ReducedSystem:
                 rhs[q] = V.T @ f[idx]
         return rhs
 
-    def update(self, enriched, coarse_only=False):
+    def update(self, enriched):
         """Append the columns of ``enriched`` subdomains not yet in M, bordering M and rhs.
 
-        These are the basis vectors added since the last update and, on
-        a new or re-based system, the coarse blocks not yet in M;
-        ``coarse_only`` leaves the basis vectors to a later update.
+        First come the coarse blocks not yet in M, those of a new or
+        re-based system, then the basis vectors added since the last
+        update, each group subdomain by subdomain. Every block is read
+        in place: a copy changes the roundoff.
         """
+        enriched = np.unique(np.asarray(enriched, dtype=np.int64))
+        blocks = [(i, self.coarse.blocks[i]) for i in enriched if self.coarse_cols[i] is None]
+        blocks += [(i, self.bases[i].vectors[:, self.counts[i] :]) for i in enriched]
         N = k = len(self.rhs)
         new = []
-        for i in np.unique(np.asarray(enriched, dtype=np.int64)):
-            Y = self.bases[i].vectors[:, self.counts[i] : self.counts[i] if coarse_only else None]
-            if self.coarse_cols[i] is None:
-                # read in place when it comes alone: a copy changes the roundoff
-                Y = np.hstack([self.coarse.blocks[i], Y]) if Y.shape[1] else self.coarse.blocks[i]
+        for i, Y in blocks:
             if Y.shape[1]:
                 new.append((i, Y, slice(k, k + Y.shape[1])))
                 k += Y.shape[1]
@@ -205,18 +198,53 @@ class ReducedSystem:
             self._room = room
         self.M = M = self._room[:k, :k]
         M[:, N:] = 0.0
-        galerkin_blocks(self._local, self.dec, new, self._columns, M)
+        self._galerkin(new)
         M[N:, :N] = M[:N, N:].T
-        f = self.system.f
         for i, Y, c in new:
-            start = c.start
-            if self.coarse_cols[i] is None:
-                start += self.coarse.counts[i]
-                self.coarse_cols[i] = slice(c.start, start)
-            self.cols[i] = np.r_[self.cols[i], start : c.stop]
-            self.counts[i] += c.stop - start
+            if self.coarse_cols[i] is None:  # the coarse block comes first
+                self.coarse_cols[i] = c
+            else:
+                self.cols[i] = np.r_[self.cols[i], c]
+                self.counts[i] += Y.shape[1]
+        f = self.system.f
         self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.index_sets[i]] for i, Y, _ in new])
         return self
+
+    def _galerkin(self, new):
+        """Set the blocks of M that the ``new`` columns add.
+
+        ``new`` holds ``(i, Y, c)`` in column order: columns on subdomain
+        i's index set and their columns of M. For each, ``Z = A[ext_i,
+        idx_i] Y`` is formed once (see ``Coupling``), and each subdomain j
+        coupled to i gets ``M[q, c] = V[a]^T Z[b]``, with ``a`` and ``b``
+        the positions of their shared nodes in ``idx_j`` and ``ext_i``,
+        for each of its blocks ``(V, q)``: its columns in M before the
+        update, read once, and its new ones up to ``(i, Y, c)``, whose
+        blocks are mirrored, a diagonal one symmetrized. Entries of M
+        outside these blocks are left as they are. The product runs over
+        a contiguous range of V's rows, with ``Z[b]`` scattered into it
+        where the shared nodes do not fill it: a row gather of V costs
+        more than the zeros.
+        """
+        plan, M = self.dec.coupling, self.M
+        fixed = [[(V, q) for V, q in self._columns(j) if V.shape[1]] for j in range(self.dec.n_subdomains)]
+        formed = [[] for _ in fixed]  # the new blocks so far, by subdomain
+        for i, Y, c in new:
+            formed[i].append((Y, c))
+            Z = (self._local(i) @ Y).take(plan.shared[i], axis=0)
+            for j, r, off, s in plan.pairs[i]:
+                if not (fixed[j] or formed[j]):
+                    continue
+                Zj = Z[s]
+                if off is not None:  # Z on the rows r of idx_j, zero off ext_i
+                    Zj = np.zeros((r.stop - r.start, Z.shape[1]))
+                    Zj[off] = Z[s]
+                for V, q in fixed[j]:
+                    M[q, c] = V[r].T @ Zj
+                for V, q in formed[j]:
+                    X = V[r].T @ Zj
+                    M[q, c] = 0.5 * (X + X.T) if q is c else X
+                    M[c, q] = M[q, c].T
 
     def rebase(self, system, ops, bases, changed):
         """Carry the reduced system to the next system of its sequence.
@@ -228,10 +256,11 @@ class ReducedSystem:
         vector that, with every vector before it, is bitwise the one in M.
         A changed element couples only subdomains that hold its nodes, all
         of them changed, so no kept entry changes. The other columns leave
-        M, and ``update`` forms the changed subdomains' columns and the
-        new basis vectors. The untouched columns are then moved first,
-        each group in its old order, and rhs is formed again. The
-        ``prefix`` stays when all its columns were kept.
+        M, and one ``update`` forms the columns not in M: the coarse
+        blocks first, then the basis vectors. The untouched columns are
+        then moved first, each group in its old order, and rhs is formed
+        again. The ``prefix`` stays when all its columns were kept. A
+        build re-bases an empty system on no change.
         """
         changed = np.unique(np.asarray(changed, dtype=np.int64))
         self.touched[changed] = True
@@ -249,13 +278,15 @@ class ReducedSystem:
                 kept[self.cols[i][:n]] = True
             self.cols[i] = self.cols[i][:n]
             self.counts[i] = n
-            if not hit[i] and ops.coarse.blocks[i] is self.coarse.blocks[i]:
-                kept[self.coarse_cols[i]] = True
+            q = self.coarse_cols[i]
+            if q is not None and not hit[i] and ops.coarse.blocks[i] is self.coarse.blocks[i]:
+                kept[q] = True
             else:  # formed again by update, unless the new block is empty
                 self.coarse_cols[i] = None if ops.coarse.counts[i] else slice(0, 0)
         if self.prefix is not None and not kept[: self.prefix.n].all():
             self.prefix = None
-        self._current(system, ops, bases)
+        self.system, self.coarse, self.bases = system, ops.coarse, bases
+        self.factor = None  # of M's leading block, from the last solve
         self.update(range(self.dec.n_subdomains))
         group = np.full(len(self.rhs), -1)  # of each column: 0 untouched, 1 touched, -1 left M
         for j in range(self.dec.n_subdomains):
@@ -306,7 +337,7 @@ class ReducedSystem:
         return miss > _BORDER_TOL * _EPS / self.pivot_tol * max(c @ self.rhs, 0.0)
 
     def dimensions(self):
-        return np.r_[self.n0, self.counts]
+        return np.r_[self.coarse.n0, self.counts]
 
     def solve(self):
         """Solve the reduced system; returns the global iterate and each subdomain's basis coefficients.
@@ -368,14 +399,14 @@ class SolverOptions:
         # each message starts with the field it rejects
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}: unknown strategy {self.strategy!r}")
-        if not (self.eps > 0):
-            raise ValueError("eps must be positive")
-        if not (self.eps_loc >= 0):
-            raise ValueError("eps_loc must be nonnegative")
+        if not (0 < self.eps < np.inf):
+            raise ValueError("eps must be positive and finite")
+        if not (0 <= self.eps_loc < np.inf):
+            raise ValueError("eps_loc must be nonnegative and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (self.tau > 0):
-            raise ValueError("tau must be positive")
+        if not (0 < self.tau < np.inf):
+            raise ValueError("tau must be positive and finite")
 
 
 @dataclass

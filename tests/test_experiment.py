@@ -550,6 +550,13 @@ class TestCli:
         assert main(["solve", "--config", str(path)]) == 1
         assert "solver.strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, key", [("--eps", "solver.eps"), ("--eps-loc", "solver.eps_loc")])
+    def test_non_finite_flag_exit_one(self, tmp_path, capsys, flag, key):
+        path = self.write_config(tmp_path)
+        assert main(["solve", "--config", str(path), flag, "inf"]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_usage_error_exit_one(self):
         with pytest.raises(SystemExit) as info:
             main(["solve"])

@@ -1,5 +1,9 @@
 """Tests for the reduced basis solver, its enrichment loop, and the CG baselines."""
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -495,6 +499,8 @@ class TestCarriedSystem:
 
         def spy_rebase(rs, system, ops, bases, changed):
             rebase(rs, system, ops, bases, changed)
+            if not len(changed):  # a build, which re-bases an empty system
+                return rs
             new = fresh[id(rs)] = ReducedSystem(system, dec, ops, bases, rs.pivot_tol)
             at = matching_columns(rs, new)
             assert np.max(np.abs(rs.M[np.ix_(at, at)] - new.M)) <= 1e-14 * np.abs(new.M).max()
@@ -535,13 +541,13 @@ class TestCarriedSystem:
         rs.rebase(system, ops, bases, np.arange(dec.n_subdomains))
         assert rs.prefix is None and rs.untouched == 0 and rs.touched.all()
         fresh = ReducedSystem(system, dec, ops, bases)
-        at = matching_columns(rs, fresh)
-        assert np.max(np.abs(rs.M[np.ix_(at, at)] - fresh.M)) <= 1e-14 * np.abs(fresh.M).max()
-        assert np.array_equal(rs.rhs[at], fresh.rhs)
+        # both form their columns in the one order: the coarse blocks, then the bases
+        assert np.array_equal(matching_columns(rs, fresh), np.arange(len(fresh.rhs)))
+        assert np.array_equal(rs.M, fresh.M)
+        assert np.array_equal(rs.rhs, fresh.rhs)
         x, _ = rs.solve()
         y, _ = fresh.solve()
-        # the columns stand in another order, so the pivots differ (measured 2e-9 to 4.5e-9)
-        assert np.linalg.norm(x - y) <= 1e-7 * np.linalg.norm(y)
+        assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_one_system_per_sequence_forms_again_only_changed_blocks(self, monkeypatch, strategy):
@@ -555,10 +561,10 @@ class TestCarriedSystem:
             log.built += 1
             init(rs, *args, **kwargs)
 
-        def spy_update(rs, enriched, **kwargs):
+        def spy_update(rs, enriched):
             log.updating = True
             try:
-                return update(rs, enriched, **kwargs)
+                return update(rs, enriched)
             finally:
                 log.updating = False
 
@@ -570,7 +576,7 @@ class TestCarriedSystem:
         def spy_rebase(rs, system, ops, bases, changed):
             start, empty = len(log.formed), set(np.flatnonzero(rs.counts == 0).tolist())
             rebase(rs, system, ops, bases, changed)
-            log.rebases.append((set(changed.tolist()), log.formed[start:], empty))
+            log.rebases.append((set(np.asarray(changed).tolist()), log.formed[start:], empty))
             return rs
 
         for name, spy in (("__init__", spy_init), ("update", spy_update), ("rebase", spy_rebase)):
@@ -578,7 +584,8 @@ class TestCarriedSystem:
         monkeypatch.setattr(Coupling, "local", spy_local)
         run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
         assert log.built == 1
-        assert len(log.rebases) == len(probs) - 1
+        # the build is a re-base too, of an empty system on no change
+        assert len(log.rebases) == len(probs) and not log.rebases[0][0]
         for changed, formed, empty in log.rebases:
             assert len(formed) == len(set(formed))
             # a block is formed again only for a changed subdomain; an
@@ -593,24 +600,17 @@ class TestCarriedSystem:
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, CARRY_WALK)
-        init, rebase, factor = ReducedSystem.__init__, ReducedSystem.rebase, lrbas.solver._coarse_factor
+        rebase, factor = ReducedSystem.rebase, lrbas.solver._coarse_factor
         carried, factored = [], []
 
-        def check(rs):
+        def spy_rebase(rs, *args):  # the build too: it re-bases an empty system
+            rebase(rs, *args)
             R0 = dense_coarse(dec, rs.coarse)
             want = R0.T @ (rs.system.A.to_scipy() @ R0)
             got = coarse_block(rs)
             assert np.array_equal(got, got.T)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
             carried.append(rs)
-
-        def spy_init(rs, *args, **kwargs):
-            init(rs, *args, **kwargs)
-            check(rs)
-
-        def spy_rebase(rs, *args):
-            rebase(rs, *args)
-            check(rs)
             return rs
 
         def spy_factor(M, cols):
@@ -618,12 +618,29 @@ class TestCarriedSystem:
             factored.append(len(carried))
             return factor(M, cols)
 
-        monkeypatch.setattr(ReducedSystem, "__init__", spy_init)
         monkeypatch.setattr(ReducedSystem, "rebase", spy_rebase)
         monkeypatch.setattr(lrbas.solver, "_coarse_factor", spy_factor)
         run_sequence(probs, dec, opts=SolverOptions(strategy=strategy))
         assert len(carried) == len(probs) and len({id(rs) for rs in carried}) == 1
         assert factored == ([] if strategy == "lrbas" else list(range(1, len(probs) + 1)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_carry_tests_pass_at_one_and_two_blas_threads(threads):
+    # the roundoff of the carried system's factors depends on the BLAS
+    # thread count: a column order once failed a carry test at 2 threads
+    # only, while the benchmark pins 1
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::TestCarriedSystem"],
+        cwd=Path(__file__).parents[1],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    assert f"OPENBLAS_NUM_THREADS={threads}" in run.stdout
 
 
 class TestPcg:
@@ -1097,6 +1114,9 @@ class TestSolverOptions:
         for tau in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="tau must be positive"):
                 SolverOptions(tau=tau)
+        for name in ("eps", "eps_loc", "tau"):
+            with pytest.raises(ValueError, match=f"^{name} must be .* finite"):
+                SolverOptions(**{name: float("inf")})
 
 
 _CACHE = {}
