@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import _element_nodes, assemble_local_neumann, neumann_plan
+from .fem import _element_nodes, _pattern_digest, assemble_local_neumann, neumann_plan
 from .linalg import factorize, sym_gen_eig
 
 
@@ -167,7 +167,9 @@ class Coupling:
     and at the positions ``shared[i][s]`` of ``ext_i``. Two index sets
     need not meet for A to couple them. The maps come from the grid's
     sparsity pattern, which every system assembled on the grid shares,
-    and hold no values.
+    and hold no values. So does the plan of each principal submatrix
+    ``A_i = A[idx_i, idx_i]``: the entries of ``A[ext_i, idx_i]`` on the
+    rows of idx_i, which A's symmetry makes A_i in CSR form.
     """
 
     def __init__(self, dec):
@@ -188,16 +190,27 @@ class Coupling:
         run = np.flatnonzero(starts)
         spans = np.stack([indptr[q[run]], indptr[q[np.r_[run[1:], len(q)] - 1] + 1]], axis=1)
         deg = np.diff(indptr)[q]
-        shapes, self._local = {}, []
+        shapes, principals, self._local, self._principal = {}, {}, [], []
         for i, runs in enumerate(np.split(spans, np.searchsorted(run, first[1:-1]))):
             ext = E.indices[E.indptr[i] : E.indptr[i + 1]]
             where = np.empty(ext[-1] - ext[0] + 1, dtype=np.int32)  # position in ext_i, by node number
             where[ext - ext[0]] = np.arange(len(ext), dtype=np.int32)
             rows = where[np.concatenate([indices[u:v] for u, v in runs]) - ext[0]]
             ptr = np.r_[0, np.cumsum(deg[first[i] : first[i + 1]])].astype(np.int32)
-            # one copy of each distinct pattern of A[ext_i, idx_i], one per shape of index set
+            # one copy of each distinct pattern of A[ext_i, idx_i] and of A_i, one per shape of index set
             rows, ptr = shapes.setdefault((rows.tobytes(), ptr.tobytes()), (rows, ptr))
             self._local.append((runs, rows, ptr, (len(ext), len(ptr) - 1)))
+            inner = np.full(len(ext), -1, dtype=np.int32)  # position in idx_i of each node of ext_i
+            inner[where[q[first[i] : first[i + 1]] - ext[0]]] = np.arange(sizes[i], dtype=np.int32)
+            at = inner[rows]
+            keep = np.flatnonzero(at >= 0).astype(np.int32)
+            sub = (keep, at[keep], np.searchsorted(keep, ptr).astype(np.int32))
+            key = tuple(a.tobytes() for a in sub)
+            if key not in principals:
+                for a in sub:
+                    a.flags.writeable = False
+                principals[key] = (*sub, _pattern_digest(*sub[1:]))
+            self._principal.append(principals[key])
         # each node of each ext_i, once per index set j that holds it,
         # grouped by pair (i, j) with the nodes ascending
         Sr = S.tocsr()
@@ -221,25 +234,40 @@ class Coupling:
         for u, v, i, j, l, h in zip(cut[:-1].tolist(), cut[1:].tolist(), *(x.tolist() for x in (*ij, lo, hi))):
             self.pairs[i].append((j, slice(l, h), None if h - l == v - u else a[u:v], slice(u - bound[i], v - bound[i])))
 
-    def local(self, A, i):
-        """``A[ext_i, idx_i]`` of a system matrix on the grid, in CSC form."""
+    def _data(self, A, i):
+        """The values of ``A[ext_i, idx_i]``: A's rows of idx_i, gathered run by run."""
         csr = A.to_scipy()
         indices, indptr = self.pattern
         if not (csr.indptr is indptr or np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)):
             raise ValueError("matrix does not have the sparsity pattern of the grid")
-        runs, rows, ptr, shape = self._local[i]
-        data = np.concatenate([csr.data[u:v] for u, v in runs.tolist()])
-        return sp.csc_matrix((data, rows, ptr), shape=shape)
+        return np.concatenate([csr.data[u:v] for u, v in self._local[i][0].tolist()])
+
+    def local(self, A, i):
+        """``A[ext_i, idx_i]`` of a system matrix on the grid, in CSC form."""
+        _, rows, ptr, shape = self._local[i]
+        return sp.csc_matrix((self._data(A, i), rows, ptr), shape=shape)
+
+    def principal(self, A, i):
+        """``A_i = A[idx_i, idx_i]`` of a system matrix on the grid, in CSR form, and its pattern's digest.
+
+        The values are a fresh array, bitwise those of A, and the index
+        arrays are read-only and shared by the index sets of one shape.
+        """
+        keep, indices, indptr, digest = self._principal[i]
+        n = len(indptr) - 1
+        return sp.csr_matrix((self._data(A, i)[keep], indices, indptr), shape=(n, n)), digest
 
 
 def _digest(*matrices):
-    """blake2b digest of CSR matrices: their shapes, index arrays and values, byte for byte."""
+    """blake2b digest of ``(pattern digest, CSR matrix)`` pairs, byte for byte.
+
+    Each matrix's pattern enters through its ``fem._pattern_digest``,
+    hashed once per shared pattern; only its values are hashed here.
+    """
     h = hashlib.blake2b()
-    for M in matrices:
-        arrays = (M.indptr, M.indices, M.data)
-        h.update(repr((M.shape, [(a.dtype.str, a.size) for a in arrays])).encode())
-        for a in arrays:
-            h.update(a)
+    for pattern, M in matrices:
+        h.update(pattern)
+        h.update(M.data)
     return h.digest()
 
 
@@ -295,16 +323,16 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
         if i not in recompute:
             blocks.append(previous.blocks[i])
             continue
-        idx = dec.subdomains[i].indices
-        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.neumann_plans[i])
+        plan = dec.neumann_plans[i]
+        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, plan)
         D = pou.local[i]
-        B = system.A.submatrix(idx)  # a copy, scaled in place to D A_i D + delta I
-        rows = np.repeat(np.arange(len(idx)), np.diff(B.indptr))
+        B, pattern = dec.coupling.principal(system.A, i)  # fresh values, scaled in place to D A_i D + delta I
+        rows = np.repeat(np.arange(len(D)), np.diff(B.indptr))
         B.data *= D[rows]
         B.data *= D[B.indices]
         diag = rows == B.indices
         B.data[diag] += 1e-12 * max(B.data[diag].max(), 0.0)
-        key = (tau, _digest(K_neu, B))
+        key = (tau, _digest((plan.digest, K_neu), (pattern, B)))
         if key not in pencils:
             w, P = sym_gen_eig(K_neu, B, upper=tau)
             w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
@@ -341,19 +369,20 @@ class LocalOperators:
     @classmethod
     def build(cls, A, coarse):
         shared = {}
-        factors = [_local_factor(A.submatrix(idx), shared) for idx in coarse.dec.index_sets]
+        factors = [_local_factor(A, coarse.dec, i, shared) for i in range(coarse.dec.n_subdomains)]
         return cls(factors, coarse, shared)
 
     def refresh(self, A, coarse, changed):
         """Refactor the changed subdomains and take the new coarse space."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
-            self.factors[i] = _local_factor(A.submatrix(coarse.dec.index_sets[i]), self.shared)
+            self.factors[i] = _local_factor(A, coarse.dec, i, self.shared)
         self.coarse = coarse
 
 
-def _local_factor(A_i, shared):
-    """The factor of A_i in ``shared`` under its digest, factored on first use."""
-    key = _digest(A_i)
+def _local_factor(A, dec, i, shared):
+    """The factor of subdomain i's A_i in ``shared`` under its digest, factored on first use."""
+    A_i, pattern = dec.coupling.principal(A, i)
+    key = _digest((pattern, A_i))
     if key not in shared:
         shared[key] = factorize(A_i)
     return shared[key]

@@ -11,6 +11,7 @@ solvers operate on.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,10 +89,12 @@ class Grid:
         dirichlet, g)``. ``order`` takes the element matrix entries of
         free rows, flattened by element, stably sorted by (block, row,
         column), so each (row, column) sum runs in element order and
-        entries (i, j) and (j, i) are bitwise equal; sums start at
-        ``starts``. Block 0, the first ``n_ff`` sums, is ``A`` row by row,
-        block 1 the free-Dirichlet coupling ``C``; their read-only int32
-        ``(indices, indptr)`` are ``pattern`` and ``coupling``.
+        entries (i, j) and (j, i) are bitwise equal; sum s runs from
+        ``starts[s]`` to ``starts[s + 1]``. Block 0, the first ``n_ff``
+        sums, is ``A`` row by row, block 1 the free-Dirichlet coupling
+        ``C``; their read-only int32 ``(indices, indptr)`` are ``pattern``
+        and ``coupling``. So sum s is entry s of ``A``'s data for s below
+        ``n_ff``, and entry ``s - n_ff`` of ``C``'s data after.
         """
         ii = np.arange(self.n_nodes) % (self.m + 1)
         is_free = (ii >= 1) & (ii <= self.m - 1)
@@ -106,8 +109,8 @@ class Grid:
         key = ((block * n + loc[:, :, None]) * self.n_nodes + loc[:, None, :]).ravel()
         order = np.argsort(key, kind="stable")[: np.count_nonzero(block < 2)]
         key = key[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(key) != 0])
-        r, c = np.divmod(key[starts], self.n_nodes)
+        starts = np.flatnonzero(np.r_[True, np.diff(key) != 0, True])
+        r, c = np.divmod(key[starts[:-1]], self.n_nodes)
         c, ptr = c.astype(np.int32), np.searchsorted(r, np.arange(2 * n + 1)).astype(np.int32)
         n_ff = int(ptr[n])
         pattern, coupling = (c[:n_ff], ptr[: n + 1]), (c[n_ff:], ptr[n:] - n_ff)
@@ -299,6 +302,7 @@ class LinearSystem:
     free_nodes: np.ndarray  # grid node ids, ascending
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
+    coupling: sp.csr_matrix  # C, free rows by Dirichlet columns: f = -C g
 
     @property
     def n(self):
@@ -322,16 +326,73 @@ def _element_nodes(grid, e):
     return np.stack([sw, sw + 1, sw + grid.m + 2, sw + grid.m + 1], axis=-1)
 
 
-def assemble(grid, coefficient):
-    """Assemble stiffness and Dirichlet-lifted load over the free nodes."""
+def assemble(grid, coefficient, previous=None):
+    """Assemble stiffness and Dirichlet-lifted load over the free nodes.
+
+    ``previous``, a ``(system, coefficient)`` pair assembled on this grid,
+    sets the system up in proportion to the change: only the sums that
+    an element whose conductivity differs adds to are summed again, in
+    the plan's order, and the others are copied from ``system``. The
+    result is bitwise that of assembling afresh.
+    """
     if coefficient.grid != grid:
         raise ValueError("coefficient field belongs to a different grid")
     order, starts, n_ff, pattern, coupling, free, diri, g = grid.assembly_plan
-    vals = coefficient.values.reshape(-1, 1) * K_REF.ravel()
-    data = np.add.reduceat(vals.ravel()[order], starts)
-    A = SparseSymMatrix(sp.csr_matrix((data[:n_ff], *pattern), shape=(len(free), len(free))))
-    C = sp.csr_matrix((data[n_ff:], *coupling), shape=(len(free), len(diri)))
-    return LinearSystem(grid, A, -(C @ g), free, diri, g)
+    if previous is None:
+        vals = coefficient.values.reshape(-1, 1) * K_REF.ravel()
+        data = np.add.reduceat(vals.ravel()[order], starts[:-1])
+        a, c = data[:n_ff], data[n_ff:]
+    else:
+        system, before = previous
+        if system.grid != grid or before.grid != grid:
+            raise ValueError("previous system belongs to a different grid")
+        s = _sums_of(grid, np.flatnonzero(coefficient.values.ravel() != before.values.ravel()))
+        u, v = starts[s], starts[s + 1]
+        entry = order[_ranges(u, v)]  # element * 16 + position in K_REF
+        vals = coefficient.values.ravel()[entry // 16] * K_REF.ravel()[entry % 16]
+        sums = np.add.reduceat(vals, np.cumsum(v - u) - (v - u))
+        a, c = system.A.to_scipy().data.copy(), system.coupling.data.copy()
+        k = np.searchsorted(s, n_ff)
+        a[s[:k]], c[s[k:] - n_ff] = sums[:k], sums[k:]
+    n = len(free)
+    A = SparseSymMatrix(sp.csr_matrix((a, *pattern), shape=(n, n)))
+    C = sp.csr_matrix((c, *coupling), shape=(n, len(diri)))
+    return LinearSystem(grid, A, -(C @ g), free, diri, g, C)
+
+
+def _ranges(lo, hi):
+    """The concatenation of ``arange(lo[k], hi[k])`` over k."""
+    size = hi - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _sums_of(grid, elements):
+    """The sums of ``grid.assembly_plan`` that the matrices of ``elements`` add to, ascending.
+
+    Each is found by its row and column in ``A`` or ``C``, through their
+    patterns: the plan keeps no map from elements to sums.
+    """
+    _, _, n_ff, pattern, coupling, *_ = grid.assembly_plan
+    enodes = _element_nodes(grid, elements)
+    i, j = enodes % (grid.m + 1), enodes // (grid.m + 1)
+    d = (i == 0) | (i == grid.m)
+    loc = np.where(d, 2 * j + (i == grid.m), grid.free_index(i, j))  # row of A, or column of C
+    rows, cols = np.broadcast_arrays(loc[:, :, None], loc[:, None, :])
+    dr, dc = np.broadcast_arrays(d[:, :, None], d[:, None, :])
+    ff, fd = ~(dr | dc), ~dr & dc
+    return np.unique(np.r_[_positions(pattern, rows[ff], cols[ff]), n_ff + _positions(coupling, rows[fd], cols[fd])])
+
+
+def _positions(pattern, rows, cols):
+    """Positions of the entries (rows, cols) in a CSR ``(indices, indptr)`` with sorted rows.
+
+    Only the rows asked for are searched; every entry must be in the pattern.
+    """
+    indices, indptr = pattern
+    r = np.unique(rows)
+    at = _ranges(indptr[r], indptr[r + 1])
+    key = np.repeat(r, indptr[r + 1] - indptr[r]).astype(np.int64) << 32 | indices[at]
+    return at[np.searchsorted(key, rows.astype(np.int64) << 32 | cols)]
 
 
 @dataclass(frozen=True)
@@ -341,14 +402,30 @@ class NeumannPlan:
     ``at`` holds the CSR position of every entry of the per-element
     flattened ``sigma_e K_REF``, one past the last for an entry of a
     dropped Dirichlet node; ``indices`` and ``indptr`` are the CSR
-    pattern and ``free`` the free-node index of each row, ascending.
+    pattern, ``digest`` its ``_pattern_digest``, and ``free`` the
+    free-node index of each row, ascending.
     """
 
     elements: np.ndarray
     at: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    digest: bytes
     free: np.ndarray
+
+
+def _pattern_digest(indices, indptr):
+    """blake2b digest of the square CSR pattern ``(indices, indptr)`` of float64 values.
+
+    Equal for equal patterns only, shape and index types included, so a
+    matrix's values hashed after it identify the matrix byte for byte.
+    """
+    h = hashlib.blake2b()
+    n = len(indptr) - 1
+    h.update(repr(((n, n), "<f8", [(a.dtype.str, a.size) for a in (indptr, indices)])).encode())
+    h.update(indptr)
+    h.update(indices)
+    return h.digest()
 
 
 def neumann_plan(grid, elements):
@@ -375,7 +452,8 @@ def neumann_plan(grid, elements):
     # narrow integers, int32 as scipy keeps them: a plan lives as long as its decomposition
     spot = np.full(m.size, len(key), dtype=np.min_scalar_type(len(key)))
     spot[m.ravel()] = at
-    return NeumannPlan(elements.astype(np.int32), spot, cols.astype(np.int32), indptr.astype(np.int32), free)
+    cols, indptr = cols.astype(np.int32), indptr.astype(np.int32)
+    return NeumannPlan(elements.astype(np.int32), spot, cols, indptr, _pattern_digest(cols, indptr), free)
 
 
 def assemble_local_neumann(grid, coefficient, elements):
@@ -411,8 +489,9 @@ class SequenceProblem:
 
 
 def problem_sequence(grid, geometry, schedule):
-    """Assembled systems along a modification schedule."""
+    """Assembled systems along a modification schedule, each from the one before."""
     out = []
     for field_k, changed in schedule_fields(grid, geometry, schedule):
-        out.append(SequenceProblem(assemble(grid, field_k), field_k, changed))
+        previous = (out[-1].system, out[-1].coefficient) if out else None
+        out.append(SequenceProblem(assemble(grid, field_k, previous), field_k, changed))
     return out

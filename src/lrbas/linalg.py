@@ -111,15 +111,6 @@ class SparseSymMatrix:
             raise ValueError(f"vector length {x.shape} does not match dimension {self.n}")
         return self._csr @ x
 
-    def submatrix(self, rows):
-        """Sparse CSR principal submatrix over the strictly increasing index list."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        if len(rows) == 0:
-            raise ValueError("empty index list")
-        if rows[0] < 0 or rows[-1] >= self.n or (len(rows) > 1 and (np.diff(rows) <= 0).any()):
-            raise ValueError("indices must be strictly increasing and in range")
-        return self._csr[rows][:, rows]
-
 
 @dataclass
 class Factorization:

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -28,6 +30,7 @@ from lrbas.fem import (
     build_coefficient,
     problem_sequence,
 )
+from lrbas.fem import _pattern_digest
 from lrbas.linalg import SparseSymMatrix, sym_gen_eig
 from lrbas.solver import run_sequence
 
@@ -67,6 +70,12 @@ def bandwidth(M):
     return int(np.abs(coo.row - coo.col).max(initial=0))
 
 
+def high_contrast_field(grid, seed):
+    """Element conductivities log-uniform over ten decades."""
+    rng = np.random.default_rng(seed)
+    return CoefficientField(grid, 10.0 ** rng.uniform(-5.0, 5.0, (grid.m, grid.m)))
+
+
 def small_geneo_problem():
     """The 40 x 40, 4 x 4, overlap 2 channel problem with ports 2 and 5 open."""
     grid = Grid(40)
@@ -97,10 +106,15 @@ def distinct_pencils(dec, pou, system, field):
     return len({csr_bytes(*pencil(dec, pou, system, field, i)[:2]) for i in range(dec.n_subdomains)})
 
 
+def principal(A, idx):
+    """``A[idx, idx]`` of a system matrix by scipy's indexing, a reference independent of the plans."""
+    return A.to_scipy()[idx][:, idx]
+
+
 def changed_local_matrices(dec, before, after):
     """Subdomains whose A_i differs entrywise between two system matrices."""
     return [
-        i for i, idx in enumerate(dec.index_sets) if (before.submatrix(idx) != after.submatrix(idx)).nnz
+        i for i, idx in enumerate(dec.index_sets) if (principal(before, idx) != principal(after, idx)).nnz
     ]
 
 
@@ -213,6 +227,84 @@ class TestCoupling:
         assert dec.coupling.local(system.A, 0).shape[1] == len(dec.index_sets[0])
         with pytest.raises(ValueError, match="sparsity pattern"):
             dec.coupling.local(other, 0)
+
+
+class TestPrincipalSubmatrix:
+    # Coupling.principal gathers A_i = A[idx_i, idx_i] through one plan per
+    # shape of index set; scipy's row and column indexing is the reference
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert got.shape == want.shape
+        for a, b in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("layout", range(2, 11))
+    def test_gathered_matrices_are_scipys_bitwise(self, layout):
+        # every subdomain at overlaps 1-4, those clipped at the boundary included
+        grid = Grid(4 * layout)
+        system = assemble(grid, high_contrast_field(grid, layout))
+        for overlap in range(1, 5):
+            dec = build_decomposition(grid, layout, overlap)
+            for i, idx in enumerate(dec.index_sets):
+                A_i, pattern = dec.coupling.principal(system.A, i)
+                self.assert_bitwise(A_i, principal(system.A, idx))
+                assert pattern == _pattern_digest(A_i.indices, A_i.indptr)
+
+    def test_adjacent_nodes_keep_their_coupling(self):
+        grid = Grid(4)
+        dec = build_decomposition(grid, 2, 1)
+        system = assemble(grid, high_contrast_field(grid, 0))
+        A = system.A.to_scipy().toarray()
+        for i, idx in enumerate(dec.index_sets):
+            A_i = dec.coupling.principal(system.A, i)[0].toarray()
+            row = idx // (grid.m - 1)
+            for k in np.flatnonzero((np.diff(idx) == 1) & (row[1:] == row[:-1])):  # horizontal neighbours
+                assert A_i[k, k + 1] == A[idx[k], idx[k + 1]] != 0.0
+
+    def test_single_subdomain_is_a_copy_of_the_matrix(self):
+        grid = Grid(6)
+        dec = build_decomposition(grid, 1, 1)
+        system = assemble(grid, high_contrast_field(grid, 1))
+        A = system.A.to_scipy()
+        A_0, _ = dec.coupling.principal(system.A, 0)
+        self.assert_bitwise(A_0, A)
+        assert not np.shares_memory(A_0.data, A.data)
+        A_0.data[:] = 0.0  # GenEO scales its B in place
+        assert (A.data != 0.0).all()
+
+    def test_coupling_to_nodes_outside_is_dropped(self):
+        grid = Grid(12)
+        dec = build_decomposition(grid, 3, 1)
+        system = assemble(grid, high_contrast_field(grid, 2))
+        A = system.A.to_scipy()
+        for i, idx in enumerate(dec.index_sets):
+            A_i, _ = dec.coupling.principal(system.A, i)
+            outside = np.setdiff1d(np.arange(grid.n_free), idx)
+            # A's rows of idx hold A_i's entries and those to nodes outside, which A_i drops
+            assert A[idx][:, outside].nnz > 0
+            assert A_i.nnz + A[idx][:, outside].nnz == A[idx].nnz
+            assert np.array_equal(A_i.toarray(), A.toarray()[np.ix_(idx, idx)])
+
+    def test_matrix_of_another_pattern_rejected(self):
+        grid = Grid(12)
+        dec = build_decomposition(grid, 3, 2)
+        other = SparseSymMatrix(sp.identity(grid.n_free, format="csr"))
+        with pytest.raises(ValueError, match="sparsity pattern"):
+            dec.coupling.principal(other, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(6, 2), (6, 3), (8, 4), (10, 5), (12, 6)]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_matches_explicit_restriction(self, shape, overlap, seed):
+        m, layout = shape
+        grid = Grid(m)
+        dec = build_decomposition(grid, layout, overlap)
+        system = assemble(grid, high_contrast_field(grid, seed))
+        A = system.A.to_scipy().toarray()
+        for i, idx in enumerate(dec.index_sets):
+            R = np.zeros((len(idx), grid.n_free))
+            R[np.arange(len(idx)), idx] = 1.0
+            assert np.array_equal(dec.coupling.principal(system.A, i)[0].toarray(), R @ A @ R.T)
 
 
 class TestNeumannPlans:
@@ -434,22 +526,24 @@ class TestGeneoCoarse:
         digest = lrbas.decomposition._digest
         weighted = []
 
-        def spy(*matrices):
-            if len(matrices) == 2:  # the GenEO pencil (K_neu, B)
-                weighted.append(matrices[1])
-            return digest(*matrices)
+        def spy(*pairs):
+            if len(pairs) == 2:  # the GenEO pencil (K_neu, B)
+                weighted.append(pairs[1])
+            return digest(*pairs)
 
         monkeypatch.setattr(lrbas.decomposition, "_digest", spy)
         build_geneo_coarse(dec, pou, system, field, 0.5)
         # every subdomain, the 12 clipped at the boundary included
         assert len(weighted) == dec.n_subdomains == 16
-        for i, B in enumerate(weighted):
-            D = pou.local[i]
-            ref = sp.diags(D) @ system.A.submatrix(dec.index_sets[i]) @ sp.diags(D)
+        A = system.A.to_scipy()
+        for i, (pattern, B) in enumerate(weighted):
+            D, idx = pou.local[i], dec.index_sets[i]
+            ref = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
             ref = ref + 1e-12 * max(ref.diagonal().max(), 0.0) * sp.identity(len(D))
             for a, b in ((B.indptr, ref.indptr), (B.indices, ref.indices), (B.data, ref.data)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert B.shape == ref.shape and digest(B) == digest(ref)
+            assert B.shape == ref.shape and pattern == _pattern_digest(ref.indices, ref.indptr)
+            assert digest((pattern, B)) == digest((pattern, ref))
 
     def test_arpack_path_matches_dense_eigh(self, request):
         dec, pou, system, field = small_geneo_problem()
@@ -657,12 +751,40 @@ class TestLocalOperators:
         factorize = lrbas.decomposition.factorize
         monkeypatch.setattr(lrbas.decomposition, "factorize", lambda M: factored.append(M) or factorize(M))
         ops = LocalOperators.build(system.A, empty_coarse(dec))
-        keys = [csr_bytes(system.A.submatrix(idx)) for idx in dec.index_sets]
+        keys = [csr_bytes(principal(system.A, idx)) for idx in dec.index_sets]
         sparse = [M for M in factored if sp.issparse(M)]
         assert len(sparse) == len(set(keys)) < dec.n_subdomains
         for i in range(dec.n_subdomains):
             for j in range(dec.n_subdomains):
                 assert (ops.factors[i] is ops.factors[j]) == (keys[i] == keys[j])
+
+    def test_factor_and_pencil_keys_group_subdomains_as_their_bytes_do(self, monkeypatch):
+        # the keys hash each shared pattern once and the values per matrix:
+        # along the small paper sequence they must part the factored A_i and
+        # the solved pencils exactly as the matrices' own bytes do
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        pou = build_partition_of_unity(dec)
+        probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
+        digest, keys = lrbas.decomposition._digest, []
+        monkeypatch.setattr(lrbas.decomposition, "_digest", lambda *pairs: keys.append(digest(*pairs)) or keys[-1])
+        coarse = ops = None
+        factored, pencils = [], []  # (key, bytes), in the order the keys were taken
+        for k, prob in enumerate(probs):
+            changed = np.arange(dec.n_subdomains) if k == 0 else detect_changed_subdomains(prob.changed_elements, dec)
+            keys.clear()
+            coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse, recompute=changed)
+            pencils += zip(keys, (csr_bytes(*pencil(dec, pou, prob.system, prob.coefficient, i)[:2]) for i in changed), strict=True)
+            keys.clear()
+            if ops is None:
+                ops = LocalOperators.build(prob.system.A, coarse)
+            else:
+                ops.refresh(prob.system.A, coarse, changed)
+            factored += zip(keys, (csr_bytes(principal(prob.system.A, dec.index_sets[i])) for i in changed), strict=True)
+        assert len(pencils) == dec.n_subdomains + sum(len(detect_changed_subdomains(p.changed_elements, dec)) for p in probs[1:])
+        for pairs, table in ((factored, ops.shared), (pencils, coarse.pencils)):
+            assert len(set(pairs)) == len({key for key, _ in pairs}) == len({b for _, b in pairs}) == len(table)
+        assert {key for _, key in coarse.pencils} == {key for key, _ in pencils}
 
     def test_local_matrices_match_submatrices(self):
         grid = Grid(20)
@@ -672,7 +794,7 @@ class TestLocalOperators:
         dec = build_decomposition(grid, 2, 2)
         ops = LocalOperators.build(system.A, empty_coarse(dec))
         for idx, F in zip(dec.index_sets, ops.factors):
-            want = system.A.submatrix(idx).toarray()
+            want = principal(system.A, idx).toarray()
             got = np.empty_like(want)
             L = band_to_dense(F.lower)
             got[np.ix_(F.perm, F.perm)] = L @ L.T  # P L L^T P^T
@@ -772,6 +894,6 @@ class TestChangeSoundness:
                 if i in changed:
                     continue
                 idx = dec.index_sets[i]
-                before = prev.system.A.submatrix(idx).toarray()
-                after = cur.system.A.submatrix(idx).toarray()
+                before = principal(prev.system.A, idx).toarray()
+                after = principal(cur.system.A, idx).toarray()
                 assert np.array_equal(before, after)

@@ -523,6 +523,13 @@ class TestProblemSequence:
             assert np.max(diff[np.ix_(untouched, untouched)]) == 0
 
 
+def assert_bitwise(got, want):
+    """Two systems with bitwise equal CSR arrays of A, index types included, and load vectors."""
+    A, B = got.A.to_scipy(), want.A.to_scipy()
+    for a, b in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr), (got.f, want.f)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestAssemblyPlan:
     @staticmethod
     def assert_matches_reference(system, grid, coefficient):
@@ -547,6 +554,55 @@ class TestAssemblyPlan:
         grid = Grid(6)
         assert grid.assembly_plan is grid.assembly_plan
         assert Grid(6).assembly_plan is not grid.assembly_plan
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_assembly_from_the_previous_system_is_a_fresh_one_bitwise(self, data):
+        m = data.draw(st.integers(4, 12), label="m")
+        elements = st.integers(0, m * m - 1)
+        edges = [e for e in range(m * m) if e % m in (0, m - 1)]  # their sums include C's
+        changed = data.draw(
+            st.one_of(
+                st.just([]),
+                st.lists(elements, min_size=1, max_size=1),
+                st.lists(st.sampled_from(edges), min_size=1, unique=True),
+                st.lists(elements, unique=True),
+                st.just(list(range(m * m))),
+            ),
+            label="changed",
+        )
+        grid = Grid(m)
+        before = high_contrast_field(grid, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = before.values.copy()
+        values.ravel()[changed] = high_contrast_field(grid, len(changed)).values.ravel()[changed]
+        field = CoefficientField(grid, values)
+        assert_bitwise(assemble(grid, field, (assemble(grid, before), before)), assemble(grid, field))
+
+    @pytest.mark.parametrize("walk", ["default", "port-walk"])
+    def test_sequence_systems_are_fresh_assemblies_bitwise(self, walk):
+        grid = Grid(40)
+        if walk == "default":
+            schedule = DEFAULT_SCHEDULE
+        else:  # ten systems, each toggling one port of the last
+            rng, ports, steps = np.random.default_rng(7), {2, 5}, []
+            for _ in range(10):
+                steps.append(set(ports))
+                ports ^= {int(rng.integers(1, 7))}
+            schedule = ModificationSchedule(tuple(steps))
+        probs = problem_sequence(grid, SMALL_GEOMETRY, schedule)
+        assert len(probs) == len(schedule)
+        indices, indptr = grid.assembly_plan[3]
+        for prob in probs:
+            assert_bitwise(prob.system, assemble(grid, prob.coefficient))
+            # one pattern for every system: the fast path of Coupling.local
+            A = prob.system.A.to_scipy()
+            assert A.indptr is indptr and A.indices.base is indices.base
+
+    def test_previous_system_of_another_grid_rejected(self):
+        field = build_coefficient(Grid(4), ChannelGeometry.empty())
+        other = build_coefficient(Grid(5), ChannelGeometry.empty())
+        with pytest.raises(ValueError, match="different grid"):
+            assemble(Grid(4), field, (assemble(Grid(5), other), other))
 
     def test_systems_share_one_pattern_that_solving_leaves_unchanged(self):
         grid = Grid(20)

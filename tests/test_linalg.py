@@ -69,24 +69,6 @@ class TestSparseSymMatrix:
         with pytest.raises(ValueError):
             A.matvec(np.ones(3))
 
-    def test_submatrix_adjacent_rows(self):
-        A = sparse_sym(tridiag(3))
-        assert np.array_equal(A.submatrix(np.array([0, 1])).toarray(), [[2.0, -1.0], [-1.0, 2.0]])
-
-    def test_submatrix_full_is_dense_copy(self):
-        M = tridiag(4)
-        A = sparse_sym(M)
-        assert np.array_equal(A.submatrix(np.arange(4)).toarray(), M)
-
-    def test_submatrix_skipping_a_row_zeroes_coupling(self):
-        A = sparse_sym(tridiag(3))
-        assert np.array_equal(A.submatrix(np.array([0, 2])).toarray(), [[2.0, 0.0], [0.0, 2.0]])
-
-    def test_submatrix_out_of_range(self):
-        A = sparse_sym(tridiag(3))
-        with pytest.raises(ValueError):
-            A.submatrix(np.array([0, 3]))
-
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     def test_matvec_linearity(self, n, seed):
@@ -98,18 +80,6 @@ class TestSparseSymMatrix:
         rhs = a * A.matvec(x) + b * A.matvec(y)
         scale = max(np.abs(lhs).max(), 1e-30)
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
-    def test_submatrix_matches_explicit_restriction(self, n, seed):
-        rng = np.random.default_rng(seed)
-        M = random_spd(rng, n)
-        A = sparse_sym(M)
-        k = int(rng.integers(1, n + 1))
-        rows = np.sort(rng.choice(n, size=k, replace=False))
-        R = np.zeros((k, n))
-        R[np.arange(k), rows] = 1.0
-        assert np.array_equal(A.submatrix(rows).toarray(), R @ M @ R.T)
 
 
 # ---------------------------------------------------------------- factorize
