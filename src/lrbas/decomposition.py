@@ -175,6 +175,7 @@ class Coupling:
     def __init__(self, dec):
         # int32 throughout, as the grid's pattern: every count and position fits
         indices, indptr = self.pattern = dec.grid.assembly_plan[3]
+        self._indices_buffer = indices.__array_interface__  # its address, dtype, shape and strides
         n, I = dec.grid.n_free, dec.n_subdomains
         first, q = dec.bounds.astype(np.int32), dec.stacked.astype(np.int32)
         sizes = np.diff(first)
@@ -238,7 +239,10 @@ class Coupling:
         """The values of ``A[ext_i, idx_i]``: A's rows of idx_i, gathered run by run."""
         csr = A.to_scipy()
         indices, indptr = self.pattern
-        if not (csr.indptr is indptr or np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)):
+        # an assembled system holds the grid's read-only arrays: its indptr, and a view of
+        # its indices on the same buffer, which reads the same
+        shared = csr.indptr is indptr and csr.indices.__array_interface__ == self._indices_buffer
+        if not (shared or np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)):
             raise ValueError("matrix does not have the sparsity pattern of the grid")
         return np.concatenate([csr.data[u:v] for u, v in self._local[i][0].tolist()])
 

@@ -8,7 +8,7 @@ pivoted semidefinite factor that drops a direction by its own energy and
 can be extended by bordering columns; a sparse one (the local Dirichlet
 matrices) gets a banded factor in its own index order.
 The generalized eigensolver uses that banded factor too: on a large
-sparse pencil it runs ARPACK through one factor of ``A + B``.
+sparse pencil it runs ARPACK through one factor of ``A + s B``.
 """
 from __future__ import annotations
 
@@ -21,25 +21,51 @@ from scipy.linalg.lapack import dpbtrs, dpstrf, dtbtrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # The ARPACK path of sym_gen_eig, placed by measurement on the GenEO
-# pencils of the channel problem (OpenBLAS, one thread). Below this
-# size ARPACK's per-call overhead costs more than dense eigh.
-_ARPACK_MIN_N = 400
+# pencils of the channel problem's first system (OpenBLAS, one thread,
+# best of 7 per pencil). With the shifted operator below, ARPACK overtakes
+# dense eigh at about 200 unknowns: at 72 x 72, layout 6, overlap 2, it
+# takes 2.2 against 2.3 ms per pencil of 210 unknowns and 2.1 against
+# 3.1 ms at 238; at 90 x 90, layout 6, overlap 2, 2.8 against 5.4 ms at 306
+# and 3.7 against 12.3 ms at 400. At 100 x 100, layout 10, overlap 2,
+# dense eigh is the faster up to 195 unknowns, and at 225, where some
+# pencils stall ARPACK and fall back, 2.9 against 3.8 ms; so the cut lies
+# just above 225.
+_ARPACK_MIN_N = 226
 # Eigenpairs asked for first; the count doubles until the wanted range
 # is covered, but never past n / 16, where dense eigh is the cheaper.
 _ARPACK_K0 = 6
 _ARPACK_K_FRACTION = 16
 # Lanczos basis size floor and restart cap: a tight eigenvalue cluster
 # larger than k stalls ARPACK, and after this many restarts the dense
-# solve takes over.
+# solve takes over. At 120 x 120, 4 x 4 subdomains, overlap 2, the 6 of
+# the first system's 12 distinct pencils that hold 27 or 46 wanted pairs
+# run to the cap at k = 6 and fall back, which costs about 0.34 s of the
+# 0.4 s spent in ARPACK there, as much at s = 1/16 as at s = 1.
 _ARPACK_MIN_NCV = 20
 _ARPACK_MAX_RESTARTS = 30
-# ARPACK's tolerance on C = L^-1 B L^-T: it stops once each Ritz pair has
-# ||C y - theta y|| <= tol theta, so, C being symmetric, an eigenvalue lies
-# within tol theta of theta and y, whose 2-norm is the (A + B) energy norm
-# of p = L^-T y, within an angle tol theta / gap of its eigenspace
-# (Parlett, The Symmetric Eigenvalue Problem, ch. 11). An attempt with a
-# Ritz value within tol theta of 1 / (1 + upper) is repeated at tol 0, so
-# no keep-or-drop decision is made at reduced accuracy; so is one with two
+# The shift s of the factored pencil A + s B = L L^T; ARPACK finds the
+# largest nu = 1 / (lambda + s) of C = L^-1 B L^-T. It must be positive, A
+# being only semidefinite. Lanczos converges on nu_j at a rate set by the
+# gap ratio (nu_j - nu_j+1) / (nu_j+1 - nu_min) (Saad, Numerical Methods for
+# Large Eigenvalue Problems, sec. 6.6), about (lambda_j+1 - lambda_j) /
+# (lambda_j + s) here, as nu_min is near 0: a shift next to the wanted end,
+# lambda <= upper, spreads the wanted pairs apart, as in the spectral
+# transformation Lanczos of Ericsson and Ruhe (1980). A power of two makes
+# s B exact. On the 35 pencils of the paper's first system (200 x 200,
+# layout 10, overlap 4, 600-841 unknowns) ARPACK applies C 2795 times at
+# s = 1, 2144 at 1/4, 1926 at 1/16, 1862 at 1/64 and 1851 at 1/256, keeping
+# the pairs dense eigh keeps; past 1/16 it saves under 4% more, while the
+# condition of A + s B grows as 1 / s.
+_ARPACK_SHIFT = 1.0 / 16
+# ARPACK's tolerance on C: it stops once each Ritz pair has
+# ||C y - theta y|| <= tol theta, so, C being symmetric, an eigenvalue nu lies
+# within tol theta of theta, which puts lambda within about tol (lambda + s)
+# of 1 / theta - s, and y, whose 2-norm is the (A + s B) energy norm of
+# p = L^-T y, within an angle tol theta / gap of its eigenspace (Parlett,
+# The Symmetric Eigenvalue Problem, ch. 11). An attempt with a Ritz value
+# within tol theta of nu_upper = 1 / (upper + s), that is with
+# |lambda - upper| <= tol (upper + s), is repeated at tol 0, so no
+# keep-or-drop decision is made at reduced accuracy; so is one with two
 # kept Ritz values that close, whose gap leaves the bound void and where
 # Lanczos can hold fewer copies of a tight cluster than it has.
 _ARPACK_TOL = 1e-8
@@ -328,11 +354,11 @@ def sym_gen_eig(A, B, upper):
 
     Dense ``eigh`` solves the problem, except for a sparse pencil of at
     least ``_ARPACK_MIN_N`` unknowns and a finite ``upper``: there ARPACK
-    computes the largest nu of ``B p = nu (A + B) p``, with
-    ``nu = 1 / (1 + lambda)``, in standard symmetric form through one
-    banded Cholesky factor of ``A + B``, to the tolerance
-    ``_ARPACK_TOL``. Should ARPACK need too many eigenpairs or stop
-    converging, dense ``eigh`` takes over.
+    computes the largest nu of ``B p = nu (A + s B) p``, with
+    ``nu = 1 / (lambda + s)`` and ``s = _ARPACK_SHIFT``, in standard
+    symmetric form through one banded Cholesky factor of ``A + s B``, to
+    the tolerance ``_ARPACK_TOL``. Should ARPACK need too many eigenpairs
+    or stop converging, dense ``eigh`` takes over.
     """
     arpack = np.isfinite(upper) and sp.issparse(A) and sp.issparse(B) and A.shape[0] >= _ARPACK_MIN_N
     pencil = ((A, "left-hand matrix"), (B, "right-hand matrix"))
@@ -360,20 +386,20 @@ def sym_gen_eig(A, B, upper):
 def _lowest_by_arpack(low_A, low_B, B, upper):
     """Eigenpairs of A p = lambda B p with lambda <= upper, or None.
 
-    Solves ``B p = nu (A + B) p`` for the largest nu, doubling the count
-    asked for until the smallest nu found lies beyond the bound. With
-    ``A + B = L L^T`` banded, ARPACK runs on the standard symmetric
-    problem ``L^-1 B L^-T y = nu y``, and ``p = L^-T y``. Like dense
-    ``eigh``, it factors from both matrices' lower bands; the sparse
-    ``B``, symmetric to roundoff, multiplies.
-    Returns None when B or ``A + B`` has no banded Cholesky factor, when
+    Solves ``B p = nu (A + s B) p``, ``s = _ARPACK_SHIFT``, for the
+    largest nu, doubling the count asked for until the smallest nu found
+    lies beyond the bound. With ``A + s B = L L^T`` banded, ARPACK runs on
+    the standard symmetric problem ``L^-1 B L^-T y = nu y``, and
+    ``p = L^-T y``. Like dense ``eigh``, it factors from both matrices'
+    lower bands; the sparse ``B``, symmetric to roundoff, multiplies.
+    Returns None when B or ``A + s B`` has no banded Cholesky factor, when
     the count would pass n / 16 or when ARPACK fails; the dense solve
     then decides.
     """
     n = low_A.shape[1]
     band = np.zeros((max(len(low_A), len(low_B)), n))
     band[: len(low_A)] = low_A
-    band[: len(low_B)] += low_B
+    band[: len(low_B)] += _ARPACK_SHIFT * low_B
     try:
         _banded_cholesky(low_B, 0.0)
         band = _banded_cholesky(band, 0.0)
@@ -400,10 +426,10 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
                     C, k, which="LA", v0=v0, tol=tol,
                     ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
                 )
-                lam = 1.0 / nu - 1.0
+                lam = 1.0 / nu - _ARPACK_SHIFT
                 theta = np.sort(nu[lam <= upper])
-                # a Ritz value within tol theta of nu_upper = 1 / (1 + upper), or a kept one of another
-                if not ((np.abs(lam - upper) <= tol * (1.0 + upper)).any()
+                # a Ritz value within tol theta of nu_upper = 1 / (upper + s), or a kept one of another
+                if not ((np.abs(lam - upper) <= tol * (upper + _ARPACK_SHIFT)).any()
                         or (np.diff(theta) <= tol * theta[1:]).any()):
                     break
         except ArpackError:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy
 import pytest
 import scipy
+from scipy.sparse.linalg import LinearOperator
 
 import lrbas.linalg
 import lrbas.solver
@@ -65,13 +66,21 @@ def coarse_factor():
 @pytest.fixture
 def eigsh_calls(monkeypatch):
     """Records each ARPACK attempt of ``sym_gen_eig``, in call order: its
-    keyword arguments (``tol`` among them) plus the count ``k`` asked for."""
+    keyword arguments (``tol`` among them) plus the count ``k`` asked for,
+    the ``operator`` it was given and the ``applications`` of that
+    operator it made."""
     calls = []
     eigsh = lrbas.linalg.eigsh
 
     def spy(C, k, **kwargs):
-        calls.append(dict(kwargs, k=k))
-        return eigsh(C, k, **kwargs)
+        call = dict(kwargs, k=k, operator=C, applications=0)
+        calls.append(call)
+
+        def apply(y):
+            call["applications"] += 1
+            return C.matvec(y)
+
+        return eigsh(LinearOperator(C.shape, matvec=apply, dtype=C.dtype), k, **kwargs)
 
     monkeypatch.setattr(lrbas.linalg, "eigsh", spy)
     return calls

@@ -1,4 +1,10 @@
 """Tests for the overlapping decomposition, partition of unity, and coarse space."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -227,6 +233,19 @@ class TestCoupling:
         assert dec.coupling.local(system.A, 0).shape[1] == len(dec.index_sets[0])
         with pytest.raises(ValueError, match="sparsity pattern"):
             dec.coupling.local(other, 0)
+
+    def test_matrix_on_the_grids_row_pointers_with_other_columns_rejected(self):
+        grid = Grid(12)
+        dec = build_decomposition(grid, 3, 2)
+        A = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY)).A.to_scipy()
+        indices = A.indices.copy()
+        indices[A.indptr[5] : A.indptr[6]] += 1  # row 5 still sorted and in range
+        shifted = SparseSymMatrix(sp.csr_matrix((A.data, indices, A.indptr), shape=A.shape))
+        assert shifted.to_scipy().indptr is A.indptr
+        for i in range(dec.n_subdomains):
+            for gather in (dec.coupling.local, dec.coupling.principal):
+                with pytest.raises(ValueError, match="sparsity pattern"):
+                    gather(shifted, i)
 
 
 class TestPrincipalSubmatrix:
@@ -722,6 +741,22 @@ class TestArpackAccuracy:
             assert np.abs(w - w_full).max(initial=0.0) <= 1e-12
             assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max(initial=0.0) <= 1e-12
 
+    def test_shift_next_to_the_wanted_end_needs_fewer_operator_applications(self, monkeypatch, eigsh_calls):
+        # ARPACK on nu = 1 / (lambda + s): a shift of 1 squeezes the wanted
+        # lambda <= tau together (1926 against 2795 applications measured)
+        schedule = ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1])
+        solved = solved_pencils(monkeypatch, Grid(200), 10, 4, schedule)
+        assert len(solved) == 35 and min(K.shape[0] for K, *_ in solved) >= lrbas.linalg._ARPACK_MIN_N
+        shifted = sum(call["applications"] for call in eigsh_calls)
+        del eigsh_calls[:]
+        monkeypatch.setattr(lrbas.linalg, "_ARPACK_SHIFT", 1.0)
+        for K, B, w, _ in solved:
+            w_one, _ = sym_gen_eig(K, B, upper=0.5)
+            assert len(w) == len(w_one)
+            assert np.count_nonzero(np.maximum(w, 0.0) < 0.5) == np.count_nonzero(np.maximum(w_one, 0.0) < 0.5)
+            assert np.abs(w - w_one).max(initial=0.0) <= 1e-12
+        assert shifted <= 0.75 * sum(call["applications"] for call in eigsh_calls)
+
     def test_two_level_condition_number_does_not_grow_with_the_contrast(self, force_arpack, coarse_factor):
         # GenEO bounds kappa(M^-1 A) by tau and the overlap multiplicity
         # whatever the coefficient; the near-kernel space alone does not
@@ -897,3 +932,39 @@ class TestChangeSoundness:
                 before = principal(prev.system.A, idx).toarray()
                 after = principal(cur.system.A, idx).toarray()
                 assert np.array_equal(before, after)
+
+
+PAPER_GENEO_COUNTS = """
+import json
+from lrbas.decomposition import build_decomposition, build_geneo_coarse, build_partition_of_unity
+from lrbas.fem import DEFAULT_SCHEDULE, ChannelGeometry, Grid, problem_sequence
+
+grid = Grid(200)
+dec = build_decomposition(grid, 10, 4)
+pou = build_partition_of_unity(dec)
+coarse, counts = None, []
+for prob in problem_sequence(grid, ChannelGeometry(), DEFAULT_SCHEDULE):
+    coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse)
+    counts.append(coarse.counts.tolist())
+print(json.dumps(counts))
+"""
+
+
+def test_paper_geneo_counts_are_those_at_one_and_two_blas_threads():
+    # the benchmark pins one OpenBLAS thread, the CLI none: the roundoff of
+    # ARPACK's operator must not move a keep-or-drop decision
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    counts = []
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", PAPER_GENEO_COUNTS],
+            cwd=root,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr[-3000:]
+        counts.append(json.loads(run.stdout))
+    assert len(counts[0]) == len(DEFAULT_SCHEDULE.open_ports) and counts[0] == counts[1]

@@ -1,6 +1,7 @@
 """Sparse storage, factorization, and eigensolver tests."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
@@ -320,30 +321,32 @@ class TestSymGenEig:
         assert P.shape == (3, 2)
 
     def test_sparse_pencil_takes_arpack_path_from_the_size_cut(self, eigsh_calls):
-        assert lrbas.linalg._ARPACK_MIN_N == 400
-        A, B = neumann_pencil(19, 21)  # 399 unknowns
+        assert lrbas.linalg._ARPACK_MIN_N == 226
+        A, B = neumann_pencil(15, 15)  # 225 unknowns
         w, P = sym_gen_eig(A, B, upper=0.3)
         w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=0.3)
         assert eigsh_calls == []
         assert np.array_equal(w, w_dense) and np.array_equal(P, P_dense)
 
-        A, B = neumann_pencil(20, 20)
-        w, P = sym_gen_eig(A, B, upper=0.3)
-        w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=0.3)
+        A, B = neumann_pencil(2, 113)  # 226 unknowns, 9 eigenvalues below 0.05
+        w, P = sym_gen_eig(A, B, upper=0.05)
+        w_dense, P_dense = sym_gen_eig(A.toarray(), B.toarray(), upper=0.05)
         assert eigsh_calls
         assert len(w) == len(w_dense) > lrbas.linalg._ARPACK_K0
         assert np.all(np.diff(w) >= 0) and np.abs(w - w_dense).max() <= 1e-12
         assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max() <= 1e-12
-        # the double eigenvalues make single vectors arbitrary: compare spans
         assert np.abs(P @ P.T - P_dense @ P_dense.T).max() <= 1e-10
 
     def test_arpack_runs_the_standard_symmetric_problem(self, eigsh_calls):
-        # L^-1 B L^-T y = nu y with L L^T = A + B: ARPACK's standard mode, no mass matrix
+        # L^-1 B L^-T y = nu y with L L^T = A + s B: ARPACK's standard mode, no mass matrix
         A, B = neumann_pencil(20, 20)
         w, P = sym_gen_eig(A, B, upper=0.3)
         assert eigsh_calls
         assert all(call.get("M") is None and call.get("Minv") is None for call in eigsh_calls)
         assert all(call.get("sigma") is None and call["which"] == "LA" for call in eigsh_calls)
+        L = np.linalg.cholesky((A + lrbas.linalg._ARPACK_SHIFT * B).toarray())
+        C = sla.solve_triangular(L, sla.solve_triangular(L, B.toarray(), lower=True).T, lower=True)
+        assert np.abs(eigsh_calls[0]["operator"] @ np.eye(A.shape[0]) - C).max() <= 1e-12 * np.abs(C).max()
         assert np.abs(P.T @ (B @ P) - np.eye(len(w))).max() <= 1e-12
         assert np.abs(A @ P - B @ P * w).max() <= 1e-12
 
@@ -392,7 +395,7 @@ class TestSymGenEig:
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="single-vector Lanczos misses copies of a multiple eigenvalue")
     def test_eigenvalue_of_multiplicity_eight_keeps_every_copy(self):
         # an 8-fold eigenvalue and three more below the bound: ARPACK keeps
-        # 10, 10, 8, 8, 9 and 8 of the 11 pairs for seeds 0 to 5 without
+        # 11, 11, 9, 11, 9 and 11 of the 11 pairs for seeds 0 to 5 without
         # falling back to dense eigh, which keeps all 11
         kept = []
         for seed in range(6):
