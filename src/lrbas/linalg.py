@@ -6,9 +6,11 @@ that stores both triangles of a symmetric matrix, and a Cholesky
 factorization. A dense matrix (the coarse and reduced systems) gets a
 pivoted semidefinite factor that drops a direction by its own energy and
 can be extended by bordering columns; a sparse one (the local Dirichlet
-matrices) gets a banded factor in its own index order.
-The generalized eigensolver uses that banded factor too: on a large
-sparse pencil it runs ARPACK through one factor of ``A + s B``.
+matrices) gets a banded factor in its own index order, stored as the
+upper band of L^T, so that both halves of a solve run LAPACK's upper band
+kernels.
+The generalized eigensolver uses the banded Cholesky factor too: on a
+large sparse pencil it runs ARPACK through one factor of ``A + s B``.
 """
 from __future__ import annotations
 
@@ -150,12 +152,13 @@ class Factorization:
     ``B`` below the earlier columns and ``D`` lower triangular.
 
     A ``banded`` factor, from a sparse input, is positive definite with
-    the identity permutation and full rank; ``lower`` then holds L in
-    LAPACK lower band storage, ``lower[d, j] = L[j + d, j]``.
+    the identity permutation and full rank; ``lower`` then holds L^T in
+    LAPACK upper band storage, ``lower[-1 - d, j] = L[j, j - d]`` (see
+    ``_transposed_band``).
     """
 
     n: int
-    lower: np.ndarray  # lower triangular; banded: (bandwidth + 1, n)
+    lower: np.ndarray  # lower triangular; banded: L^T's upper band, (bandwidth + 1, n)
     perm: np.ndarray  # (n,)
     rank: int
     banded: bool = False
@@ -173,7 +176,7 @@ class Factorization:
             raise ValueError(f"right-hand side length {b.shape[0]} does not match dimension {self.n}")
         if self.banded:
             # no empty block goes to LAPACK: the band solve dtbtrs corrupts the heap on one
-            return dpbtrs(self.lower, b, lower=1)[0] if b.size else np.zeros_like(b)
+            return dpbtrs(self.lower, b, lower=0)[0] if b.size else np.zeros_like(b)
         r = self.rank
         x = np.zeros_like(b)
         if r:
@@ -306,9 +309,9 @@ def _require_semidefinite(M, F, dropped, tail):
 
 
 def _factorize_banded(M, pivot_tol):
-    band = _lower_band(M, 0.0)
+    band = _transposed_band(_banded_cholesky(_lower_band(M, 0.0), pivot_tol))
     n = band.shape[1]
-    return Factorization(n, _banded_cholesky(band, pivot_tol), np.arange(n, dtype=np.int64), n, banded=True)
+    return Factorization(n, band, np.arange(n, dtype=np.int64), n, banded=True)
 
 
 def _lower_band(M, tol, what="matrix"):
@@ -342,6 +345,21 @@ def _banded_cholesky(band, pivot_tol):
     if not (L[0] ** 2 > pivot_tol * band[0].max(initial=0.0)).all():
         raise IndefiniteMatrixError("matrix not positive definite: pivot below threshold")
     return L
+
+
+def _transposed_band(low):
+    """L^T in upper band storage, ``up[-1 - d, j] = L[j, j - d]``, of the
+    L held in lower band storage ``low[d, j] = L[j + d, j]``.
+
+    The same numbers, moved: a solve with L^T on the upper band runs
+    LAPACK's upper band kernels, which on the local factors take a half
+    to a third of the time of the transposed solve on L's lower band.
+    """
+    n = low.shape[1]
+    up = np.zeros_like(low)
+    for d, row in enumerate(low):
+        up[-1 - d, d:] = row[: n - d]
+    return up
 
 
 def sym_gen_eig(A, B, upper):
@@ -406,11 +424,11 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
     except IndefiniteMatrixError:
         return None
 
-    # L^T in upper band storage, ut[-1 - d, j] = L[j, j - d]: L^-T y is then a
-    # solve without transpose, which LAPACK does in about half the time
-    ut = np.zeros_like(band)
-    for d, row in enumerate(band):
-        ut[-1 - d, d:] = row[: n - d]
+    # L^-T y on L^T's upper band is a solve without transpose, which LAPACK
+    # does in a half to a third of the time. L^-1 stays a solve on L's
+    # lower band: on the upper band, its roundoff made the paper's adaptive
+    # counts depend on the BLAS thread count
+    ut = _transposed_band(band)
 
     def back(y):  # L^-T y; L has positive pivots, so the solve cannot fail
         return dtbtrs(ut, y, uplo="U")[0]

@@ -7,6 +7,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import lrbas.linalg
+from lrbas.decomposition import build_decomposition
+from lrbas.fem import ChannelGeometry, Grid, assemble, build_coefficient
 from lrbas.linalg import IndefiniteMatrixError, SparseSymMatrix, factorize, sym_gen_eig
 
 
@@ -30,6 +32,16 @@ def random_banded_spd(rng, n, bw):
     upper = np.triu(G, 1) - np.triu(G, bw + 1)
     off = upper + upper.T
     return sp.csr_matrix(off + np.diag(np.abs(off).sum(axis=1) + 1.0))
+
+
+def channel_subdomain_matrix():
+    """Dirichlet matrix A_i of the subdomain of a 40 x 40 grid that holds a
+    port and the start of its channel, conductivity 1e5 + 1 against 1."""
+    grid = Grid(40)
+    geometry = ChannelGeometry(channel_centers=(0.5,), channel_height=0.05, x_left=0.1, x_right=0.9, port_length=0.05)
+    A = assemble(grid, build_coefficient(grid, geometry, open_ports={1})).A.to_scipy()
+    idx = build_decomposition(grid, 4, 2).index_sets[4]  # elements 0-11 by 8-21
+    return A[idx][:, idx]
 
 
 def sparse_sym(M):
@@ -224,11 +236,11 @@ class TestFactorizeBordered:
 
 
 class TestFactorizeSparse:
-    @pytest.mark.parametrize("n, bw", [(1, 0), (12, 3), (60, 5), (40, 39)])
+    @pytest.mark.parametrize("n, bw", [(1, 0), (12, 3), (60, 5), (40, 39), pytest.param(None, None, id="channel-1e5")])
     def test_solve_matches_spsolve(self, n, bw):
-        rng = np.random.default_rng(n + bw)
-        M = random_banded_spd(rng, n, bw)
-        b = rng.standard_normal(n)
+        rng = np.random.default_rng(0 if n is None else n + bw)
+        M = channel_subdomain_matrix() if n is None else random_banded_spd(rng, n, bw)
+        b = rng.standard_normal(M.shape[0])
         want = spla.spsolve(M.tocsc(), b)
         assert np.abs(factorize(M).solve(b) - want).max() <= 1e-12 * np.abs(want).max()
 
