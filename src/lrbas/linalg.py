@@ -74,6 +74,8 @@ _ARPACK_TOL = 1e-8
 # Roundoff allowed in a scaled Schur pivot of a semidefinite matrix, per
 # unit of the pivot's growth factor (see _require_semidefinite).
 _ROUNDOFF = 64 * np.finfo(np.float64).eps
+# Entries of the temporaries of a blockwise pass over a dense matrix (2 MB).
+_BLOCK = 1 << 18
 
 
 class IndefiniteMatrixError(ValueError):
@@ -95,14 +97,20 @@ class ConvergenceFailure(RuntimeError):
 
 def _require_symmetric(M, tol=1e-12, what="matrix", start=0):
     """Dense M as float64, after checking it is square and that its
-    columns from ``start`` on equal its rows from ``start`` on."""
+    columns from ``start`` on equal its rows from ``start`` on.
+
+    The check runs a block of columns at a time, through temporaries of
+    at most ``_BLOCK`` entries.
+    """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{what} must be square, got shape {M.shape}")
-    if start < M.shape[0]:
-        cols, rows = (M, M) if start == 0 else (M[:, start:], M[start:, :])
-        scale = abs(cols).max()
-        if scale > 0 and abs(cols - rows.T).max() > tol * scale:
+    n = M.shape[0]
+    if start < n:
+        step = max(1, _BLOCK // n)
+        blocks = [slice(a, a + step) for a in range(start, n, step)]
+        scale = np.max([abs(M[:, b]).max() for b in blocks])
+        if scale > 0 and np.max([abs(M[:, b] - M[b].T).max() for b in blocks]) > tol * scale:
             raise ValueError(f"{what} is not symmetric to relative tolerance {tol}")
     return M
 
@@ -267,9 +275,10 @@ def _scaled_pivoted(S, own, pivot_tol):
     LAPACK's ``dpstrf`` stops once no scaled pivot exceeds ``pivot_tol``.
     The kept block of L is scaled back, so that ``S[p, p] = L L^T`` on the
     kept pivots ``p``; the last value returned holds the scaled Schur
-    complement diagonal of the dropped pivots ``perm[rank:]``.
+    complement diagonal of the dropped pivots ``perm[rank:]``. The scaled
+    copy of S is the one workspace: ``dpstrf`` factors it in place and L,
+    C-ordered, is formed in it (``_kept_lower``).
     """
-    n = S.shape[0]
     d = _jacobi(own)
     scaled = S / d
     scaled /= d[:, None]
@@ -279,10 +288,45 @@ def _scaled_pivoted(S, own, pivot_tol):
     if info < 0:
         raise RuntimeError(f"dpstrf failed with illegal argument {-info}")
     perm = np.asarray(piv, dtype=np.int64) - 1
+    rank = int(rank)
     tail = diag[perm[rank:]] - np.einsum("ij,ij->i", c[rank:, :rank], c[rank:, :rank])
-    L = np.tril(c[:rank, :rank])
+    del c
+    L = _kept_lower(scaled, rank)
     L *= d[perm[:rank], None]
-    return L, perm, int(rank), tail
+    return L, perm, rank, tail
+
+
+def _kept_lower(W, rank):
+    """The C-ordered kept block ``L[:rank, :rank]`` of a ``dpstrf`` factor, formed in place in W.
+
+    W is C-ordered, owns its memory and holds the factor's transpose, so
+    the upper triangle of its leading block holds ``L^T``. Each row block
+    takes its lower part from there, and only once every block has does
+    the strict upper triangle become zero. With columns dropped, the kept
+    rows then move to rows of length ``rank``, the first rows first, and
+    W shrinks to ``rank^2`` entries in place. Every pass runs a block of
+    rows at a time, through temporaries of at most ``_BLOCK`` entries. W
+    itself is returned, resized to L.
+    """
+    n = len(W)
+    K = W[:rank, :rank]
+    step = max(1, _BLOCK // max(n, 1))
+    blocks = [(a, min(a + step, rank)) for a in range(0, rank, step)]
+    for a, b in blocks:
+        K[a:b, :a] = K[:a, a:b].T
+        low = np.tri(b - a, k=-1, dtype=bool)
+        K[a:b, a:b][low] = K[a:b, a:b].T[low]
+    for a, b in blocks:
+        K[a:b, b:] = 0.0
+        K[a:b, a:b][~np.tri(b - a, dtype=bool)] = 0.0
+    if rank == n:
+        return W
+    flat = W.reshape(-1)
+    for a, b in blocks:  # each block's new place ends before the rows that follow it start
+        flat[a * rank : b * rank].reshape(b - a, rank)[...] = K[a:b]
+    del K, flat
+    W.resize((rank, rank), refcheck=False)
+    return W
 
 
 def _require_semidefinite(M, F, dropped, tail):

@@ -41,7 +41,7 @@ STRATEGIES = ("pcg", "pcg-guess", "lrbas")
 _ENRICH_PIVOT_TOL = 1e-7
 _SNAPSHOT_PIVOT_TOL = 1e-12
 _BASIS_DROP_TOL = 1e-10  # LocalBasis.append's, relative to the appended vector's norm
-_MOVE_BLOCK = 1 << 18  # entries of ReducedSystem._move's temporaries (2 MB)
+_MOVE_BLOCK = 1 << 18  # entries ReducedSystem._move and _grow move at a time (2 MB)
 # A chain of bordered factors, each pivoted within its own columns only,
 # can lose accuracy: on toggle walks with keep-full bases the estimate of
 # ReducedSystem._misses grew from 1e-15 to 6e-11 over nine systems, and
@@ -67,15 +67,15 @@ class LocalBasis:
     def dim(self):
         return self.vectors.shape[1]
 
-    def copy(self):
-        return LocalBasis(self.n, self.vectors.copy())
-
     def append(self, y):
         """Orthonormalize y against the basis and append it.
 
         Re-orthogonalized Gram-Schmidt; returns False and leaves the
         basis unchanged when the remainder falls below ``_BASIS_DROP_TOL``
-        times the input norm (the vector is numerically dependent).
+        times the input norm (the vector is numerically dependent). The
+        longer basis is a new array: one handed out before is never
+        written, so ``transition_bases`` and ``ReducedSystem.rebase`` may
+        hold a basis across a step without a copy.
         """
         y = np.asarray(y, dtype=np.float64)
         nrm0 = np.linalg.norm(y)
@@ -103,7 +103,9 @@ class ReducedSystem:
     formed: M comes from dense blocks over the subdomain pairs that A
     couples (``_galerkin``), each subdomain's columns read in place
     from its coarse block and its basis, rhs from local dot products, and
-    the iterate by one scatter of the subdomains' parts. ``update`` forms
+    the iterate by one scatter of the subdomains' parts. M is a view of
+    the one buffer that holds its room, which ``update`` grows in place,
+    and is valid until the next ``update``. ``update`` forms
     columns in one order: first every coarse block not yet in M, as the
     coarse space numbers them, then the new basis vectors, subdomain by
     subdomain. A new system is a re-base of an empty one, with ``ops``
@@ -131,7 +133,8 @@ class ReducedSystem:
         self.pivot_tol = pivot_tol
         self._locals = {}
         # an empty system over ``bases``: no coarse block and none of their vectors is in M yet
-        self.M = self._room = np.zeros((0, 0))
+        self._buffer = np.zeros(0)  # M's room, owned here alone; ``_room`` views it square
+        self.M = self._room = self._buffer.reshape(0, 0)
         self.rhs = np.zeros(0)
         self.coarse_cols = [None] * dec.n_subdomains  # None: not yet in M
         self.counts = np.zeros(dec.n_subdomains, dtype=np.int64)
@@ -189,13 +192,9 @@ class ReducedSystem:
         if not new:
             return self
         if k > len(self._room):
-            # M is the leading block of a larger array, grown by a quarter
-            # at a time: bordering in place kept paper-rb's peak memory
-            # about 13 MB (5%) below a fresh array per update, 10 of 10
-            # paired runs (2-core host, OpenBLAS 1 thread)
-            room = np.empty((k + k // 4,) * 2)
-            room[:N, :N] = self.M
-            self._room = room
+            # M is the leading block of a larger room, grown by a quarter at
+            # a time, so that most updates border M in place
+            self._grow(N, k + k // 4)
         self.M = M = self._room[:k, :k]
         M[:, N:] = 0.0
         self._galerkin(new)
@@ -209,6 +208,37 @@ class ReducedSystem:
         f = self.system.f
         self.rhs = np.concatenate([self.rhs] + [Y.T @ f[self.dec.index_sets[i]] for i, Y, _ in new])
         return self
+
+    def _grow(self, N, size):
+        """Make the room ``size`` square in place, keeping M's N x N entries.
+
+        The buffer is resized, which glibc serves for a large block by
+        remapping it, not by a copy beside it, and the kept rows then move
+        to the new row length, the last rows first, at most
+        ``_MOVE_BLOCK`` entries at a time. A row's new place starts past
+        the old places of the rows before it, so no row is overwritten
+        before it has moved. A block moves at once where its new places
+        all lie past its old ones, and so needs no temporary; the first
+        few rows, whose new places overlap their own old ones, move one
+        at a time. The views of the old buffer are dropped first: none is
+        valid after the resize.
+        """
+        old = len(self._room)
+        self.M = self._room = None
+        self._buffer.resize(size * size, refcheck=False)
+        src = self._buffer[: old * old].reshape(old, old)
+        room = self._buffer.reshape(size, size)
+        step = max(1, _MOVE_BLOCK // max(N, 1))
+        b = N
+        while b > 0:
+            a = max(-(-((b - 1) * old + N) // size), b - step)  # the first row whose new place lies past
+            if a < b:
+                room[a:b, :N] = src[a:b, :N]
+            else:  # row b - 1 overlaps its own old place: one contiguous move
+                a = b - 1
+                room[a, :N] = src[a, :N]
+            b = a
+        self._room = room
 
     def _galerkin(self, new):
         """Set the blocks of M that the ``new`` columns add.
@@ -490,20 +520,23 @@ def lrbas_solve_one(rs, ops, opts):
     return x, coeff, iterations, corrections, history
 
 
-def transition_bases(initial, final, coeff, keep_full):
+def transition_bases(dims, final, coeff, keep_full):
     """Bases carried into the next step of the sequence.
 
-    A basis that was enriched is reset to its initial part plus the
-    local piece of the converged solution (orthonormalized, possibly
-    dropped as dependent); an unchanged basis is carried as is. With
-    ``keep_full`` the entire final basis is carried instead.
+    ``dims`` holds each basis's dimension at the start of the step. A
+    basis that was enriched is reset to its initial part plus the local
+    piece of the converged solution (orthonormalized, possibly dropped as
+    dependent); an unchanged basis is carried as is, the same object.
+    With ``keep_full`` every final basis is carried so. Enrichment only
+    appends, so the initial part is a copy of the final basis's leading
+    columns, bitwise the vectors the step started from.
     """
     out = []
-    for b0, b1, ci in zip(initial, final, coeff):
-        if keep_full or b1.dim == b0.dim:
-            out.append(b1.copy())
+    for d, b1, ci in zip(dims, final, coeff):
+        if keep_full or b1.dim == d:
+            out.append(b1)
             continue
-        nxt = b0.copy()
+        nxt = LocalBasis(b1.n, np.ascontiguousarray(b1.vectors[:, :d]))
         nxt.append(b1.vectors @ ci)
         out.append(nxt)
     return out
@@ -516,13 +549,23 @@ def pcg(system, ops, coarse_factor, x0, eps, max_iter):
     factor of its coarse Galerkin matrix (see ``apply_as_preconditioner``).
     Returns (solution, iterations, relative residual history); the
     history starts with the residual of the initial guess. One
-    preconditioner application per iteration.
+    preconditioner application per iteration. A non-finite residual or
+    ``p^T A p`` raises ConvergenceFailure at once: no later iteration
+    can recover from it.
     """
     f = system.f
     nf = np.linalg.norm(f)
     x = np.array(x0, dtype=np.float64, copy=True)
     r = f - system.A.matvec(x)
     history = [np.linalg.norm(r) / nf if nf else 0.0]
+
+    def breakdown(what, value):
+        done = len(history) - 1
+        message = f"pcg broke down after {done} iterations: {what} is {value}"
+        return ConvergenceFailure(message, report=(done, history, x))
+
+    if not np.isfinite(history[-1]):
+        raise breakdown("the relative residual", history[-1])
     if history[-1] <= eps:
         return x, 0, history
     z = apply_as_preconditioner(r, ops, coarse_factor)
@@ -531,11 +574,15 @@ def pcg(system, ops, coarse_factor, x0, eps, max_iter):
     for it in range(1, max_iter + 1):
         Ap = system.A.matvec(p)
         pAp = float(p @ Ap)
+        if not np.isfinite(pAp):
+            raise breakdown("p^T A p", pAp)
         if pAp <= 0.0:
             raise IndefiniteMatrixError("matrix not positive definite in pcg")
         x += (rz / pAp) * p
         r = f - system.A.matvec(x)
         history.append(np.linalg.norm(r) / nf if nf else 0.0)
+        if not np.isfinite(history[-1]):
+            raise breakdown("the relative residual", history[-1])
         if history[-1] <= eps:
             return x, it, history
         z = apply_as_preconditioner(r, ops, coarse_factor)
@@ -610,9 +657,9 @@ def run_sequence(problems, dec, pou=None, opts=None):
             else:
                 rs.rebase(prob.system, ops, carried, changed)
             if opts.strategy == "lrbas":
-                initial = [b.copy() for b in bases]
+                dims = [b.dim for b in bases]
                 x, coeff, iters, corrections, history = lrbas_solve_one(rs, ops, opts)
-                bases = transition_bases(initial, bases, coeff, opts.keep_full_bases)
+                bases = transition_bases(dims, bases, coeff, opts.keep_full_bases)
                 coarse_solves = iters + 1
             else:
                 coarse_factor = _coarse_factor(rs.M, rs.coarse_cols)

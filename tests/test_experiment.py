@@ -1,6 +1,9 @@
 """Configuration, report serialization, experiment runner, CLI, and the paper script."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -706,3 +709,30 @@ class TestPaperScript:
         )
         for variant in script.VARIANTS:
             assert (tmp_path / variant / "summary.csv").is_file()
+
+
+class TestLongWalkScript:
+    def test_small_walk_prints_each_system_and_the_peak(self):
+        # scripts/long_walk.py in its own process, as it pins OpenBLAS
+        # before numpy loads and reports that process's peak memory
+        root = Path(__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, str(root / "scripts" / "long_walk.py"), "--variant", "pcg-guess",
+             "--grid", "40", "--layout", "4", "--systems", "6"],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr[-3000:]
+        lines = run.stdout.splitlines()
+        assert "OPENBLAS_NUM_THREADS=1" in lines[0]
+        assert lines[1] == "system seconds N iterations"
+        rows = [line.split() for line in lines[2:8]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert all(float(r[1]) >= 0 for r in rows)
+        # one snapshot per subdomain and system: N grows by at most 16
+        dims = [int(r[2]) for r in rows]
+        assert all(0 < b - a <= 16 for a, b in zip(dims, dims[1:]))
+        assert lines[8].startswith("total ") and f"{sum(int(r[3]) for r in rows)} iterations" in lines[8]
+        assert lines[9].startswith("peak_rss_mb ") and float(lines[9].split()[1]) > 0

@@ -1,9 +1,12 @@
 """Sparse storage, factorization, and eigensolver tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpstrf
 from hypothesis import given, settings, strategies as st
 
 import lrbas.linalg
@@ -175,6 +178,54 @@ class TestFactorize:
         b = M @ rng.standard_normal(n)  # consistent rhs
         x = F.solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-6 * max(np.linalg.norm(b), 1.0)
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("n, r", [(1, 1), (9, 9), (9, 5), (9, 0), (300, 300), (300, 170)])
+    def test_kept_factor_is_dpstrf_lower_triangle(self, monkeypatch, block, n, r):
+        # the reference: the kept block of dpstrf's factor of the scaled
+        # matrix, copied out of its lower triangle, then scaled back
+        if block is not None:  # row blocks of one to a few rows
+            monkeypatch.setattr(lrbas.linalg, "_BLOCK", block)
+        rng = np.random.default_rng(n + r)
+        G = rng.standard_normal((n, r))
+        M = G @ G.T
+        d = np.sqrt(np.where(np.diag(M) > 0, np.diag(M), 1.0))
+        c, piv, rank, _ = dpstrf((M / d / d[:, None]).T, lower=1, tol=1e-10)
+        want = np.tril(c[:rank, :rank]) * d[piv[:rank] - 1, None]
+        F = factorize(M, 1e-10)
+        assert F.rank == rank == r
+        assert np.array_equal(F.perm, piv - 1)
+        assert np.array_equal(F.lower, want)
+        # the triangular solves take the C-ordered path
+        assert F.lower.flags.c_contiguous
+
+    @pytest.mark.parametrize("r", [1000, 640])
+    def test_full_factor_peaks_at_one_workspace(self, r):
+        # the scaled copy is factored in place and L formed in it: the peak
+        # is that n x n workspace plus the temporaries of two blocks
+        n = 1000
+        G = np.random.default_rng(r).standard_normal((n, r))
+        M = G @ G.T
+        tracemalloc.start()
+        try:
+            F = factorize(M, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.rank == r and F.lower.shape == (r, r)
+        assert F.lower.flags.c_contiguous
+        assert peak <= 8 * n * n + 2 * 8 * lrbas.linalg._BLOCK
+
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize("col", [5, 9, 14, 19])
+    def test_asymmetry_in_any_column_block_rejected(self, monkeypatch, start, col):
+        monkeypatch.setattr(lrbas.linalg, "_BLOCK", 20 * 4)  # four columns a block
+        M = random_spd(np.random.default_rng(col), 20)
+        M[2, col] += 1e-6 * np.abs(M).max()
+        with pytest.raises(ValueError, match="not symmetric"):
+            lrbas.linalg._require_symmetric(M, start=start)
+        M[col, 2] = M[2, col]
+        assert lrbas.linalg._require_symmetric(M, start=start) is M
 
 
 class TestFactorizeBordered:

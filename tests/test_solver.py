@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -242,6 +243,20 @@ class TestLocalBasis:
         with pytest.raises(ValueError, match="length"):
             LocalBasis(3, np.zeros((4, 1)))
 
+    def test_append_never_writes_into_a_handed_out_array(self):
+        # transition_bases and the carried reduced system hold bases
+        # across a step without copies
+        rng = np.random.default_rng(4)
+        b = LocalBasis(6)
+        for _ in range(4):
+            handed = b.vectors
+            before = handed.copy()
+            assert b.append(rng.standard_normal(6))
+            assert b.vectors is not handed and np.array_equal(handed, before)
+        handed = b.vectors
+        assert not b.append(b.vectors @ rng.standard_normal(b.dim))
+        assert b.vectors is handed and np.array_equal(b.vectors[:, :4], handed)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_gram_matrix_stays_identity(self, seed):
@@ -465,6 +480,61 @@ class TestReducedSystem:
         # relative to the summed magnitudes: the coefficients reach 1e6 and cancel
         assert np.all(np.abs(x - phi @ c) <= 1e-12 * (np.abs(phi) @ np.abs(c)))
 
+    @pytest.mark.parametrize("move_block", [None, 1 << 12])
+    def test_growing_room_stays_one_buffer(self, monkeypatch, move_block):
+        # the room grows in place: the update's peak stays below the new
+        # room, where a new room beside the old one would exceed it
+        if move_block is not None:  # many row blocks, moved the last first
+            monkeypatch.setattr(lrbas.solver, "_MOVE_BLOCK", move_block)
+        system, dec, _, _, ops = _LAYOUT4()
+        rng = np.random.default_rng(7)
+        bases = empty_bases(dec)
+        early, late = range(dec.n_subdomains // 2), range(dec.n_subdomains // 2, dec.n_subdomains)
+        for i, count in [(i, 30) for i in early] + [(i, 12) for i in late]:
+            for _ in range(count):
+                bases[i].append(rng.standard_normal(len(dec.index_sets[i])))
+        # the late subdomains' columns come in later: hide them from the build
+        vectors = {i: bases[i].vectors for i in late}
+        for i in late:
+            bases[i].vectors = vectors[i][:, :0]
+        tracemalloc.start()
+        try:
+            rs = ReducedSystem(system, dec, ops, bases)
+            for i in late:
+                bases[i].vectors = vectors[i]
+            old = len(rs._room)
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rs.update(late)
+            rise = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(rs._room) > old
+        assert rise < rs._room.nbytes
+        # a fresh build forms each pair from the later subdomain's side, as
+        # the update formed the pairs of early and late subdomains: bitwise
+        fresh = ReducedSystem(system, dec, ops, bases)
+        at = matching_columns(rs, fresh)
+        assert np.array_equal(rs.M[np.ix_(at, at)], fresh.M)
+        assert np.array_equal(rs.rhs[at], fresh.rhs)
+
+    @pytest.mark.parametrize("move_block", [None, 1 << 8])
+    @pytest.mark.parametrize("N, old, size", [(0, 0, 4), (1, 1, 2), (3, 4, 9), (50, 50, 62), (70, 80, 300), (400, 500, 625)])
+    def test_grown_room_keeps_every_entry(self, monkeypatch, move_block, N, old, size):
+        # rows whose new places overlap their own old ones, and blocks of
+        # rows, each moved the last first within one buffer
+        if move_block is not None:
+            monkeypatch.setattr(lrbas.solver, "_MOVE_BLOCK", move_block)
+        rs = object.__new__(ReducedSystem)
+        rs._buffer = np.random.default_rng(N).standard_normal(old * old)
+        rs._room = rs._buffer.reshape(old, old)
+        rs.M = rs._room[:N, :N]
+        kept = rs.M.copy()
+        rs._grow(N, size)
+        assert rs.M is None and rs._room.shape == (size, size)
+        assert np.shares_memory(rs._room, rs._buffer) and rs._buffer.size == size * size
+        assert np.array_equal(rs._room[:N, :N], kept)
+
     def test_corrupted_system_reports_indefiniteness(self):
         system, dec, _, _, ops = _CACHE20()
         rs = ReducedSystem(system, dec, ops, empty_bases(dec))
@@ -682,6 +752,34 @@ class TestPcg:
         with pytest.raises(ConvergenceFailure, match="pcg stalled at relative residual"):
             pcg(system, ops, coarse_factor(system, ops), np.zeros(system.n), 1e-12, 2)
 
+    def test_nan_preconditioner_fails_at_once(self, monkeypatch, coarse_factor):
+        system, dec, _, _, ops = _CACHE20()
+        F0 = coarse_factor(system, ops)
+        applied = []
+
+        def nan_preconditioner(r, ops, coarse_factor):
+            applied.append(1)
+            return np.full_like(r, np.nan)
+
+        monkeypatch.setattr(lrbas.solver, "apply_as_preconditioner", nan_preconditioner)
+        with pytest.raises(ConvergenceFailure, match="pcg broke down after 0 iterations: p\\^T A p is nan") as exc:
+            pcg(system, ops, F0, np.zeros(system.n), 1e-8, 200)
+        assert len(applied) <= 2
+        assert exc.value.report[0] == 0
+
+    def test_nonfinite_initial_residual_fails_before_any_application(self, monkeypatch, coarse_factor):
+        system, dec, _, _, ops = _CACHE20()
+        F0 = coarse_factor(system, ops)
+
+        def never(r, ops, coarse_factor):
+            raise AssertionError("the preconditioner ran on a non-finite residual")
+
+        monkeypatch.setattr(lrbas.solver, "apply_as_preconditioner", never)
+        x0 = np.zeros(system.n)
+        x0[0] = np.inf
+        with pytest.raises(ConvergenceFailure, match="after 0 iterations: the relative residual is inf"):
+            pcg(system, ops, F0, x0, 1e-8, 200)
+
 
 class TestSnapshotGuess:
     def test_no_previous_solutions_gives_coarse_galerkin(self):
@@ -748,7 +846,7 @@ class TestTransitionBases:
         b0 = LocalBasis(n)
         for _ in range(start):
             b0.append(rng.standard_normal(n))
-        b1 = b0.copy()
+        b1 = LocalBasis(n, b0.vectors.copy())
         for _ in range(extra):
             b1.append(rng.standard_normal(n))
         return b0, b1
@@ -756,14 +854,14 @@ class TestTransitionBases:
     def test_unenriched_basis_carried_unchanged(self):
         rng = np.random.default_rng(0)
         b0, _ = self._basis_pair(rng, extra=0)
-        out = transition_bases([b0], [b0.copy()], [np.zeros(b0.dim)], keep_full=False)
+        out = transition_bases([b0.dim], [LocalBasis(b0.n, b0.vectors.copy())], [np.zeros(b0.dim)], keep_full=False)
         assert np.array_equal(out[0].vectors, b0.vectors)
 
     def test_solution_only_transition_appends_one_vector(self):
         rng = np.random.default_rng(1)
         b0, b1 = self._basis_pair(rng)
         ci = rng.standard_normal(b1.dim)
-        out = transition_bases([b0], [b1], [ci], keep_full=False)
+        out = transition_bases([b0.dim], [b1], [ci], keep_full=False)
         assert out[0].dim == b0.dim + 1
         # the appended direction keeps the solution vector in the span
         sol = b1.vectors @ ci
@@ -775,14 +873,29 @@ class TestTransitionBases:
         b0, b1 = self._basis_pair(rng)
         ci = np.zeros(b1.dim)
         ci[0] = 1.0  # solution lies in the carried part already
-        out = transition_bases([b0], [b1], [ci], keep_full=False)
+        out = transition_bases([b0.dim], [b1], [ci], keep_full=False)
         assert out[0].dim == b0.dim
 
     def test_keep_full_carries_entire_basis(self):
         rng = np.random.default_rng(3)
         b0, b1 = self._basis_pair(rng)
-        out = transition_bases([b0], [b1], [np.zeros(b1.dim)], keep_full=True)
+        out = transition_bases([b0.dim], [b1], [np.zeros(b1.dim)], keep_full=True)
         assert np.array_equal(out[0].vectors, b1.vectors)
+
+    @pytest.mark.parametrize("keep_full", [False, True])
+    def test_carried_bases_are_the_same_objects(self, keep_full):
+        # a kept-full or unenriched basis is carried without a copy; a reset
+        # one starts from a copy of the initial part, bitwise the same
+        rng = np.random.default_rng(4)
+        (b0, b1), (c0, c1) = self._basis_pair(rng), self._basis_pair(rng, extra=0)
+        out = transition_bases([b0.dim, c0.dim], [b1, c1], [rng.standard_normal(b1.dim), np.zeros(c1.dim)], keep_full)
+        assert out[1] is c1
+        if keep_full:
+            assert out[0] is b1
+        else:
+            assert out[0] is not b1 and out[0].vectors.flags.c_contiguous
+            assert np.array_equal(out[0].vectors[:, : b0.dim], b0.vectors)
+            assert not np.shares_memory(out[0].vectors, b1.vectors)
 
 
 class TestSolveOne:
