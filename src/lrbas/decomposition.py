@@ -11,8 +11,8 @@ couples, from the pattern of S^T |A| S. Over those pairs the reduced
 system (``solver.ReducedSystem``) assembles its Galerkin matrix from
 dense local blocks. The coarse space collects, per subdomain, the
 weighted eigenvectors of the local Neumann-vs-weighted pencil with
-eigenvalues below a threshold. Pencils and local matrices
-with the same bytes are solved and factored once per sequence.
+eigenvalues below a threshold. Pencils and local matrices computed
+from the same inputs are solved and factored once per sequence.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import _element_nodes, _pattern_digest, assemble_local_neumann, neumann_plan
+from .fem import _element_nodes, assemble_local_neumann, neumann_plan
 from .linalg import factorize, sym_gen_eig
 
 
@@ -210,7 +210,7 @@ class Coupling:
             if key not in principals:
                 for a in sub:
                     a.flags.writeable = False
-                principals[key] = (*sub, _pattern_digest(*sub[1:]))
+                principals[key] = sub
             self._principal.append(principals[key])
         # each node of each ext_i, once per index set j that holds it,
         # grouped by pair (i, j) with the nodes ascending
@@ -252,35 +252,45 @@ class Coupling:
         return sp.csc_matrix((self._data(A, i), rows, ptr), shape=shape)
 
     def principal(self, A, i):
-        """``A_i = A[idx_i, idx_i]`` of a system matrix on the grid, in CSR form, and its pattern's digest.
+        """``A_i = A[idx_i, idx_i]`` of a system matrix on the grid, in CSR form.
 
         The values are a fresh array, bitwise those of A, and the index
         arrays are read-only and shared by the index sets of one shape.
         """
-        keep, indices, indptr, digest = self._principal[i]
+        keep, indices, indptr = self._principal[i]
         n = len(indptr) - 1
-        return sp.csr_matrix((self._data(A, i)[keep], indices, indptr), shape=(n, n)), digest
+        return sp.csr_matrix((self._data(A, i)[keep], indices, indptr), shape=(n, n))
 
 
-def _digest(*matrices):
-    """blake2b digest of ``(pattern digest, CSR matrix)`` pairs, byte for byte.
+def _input_digest(dec, coefficient, i):
+    """blake2b digest of what subdomain i's local matrices are computed from.
 
-    Each matrix's pattern enters through its ``fem._pattern_digest``,
-    hashed once per shared pattern; only its values are hashed here.
+    It takes the extended block's width and height, which of the four
+    grid edges clip it, and the conductivity of every element that
+    touches the index set: the block and a ring of one element, clipped
+    at the grid. Equal digests give bitwise-equal matrices, because equal
+    inputs go through the same arithmetic: ``K_neu`` is a function of the
+    conductivity on the block and of its Neumann plan, which the shape
+    and the Dirichlet edges fix, and ``A_i`` of the conductivity on the
+    window and of the node rectangle, the element stiffness ``K_REF``
+    being the same at every grid spacing. All four edge flags count:
+    blocks clipped at the top and at the bottom have windows of one
+    shape with the ring on opposite sides.
     """
-    h = hashlib.blake2b()
-    for pattern, M in matrices:
-        h.update(pattern)
-        h.update(M.data)
+    m = dec.grid.m
+    (c0, c1), (r0, r1) = dec.subdomains[i].extended
+    h = hashlib.blake2b(repr((c1 - c0, r1 - r0, c0 == 0, c1 == m - 1, r0 == 0, r1 == m - 1)).encode())
+    h.update(coefficient.values[max(r0 - 1, 0) : r1 + 2, max(c0 - 1, 0) : c1 + 2].tobytes())
     return h.digest()
 
 
 class CoarseSpace:
     """Per-subdomain coarse vector blocks, concatenated column-wise.
 
-    ``pencils`` maps each GenEO pencil solved so far, by tau and digest,
-    to its kept eigenvectors before weighting; ``build_geneo_coarse``
-    hands it on to the next coarse space it builds from this one.
+    ``pencils`` maps each GenEO pencil solved so far, by tau, the
+    ``_input_digest`` of its subdomain and its weights, to its kept
+    eigenvectors before weighting; ``build_geneo_coarse`` hands it on to
+    the next coarse space it builds from this one.
     """
 
     def __init__(self, dec, blocks, pencils=None):
@@ -309,12 +319,14 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
     are carried over.
 
     Each distinct pencil is solved once per chain of coarse spaces: the
-    kept vectors are stored under a digest of both matrices' exact bytes
-    and reused by every later subdomain, in this build or one passed
-    ``previous``, whose pencil has the same bytes (interior subdomains
-    that see the same coefficient pattern, shifted, and port states a
-    sequence visits again). Equal bytes go into the same deterministic
-    solve, so the blocks are those of solving every pencil.
+    kept vectors are stored under tau, the subdomain's ``_input_digest``
+    and the bytes of D_i, and reused by every later subdomain, in this
+    build or one passed ``previous``, whose pencil has the same inputs
+    (interior subdomains that see the same coefficient pattern, shifted,
+    and port states a sequence visits again). A reused pencil is not
+    assembled. Equal inputs give bitwise-equal matrices, which go into
+    the same deterministic solve, so the blocks are those of solving
+    every pencil.
     """
     if recompute is None:
         recompute = np.arange(dec.n_subdomains)
@@ -327,17 +339,16 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
         if i not in recompute:
             blocks.append(previous.blocks[i])
             continue
-        plan = dec.neumann_plans[i]
-        K_neu, _ = assemble_local_neumann(dec.grid, coefficient, plan)
         D = pou.local[i]
-        B, pattern = dec.coupling.principal(system.A, i)  # fresh values, scaled in place to D A_i D + delta I
-        rows = np.repeat(np.arange(len(D)), np.diff(B.indptr))
-        B.data *= D[rows]
-        B.data *= D[B.indices]
-        diag = rows == B.indices
-        B.data[diag] += 1e-12 * max(B.data[diag].max(), 0.0)
-        key = (tau, _digest((plan.digest, K_neu), (pattern, B)))
+        key = (tau, _input_digest(dec, coefficient, i), D.tobytes())
         if key not in pencils:
+            K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.neumann_plans[i])
+            B = dec.coupling.principal(system.A, i)  # fresh values, scaled in place to D A_i D + delta I
+            rows = np.repeat(np.arange(len(D)), np.diff(B.indptr))
+            B.data *= D[rows]
+            B.data *= D[B.indices]
+            diag = rows == B.indices
+            B.data[diag] += 1e-12 * max(B.data[diag].max(), 0.0)
             w, P = sym_gen_eig(K_neu, B, upper=tau)
             w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
             # boolean indexing copies, so eigh's n x n work array is not kept
@@ -361,9 +372,10 @@ class LocalOperators:
     ``ReducedSystem``, whose factor ``_coarse_factor`` gives the
     preconditioner.
 
-    Subdomains whose A_i have the same bytes share one factor object:
-    ``shared`` maps the digest of each A_i factored since ``build`` to
-    its factor.
+    Subdomains whose A_i are computed from the same inputs share one
+    factor object: ``build`` and ``refresh`` take the coefficient field
+    that A is assembled from, and ``shared`` maps the ``_input_digest``
+    of each subdomain factored since ``build`` to its factor.
     """
 
     factors: list
@@ -371,24 +383,23 @@ class LocalOperators:
     shared: dict
 
     @classmethod
-    def build(cls, A, coarse):
+    def build(cls, A, coefficient, coarse):
         shared = {}
-        factors = [_local_factor(A, coarse.dec, i, shared) for i in range(coarse.dec.n_subdomains)]
+        factors = [_local_factor(A, coefficient, coarse.dec, i, shared) for i in range(coarse.dec.n_subdomains)]
         return cls(factors, coarse, shared)
 
-    def refresh(self, A, coarse, changed):
+    def refresh(self, A, coefficient, coarse, changed):
         """Refactor the changed subdomains and take the new coarse space."""
         for i in np.asarray(changed, dtype=np.int64).ravel():
-            self.factors[i] = _local_factor(A, coarse.dec, i, self.shared)
+            self.factors[i] = _local_factor(A, coefficient, coarse.dec, i, self.shared)
         self.coarse = coarse
 
 
-def _local_factor(A, dec, i, shared):
-    """The factor of subdomain i's A_i in ``shared`` under its digest, factored on first use."""
-    A_i, pattern = dec.coupling.principal(A, i)
-    key = _digest((pattern, A_i))
+def _local_factor(A, coefficient, dec, i, shared):
+    """The factor of subdomain i's A_i in ``shared`` under its input digest, factored on first use."""
+    key = _input_digest(dec, coefficient, i)
     if key not in shared:
-        shared[key] = factorize(A_i)
+        shared[key] = factorize(dec.coupling.principal(A, i))
     return shared[key]
 
 

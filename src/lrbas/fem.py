@@ -11,7 +11,6 @@ solvers operate on.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -402,30 +401,14 @@ class NeumannPlan:
     ``at`` holds the CSR position of every entry of the per-element
     flattened ``sigma_e K_REF``, one past the last for an entry of a
     dropped Dirichlet node; ``indices`` and ``indptr`` are the CSR
-    pattern, ``digest`` its ``_pattern_digest``, and ``free`` the
-    free-node index of each row, ascending.
+    pattern, and ``free`` the free-node index of each row, ascending.
     """
 
     elements: np.ndarray
     at: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
-    digest: bytes
     free: np.ndarray
-
-
-def _pattern_digest(indices, indptr):
-    """blake2b digest of the square CSR pattern ``(indices, indptr)`` of float64 values.
-
-    Equal for equal patterns only, shape and index types included, so a
-    matrix's values hashed after it identify the matrix byte for byte.
-    """
-    h = hashlib.blake2b()
-    n = len(indptr) - 1
-    h.update(repr(((n, n), "<f8", [(a.dtype.str, a.size) for a in (indptr, indices)])).encode())
-    h.update(indptr)
-    h.update(indices)
-    return h.digest()
 
 
 def neumann_plan(grid, elements):
@@ -453,7 +436,7 @@ def neumann_plan(grid, elements):
     spot = np.full(m.size, len(key), dtype=np.min_scalar_type(len(key)))
     spot[m.ravel()] = at
     cols, indptr = cols.astype(np.int32), indptr.astype(np.int32)
-    return NeumannPlan(elements.astype(np.int32), spot, cols, indptr, _pattern_digest(cols, indptr), free)
+    return NeumannPlan(elements.astype(np.int32), spot, cols, indptr, free)
 
 
 def assemble_local_neumann(grid, coefficient, elements):

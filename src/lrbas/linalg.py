@@ -37,13 +37,12 @@ _ARPACK_MIN_N = 226
 # is covered, but never past n / 16, where dense eigh is the cheaper.
 _ARPACK_K0 = 6
 _ARPACK_K_FRACTION = 16
-# Lanczos basis size floor and restart cap: a tight eigenvalue cluster
-# larger than k stalls ARPACK, and after this many restarts the dense
-# solve takes over. At 120 x 120, 4 x 4 subdomains, overlap 2, the 6 of
-# the first system's 12 distinct pencils that hold 27 or 46 wanted pairs
-# run to the cap at k = 6 and fall back, which costs about 0.34 s of the
-# 0.4 s spent in ARPACK there, as much at s = 1/16 as at s = 1.
-_ARPACK_MIN_NCV = 20
+# Restart cap: a tight eigenvalue cluster larger than k stalls ARPACK,
+# and after this many restarts the dense solve takes over. At 120 x 120,
+# 4 x 4 subdomains, overlap 2, the 6 of the first system's 12 distinct
+# pencils that hold 27 or 46 wanted pairs run to the cap at k = 6 and
+# fall back, which costs about 0.34 s of the 0.4 s spent in ARPACK there,
+# as much at s = 1/16 as at s = 1.
 _ARPACK_MAX_RESTARTS = 30
 # The shift s of the factored pencil A + s B = L L^T; ARPACK finds the
 # largest nu = 1 / (lambda + s) of C = L^-1 B L^-T. It must be positive, A
@@ -484,10 +483,7 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
     while k <= n // _ARPACK_K_FRACTION:
         try:
             for tol in (_ARPACK_TOL, 0.0):
-                nu, Y = eigsh(
-                    C, k, which="LA", v0=v0, tol=tol,
-                    ncv=min(max(2 * k + 1, _ARPACK_MIN_NCV), n), maxiter=_ARPACK_MAX_RESTARTS,
-                )
+                nu, Y = eigsh(C, k, which="LA", v0=v0, tol=tol, maxiter=_ARPACK_MAX_RESTARTS)
                 lam = 1.0 / nu - _ARPACK_SHIFT
                 theta = np.sort(nu[lam <= upper])
                 # a Ritz value within tol theta of nu_upper = 1 / (upper + s), or a kept one of another

@@ -647,9 +647,9 @@ def run_sequence(problems, dec, pou=None, opts=None):
                 dec, pou, prob.system, prob.coefficient, opts.tau, previous=coarse, recompute=changed
             )
             if ops is None:
-                ops = LocalOperators.build(prob.system.A, coarse)
+                ops = LocalOperators.build(prob.system.A, prob.coefficient, coarse)
             else:
-                ops.refresh(prob.system.A, coarse, changed)
+                ops.refresh(prob.system.A, prob.coefficient, coarse, changed)
             carried = bases if opts.strategy == "lrbas" else snaps
             if rs is None:
                 tol = _ENRICH_PIVOT_TOL if opts.strategy == "lrbas" else _SNAPSHOT_PIVOT_TOL

@@ -136,7 +136,7 @@ def test_criterion_3_invariant_suite(small_scale, spy_solver):
     # single-port modification, adaptive enrichment
     for prob, eps_loc in ((small_scale.problems[0], 0.0), (small_scale.problems[3], 0.25)):
         coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
-        ops = LocalOperators.build(prob.system.A, coarse)
+        ops = LocalOperators.build(prob.system.A, prob.coefficient, coarse)
         bases = [LocalBasis(len(s.indices)) for s in dec.subdomains]
         opts = SolverOptions(strategy="lrbas", eps_loc=eps_loc)
         _, log = spy_solver(lrbas_solve_one, ReducedSystem(prob.system, dec, ops, bases), ops, opts)

@@ -19,6 +19,7 @@ import lrbas.linalg
 import lrbas.solver
 from lrbas.decomposition import (
     CoarseSpace,
+    Coupling,
     LocalOperators,
     apply_as_preconditioner,
     build_decomposition,
@@ -37,7 +38,7 @@ from lrbas.fem import (
     build_coefficient,
     problem_sequence,
 )
-from lrbas.fem import _pattern_digest
+from lrbas.fem import _element_nodes
 from lrbas.linalg import SparseSymMatrix, sym_gen_eig
 from lrbas.solver import SolverOptions, run_sequence
 
@@ -109,6 +110,22 @@ def csr_bytes(*matrices):
 
 def distinct_pencils(dec, pou, system, field):
     return len({csr_bytes(*pencil(dec, pou, system, field, i)[:2]) for i in range(dec.n_subdomains)})
+
+
+def input_key(dec, field, i):
+    """What subdomain i's local matrices are computed from, found from its nodes: the
+    extended block's shape, the grid edges that clip it, and the conductivity of every
+    element with a node in the index set, in element order."""
+    grid = dec.grid
+    m = grid.m
+    (c0, c1), (r0, r1) = dec.subdomains[i].extended
+    nodes = _element_nodes(grid, np.arange(grid.n_elements))
+    i_, j_ = nodes % (m + 1), nodes // (m + 1)
+    held = np.zeros(grid.n_free + 1, dtype=bool)  # the last entry stands for every Dirichlet node
+    held[dec.index_sets[i]] = True
+    free = (i_ >= 1) & (i_ <= m - 1)
+    touches = held[np.where(free, grid.free_index(i_, j_), grid.n_free)].any(axis=1)
+    return (c1 - c0, r1 - r0, c0 == 0, c1 == m - 1, r0 == 0, r1 == m - 1, field.values.ravel()[touches].tobytes())
 
 
 def principal(A, idx):
@@ -265,9 +282,7 @@ class TestPrincipalSubmatrix:
         for overlap in range(1, 5):
             dec = build_decomposition(grid, layout, overlap)
             for i, idx in enumerate(dec.index_sets):
-                A_i, pattern = dec.coupling.principal(system.A, i)
-                self.assert_bitwise(A_i, principal(system.A, idx))
-                assert pattern == _pattern_digest(A_i.indices, A_i.indptr)
+                self.assert_bitwise(dec.coupling.principal(system.A, i), principal(system.A, idx))
 
     def test_adjacent_nodes_keep_their_coupling(self):
         grid = Grid(4)
@@ -275,7 +290,7 @@ class TestPrincipalSubmatrix:
         system = assemble(grid, high_contrast_field(grid, 0))
         A = system.A.to_scipy().toarray()
         for i, idx in enumerate(dec.index_sets):
-            A_i = dec.coupling.principal(system.A, i)[0].toarray()
+            A_i = dec.coupling.principal(system.A, i).toarray()
             row = idx // (grid.m - 1)
             for k in np.flatnonzero((np.diff(idx) == 1) & (row[1:] == row[:-1])):  # horizontal neighbours
                 assert A_i[k, k + 1] == A[idx[k], idx[k + 1]] != 0.0
@@ -285,7 +300,7 @@ class TestPrincipalSubmatrix:
         dec = build_decomposition(grid, 1, 1)
         system = assemble(grid, high_contrast_field(grid, 1))
         A = system.A.to_scipy()
-        A_0, _ = dec.coupling.principal(system.A, 0)
+        A_0 = dec.coupling.principal(system.A, 0)
         self.assert_bitwise(A_0, A)
         assert not np.shares_memory(A_0.data, A.data)
         A_0.data[:] = 0.0  # GenEO scales its B in place
@@ -297,7 +312,7 @@ class TestPrincipalSubmatrix:
         system = assemble(grid, high_contrast_field(grid, 2))
         A = system.A.to_scipy()
         for i, idx in enumerate(dec.index_sets):
-            A_i, _ = dec.coupling.principal(system.A, i)
+            A_i = dec.coupling.principal(system.A, i)
             outside = np.setdiff1d(np.arange(grid.n_free), idx)
             # A's rows of idx hold A_i's entries and those to nodes outside, which A_i drops
             assert A[idx][:, outside].nnz > 0
@@ -322,7 +337,7 @@ class TestPrincipalSubmatrix:
         for i, idx in enumerate(dec.index_sets):
             R = np.zeros((len(idx), grid.n_free))
             R[np.arange(len(idx)), idx] = 1.0
-            assert np.array_equal(dec.coupling.principal(system.A, i)[0].toarray(), R @ A @ R.T)
+            assert np.array_equal(dec.coupling.principal(system.A, i).toarray(), R @ A @ R.T)
 
 
 class TestNeumannPlans:
@@ -430,9 +445,9 @@ class TestDetectChangedSubdomains:
         assert np.array_equal(flagged, changed_local_matrices(dec, probs[0].system.A, probs[1].system.A))
         assert np.array_equal(flagged, [40, 41, 50, 51])
         coarse = empty_coarse(dec)
-        ops = LocalOperators.build(probs[0].system.A, coarse)
-        ops.refresh(probs[1].system.A, coarse, flagged)
-        fresh = LocalOperators.build(probs[1].system.A, coarse)
+        ops = LocalOperators.build(probs[0].system.A, probs[0].coefficient, coarse)
+        ops.refresh(probs[1].system.A, probs[1].coefficient, coarse, flagged)
+        fresh = LocalOperators.build(probs[1].system.A, probs[1].coefficient, coarse)
         F0 = coarse_factor(probs[1].system, fresh)
         r = np.random.default_rng(3).standard_normal(probs[1].system.n)
         assert np.allclose(
@@ -538,30 +553,23 @@ class TestGeneoCoarse:
             assert np.array_equal(cs.blocks[i], D[:, None] * P[:, sel])
 
     def test_weighted_pencil_matrix_is_bitwise_the_diagonal_product(self, monkeypatch):
-        # B = D A_i D + delta I keeps the CSR arrays of the sparse product
-        # formula, so pencil digests, and with them pencil reuse, do not move
+        # B = D A_i D + delta I keeps the CSR arrays of the sparse product formula
         dec, pou, system, field = small_geneo_problem()
-        digest = lrbas.decomposition._digest
-        weighted = []
-
-        def spy(*pairs):
-            if len(pairs) == 2:  # the GenEO pencil (K_neu, B)
-                weighted.append(pairs[1])
-            return digest(*pairs)
-
-        monkeypatch.setattr(lrbas.decomposition, "_digest", spy)
+        solve, weighted = lrbas.decomposition.sym_gen_eig, []
+        monkeypatch.setattr(lrbas.decomposition, "sym_gen_eig", lambda K, B, upper: weighted.append(B) or solve(K, B, upper))
+        # a digest per subdomain, so that every pencil is formed
+        monkeypatch.setattr(lrbas.decomposition, "_input_digest", lambda dec, coefficient, i: i)
         build_geneo_coarse(dec, pou, system, field, 0.5)
         # every subdomain, the 12 clipped at the boundary included
         assert len(weighted) == dec.n_subdomains == 16
         A = system.A.to_scipy()
-        for i, (pattern, B) in enumerate(weighted):
+        for i, B in enumerate(weighted):
             D, idx = pou.local[i], dec.index_sets[i]
             ref = sp.diags(D) @ A[idx][:, idx] @ sp.diags(D)
             ref = ref + 1e-12 * max(ref.diagonal().max(), 0.0) * sp.identity(len(D))
+            assert B.shape == ref.shape
             for a, b in ((B.indptr, ref.indptr), (B.indices, ref.indices), (B.data, ref.data)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert B.shape == ref.shape and pattern == _pattern_digest(ref.indices, ref.indptr)
-            assert digest((pattern, B)) == digest((pattern, ref))
 
     def test_arpack_path_matches_dense_eigh(self, request):
         dec, pou, system, field = small_geneo_problem()
@@ -768,7 +776,7 @@ class TestArpackAccuracy:
             system = assemble(grid, field)
             A = system.A.to_scipy()
             for tau in (0.5, 1e-9):
-                ops = LocalOperators.build(system.A, build_geneo_coarse(dec, pou, system, field, tau))
+                ops = LocalOperators.build(system.A, field, build_geneo_coarse(dec, pou, system, field, tau))
                 F0 = coarse_factor(system, ops)
                 kappa[tau, sigma_high] = pcg_condition_number(A, system.f, lambda r: apply_as_preconditioner(r, ops, F0))
         assert any(a is not None for a in force_arpack)
@@ -778,47 +786,130 @@ class TestArpackAccuracy:
         assert kappa[1e-9, 100001.0] >= 100 * max(geneo)
 
 
-class TestLocalOperators:
-    def test_identical_local_matrices_share_one_factor(self, monkeypatch):
-        dec, _, system, _ = small_geneo_problem()
-        factored = []
-        factorize = lrbas.decomposition.factorize
-        monkeypatch.setattr(lrbas.decomposition, "factorize", lambda M: factored.append(M) or factorize(M))
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
-        keys = [csr_bytes(principal(system.A, idx)) for idx in dec.index_sets]
-        sparse = [M for M in factored if sp.issparse(M)]
-        assert len(sparse) == len(set(keys)) < dec.n_subdomains
-        for i in range(dec.n_subdomains):
-            for j in range(dec.n_subdomains):
-                assert (ops.factors[i] is ops.factors[j]) == (keys[i] == keys[j])
+class TestInputDigest:
+    # both reuse tables key a subdomain by _input_digest, taken before anything is assembled
 
-    def test_factor_and_pencil_keys_group_subdomains_as_their_bytes_do(self, monkeypatch):
-        # the keys hash each shared pattern once and the values per matrix:
-        # along the small paper sequence they must part the factored A_i and
-        # the solved pencils exactly as the matrices' own bytes do
+    @pytest.mark.parametrize(
+        "m, layout, overlap, schedule",
+        [(40, 4, 2, DEFAULT_SCHEDULE), (30, 5, 1, ModificationSchedule(({2, 5}, {5}, {1, 5}, {1, 2, 5}, {2, 5})))],
+        ids=["small-paper", "overlap-1"],
+    )
+    def test_equal_digests_give_bitwise_equal_local_matrices(self, m, layout, overlap, schedule):
+        grid = Grid(m)
+        dec = build_decomposition(grid, layout, overlap)
+        pou = build_partition_of_unity(dec)
+        first = {}  # per key, the first (system, subdomain) pair's exact bytes
+        reference = {}  # per digest, the input_key found from the nodes
+        pairs = 0
+        for prob in problem_sequence(grid, SMALL_GEOMETRY, schedule):
+            for i in range(dec.n_subdomains):
+                digest = lrbas.decomposition._input_digest(dec, prob.coefficient, i)
+                assert reference.setdefault(digest, input_key(dec, prob.coefficient, i)) == input_key(dec, prob.coefficient, i)
+                K, B, D = pencil(dec, pou, prob.system, prob.coefficient, i)
+                A_i = dec.coupling.principal(prob.system.A, i)
+                assert first.setdefault(digest, csr_bytes(K, A_i)) == csr_bytes(K, A_i)
+                assert first.setdefault((digest, D.tobytes()), csr_bytes(B)) == csr_bytes(B)
+                pairs += 1
+        # digests part the pairs as the reference inputs do, and many pairs share one
+        assert len(set(reference.values())) == len(reference) < pairs // 4
+
+    def test_digest_reads_every_element_that_touches_the_index_set_and_no_other(self):
+        # an element changes the digest exactly when it changes A_i: the
+        # extended block and its ring of one element, clipped at the grid
+        grid = Grid(12)
+        dec = build_decomposition(grid, 3, 1)
+        field = high_contrast_field(grid, 4)
+        system = assemble(grid, field)
+        digests = [lrbas.decomposition._input_digest(dec, field, i) for i in range(dec.n_subdomains)]
+        read = [set() for _ in digests]  # the elements that change each digest
+        for e in range(grid.n_elements):
+            values = field.values.copy()
+            values.flat[e] *= 2.0
+            changed = CoefficientField(grid, values)
+            other = assemble(grid, changed)
+            for i, idx in enumerate(dec.index_sets):
+                if lrbas.decomposition._input_digest(dec, changed, i) != digests[i]:
+                    read[i].add(e)
+                assert (e in read[i]) == ((principal(system.A, idx) != principal(other.A, idx)).nnz > 0)
+        # interior subdomain 4: block rows and columns 3-8, and the ring of 2 and 9
+        assert dec.subdomains[4].extended == ((3, 8), (3, 8))
+        assert read[4] == {ey * 12 + ex for ey in range(2, 10) for ex in range(2, 10)}
+        # corner subdomain 0, clipped left and below: block 0-4, ring 5
+        assert read[0] == {ey * 12 + ex for ey in range(6) for ex in range(6)}
+
+    def test_pencils_of_equal_inputs_and_other_weights_are_solved_apart(self):
+        # blocks 4 elements wide at overlap 3: a node can lie in three
+        # extended blocks, so subdomains 1 and 2 have one digest and other weights
+        grid = Grid(16)
+        dec = build_decomposition(grid, 4, 3)
+        pou = build_partition_of_unity(dec)
+        field = build_coefficient(grid, ChannelGeometry.empty())
+        system = assemble(grid, field)
+        assert lrbas.decomposition._input_digest(dec, field, 1) == lrbas.decomposition._input_digest(dec, field, 2)
+        assert not np.array_equal(pou.local[1], pou.local[2])
+        coarse = build_geneo_coarse(dec, pou, system, field, 0.5)
+        for i in (1, 2):
+            K, B, D = pencil(dec, pou, system, field, i)
+            w, P = sym_gen_eig(K, B, upper=0.5)
+            assert np.array_equal(coarse.blocks[i], D[:, None] * P[:, np.maximum(w, 0.0) < 0.5])
+
+    @pytest.mark.parametrize("path", ["dense", "arpack"])
+    def test_neumann_matrix_is_assembled_once_per_pencil_miss(self, monkeypatch, request, path):
+        dec, pou, probs = revisiting_sequence()
+        if path == "arpack":
+            request.getfixturevalue("force_arpack")
+        builds = record_geneo(monkeypatch)
+        assembled, assemble_neumann = [], lrbas.decomposition.assemble_local_neumann
+        monkeypatch.setattr(
+            lrbas.decomposition, "assemble_local_neumann", lambda *args: assembled.append(1) or assemble_neumann(*args)
+        )
+        run_sequence(probs, dec, pou)
+        solved = sum(calls for _, _, calls in builds)
+        assert len(assembled) == solved < sum(len(recompute) for _, recompute, _ in builds)
+
+    def test_tables_hold_one_entry_per_distinct_input(self):
+        # along the small paper sequence, the pencils solved and the local
+        # matrices factored: one per distinct input of a recomputed subdomain
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         pou = build_partition_of_unity(dec)
-        probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
-        digest, keys = lrbas.decomposition._digest, []
-        monkeypatch.setattr(lrbas.decomposition, "_digest", lambda *pairs: keys.append(digest(*pairs)) or keys[-1])
         coarse = ops = None
-        factored, pencils = [], []  # (key, bytes), in the order the keys were taken
-        for k, prob in enumerate(probs):
+        pencils, factored, recomputed = set(), set(), 0
+        for k, prob in enumerate(problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)):
             changed = np.arange(dec.n_subdomains) if k == 0 else detect_changed_subdomains(prob.changed_elements, dec)
-            keys.clear()
+            recomputed += len(changed)
             coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse, recompute=changed)
-            pencils += zip(keys, (csr_bytes(*pencil(dec, pou, prob.system, prob.coefficient, i)[:2]) for i in changed), strict=True)
-            keys.clear()
             if ops is None:
-                ops = LocalOperators.build(prob.system.A, coarse)
+                ops = LocalOperators.build(prob.system.A, prob.coefficient, coarse)
             else:
-                ops.refresh(prob.system.A, coarse, changed)
-            factored += zip(keys, (csr_bytes(principal(prob.system.A, dec.index_sets[i])) for i in changed), strict=True)
-        assert len(pencils) == dec.n_subdomains + sum(len(detect_changed_subdomains(p.changed_elements, dec)) for p in probs[1:])
-        for pairs, table in ((factored, ops.shared), (pencils, coarse.pencils)):
-            assert len(set(pairs)) == len({key for key, _ in pairs}) == len({b for _, b in pairs}) == len(table)
-        assert {key for _, key in coarse.pencils} == {key for key, _ in pencils}
+                ops.refresh(prob.system.A, prob.coefficient, coarse, changed)
+            keys = [input_key(dec, prob.coefficient, i) for i in changed]
+            factored |= set(keys)
+            pencils |= {(key, pou.local[i].tobytes()) for key, i in zip(keys, changed)}
+        assert len(ops.shared) == len(factored) and len(coarse.pencils) == len(pencils) < recomputed
+
+
+class TestLocalOperators:
+    def test_local_matrices_of_equal_inputs_share_one_factor(self, monkeypatch):
+        # only a digest not yet in the table gathers and factors A_i; bytes alone
+        # share nothing: under constant sigma the mirror-image corners 0 and 3
+        # have bitwise-equal A_i but clip other edges
+        grid = Grid(16)
+        dec = build_decomposition(grid, 4, 1)
+        field = build_coefficient(grid, ChannelGeometry.empty())
+        system = assemble(grid, field)
+        gathered, factored = [], []
+        gather, factorize = Coupling.principal, lrbas.decomposition.factorize
+        monkeypatch.setattr(Coupling, "principal", lambda self, A, i: gathered.append(i) or gather(self, A, i))
+        monkeypatch.setattr(lrbas.decomposition, "factorize", lambda M: factored.append(M) or factorize(M))
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
+        keys = [input_key(dec, field, i) for i in range(dec.n_subdomains)]
+        assert len(gathered) == len(factored) == len(set(keys)) == len(ops.shared) == 9
+        for i in range(dec.n_subdomains):
+            for j in range(dec.n_subdomains):
+                assert (ops.factors[i] is ops.factors[j]) == (keys[i] == keys[j])
+        A_0, A_3 = (principal(system.A, dec.index_sets[i]) for i in (0, 3))
+        assert csr_bytes(A_0) == csr_bytes(A_3) and ops.factors[0] is not ops.factors[3]
 
     def test_local_matrices_match_submatrices(self):
         grid = Grid(20)
@@ -826,7 +917,7 @@ class TestLocalOperators:
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (20, 20)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         for idx, F in zip(dec.index_sets, ops.factors):
             want = principal(system.A, idx).toarray()
             got = np.empty_like(want)
@@ -837,8 +928,9 @@ class TestLocalOperators:
     def test_local_factors_take_band_storage(self):
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
-        system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5}))
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
+        system = assemble(grid, field)
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         A = system.A.to_scipy()
         for idx, F in zip(dec.index_sets, ops.factors):
             assert F.lower.nbytes <= (bandwidth(A[idx][:, idx]) + 1) * len(idx) * 8
@@ -846,8 +938,9 @@ class TestLocalOperators:
     def test_local_factor_is_the_transposed_band_of_lapacks_lower_factor(self):
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
-        system = assemble(grid, build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5}))
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
+        system = assemble(grid, field)
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         for idx, F in zip(dec.index_sets, ops.factors):
             Ai = principal(system.A, idx).tocoo()
             n, kd = len(idx), bandwidth(Ai)
@@ -889,7 +982,7 @@ class TestLocalOperators:
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         rng = np.random.default_rng(0)
         r = rng.standard_normal(system.n)
         want = np.linalg.solve(system.A.to_scipy().toarray(), r)
@@ -897,9 +990,10 @@ class TestLocalOperators:
 
     def test_zero_residual_maps_to_zero(self, coarse_factor):
         grid = Grid(10)
-        system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
+        field = build_coefficient(grid, ChannelGeometry.empty())
+        system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 1)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         assert np.array_equal(apply_as_preconditioner(np.zeros(system.n), ops, coarse_factor(system, ops)), 0 * system.f)
 
     def test_matches_dense_subdomain_sum(self, coarse_factor):
@@ -908,7 +1002,7 @@ class TestLocalOperators:
         field = CoefficientField(grid, rng.uniform(0.5, 4.0, (8, 8)))
         system = assemble(grid, field)
         dec = build_decomposition(grid, 2, 2)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         A = system.A.to_scipy().toarray()
         r = rng.standard_normal(system.n)
         want = np.zeros_like(r)
@@ -918,8 +1012,8 @@ class TestLocalOperators:
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_residual_of_another_length_rejected(self, extra, coarse_factor):
-        dec, _, system, _ = small_geneo_problem()
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        dec, _, system, field = small_geneo_problem()
+        ops = LocalOperators.build(system.A, field, empty_coarse(dec))
         with pytest.raises(ValueError, match="free nodes"):
             apply_as_preconditioner(np.ones(system.n + extra), ops, coarse_factor(system, ops))
 
@@ -930,7 +1024,7 @@ class TestLocalOperators:
         field = build_coefficient(grid, SMALL_GEOMETRY, open_ports={2, 5})
         system = assemble(grid, field)
         cs = build_geneo_coarse(dec, pou, system, field, 0.5)
-        ops = LocalOperators.build(system.A, cs)
+        ops = LocalOperators.build(system.A, field, cs)
         F0 = coarse_factor(system, ops)
         rng = np.random.default_rng(2)
         for _ in range(3):
@@ -944,10 +1038,10 @@ class TestLocalOperators:
         dec = build_decomposition(grid, 4, 2)
         probs = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
         coarse = empty_coarse(dec)
-        ops = LocalOperators.build(probs[0].system.A, coarse)
+        ops = LocalOperators.build(probs[0].system.A, probs[0].coefficient, coarse)
         changed = detect_changed_subdomains(probs[1].changed_elements, dec)
-        ops.refresh(probs[1].system.A, coarse, changed)
-        fresh = LocalOperators.build(probs[1].system.A, coarse)
+        ops.refresh(probs[1].system.A, probs[1].coefficient, coarse, changed)
+        fresh = LocalOperators.build(probs[1].system.A, probs[1].coefficient, coarse)
         F0 = coarse_factor(probs[1].system, fresh)
         rng = np.random.default_rng(3)
         r = rng.standard_normal(probs[1].system.n)

@@ -72,8 +72,8 @@ def empty_coarse(dec):
     return CoarseSpace(dec, [np.zeros((len(idx), 0)) for idx in dec.index_sets])
 
 
-def empty_ops(system, dec):
-    return LocalOperators.build(system.A, empty_coarse(dec))
+def empty_ops(system, field, dec):
+    return LocalOperators.build(system.A, field, empty_coarse(dec))
 
 
 def empty_bases(dec):
@@ -88,7 +88,7 @@ def geneo_stack(m, layout, overlap, open_ports=(), tau=0.5, geometry=SMALL_GEOME
     field = build_coefficient(grid, geometry, open_ports)
     system = assemble(grid, field)
     coarse = build_geneo_coarse(dec, pou, system, field, tau)
-    ops = LocalOperators.build(system.A, coarse)
+    ops = LocalOperators.build(system.A, field, coarse)
     return system, dec, pou, coarse, ops
 
 
@@ -334,8 +334,8 @@ class TestResidualSelection:
 
 class TestReducedSystem:
     def test_zero_dimensional_system(self):
-        system, dec, _, _, _ = _CACHE20()
-        rs = ReducedSystem(system, dec, empty_ops(system, dec), empty_bases(dec))
+        system, dec, _, _, ops = _CACHE20()
+        rs = ReducedSystem(system, dec, replace(ops, coarse=empty_coarse(dec)), empty_bases(dec))
         x, coeff = rs.solve()
         assert np.array_equal(x, np.zeros(system.n))
         assert [len(c) for c in coeff] == [0] * dec.n_subdomains
@@ -363,7 +363,7 @@ class TestReducedSystem:
         system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
         bases = [LocalBasis(system.n, np.eye(system.n))]
-        rs = ReducedSystem(system, dec, empty_ops(system, dec), bases)
+        rs = ReducedSystem(system, dec, empty_ops(system, field, dec), bases)
         x, _ = rs.solve()
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
         assert np.allclose(x, want, atol=1e-10 * np.abs(want).max())
@@ -722,9 +722,10 @@ def test_carry_tests_pass_at_one_and_two_blas_threads(threads):
 class TestPcg:
     def test_exact_preconditioner_converges_in_one_iteration(self, coarse_factor):
         grid = Grid(10)
-        system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
+        field = build_coefficient(grid, ChannelGeometry.empty())
+        system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = empty_ops(system, field, dec)
         x, iters, history = pcg(system, ops, coarse_factor(system, ops), np.zeros(system.n), 1e-10, 50)
         assert iters == 1
         want = np.linalg.solve(system.A.to_scipy().toarray(), system.f)
@@ -809,7 +810,7 @@ class TestSnapshotGuess:
         probs = problem_sequence(grid, SMALL_GEOMETRY, ModificationSchedule(({2, 5}, {5})))
         prev_x = np.linalg.solve(probs[0].system.A.to_scipy().toarray(), probs[0].system.f)
         coarse = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
-        ops = LocalOperators.build(probs[1].system.A, coarse)
+        ops = LocalOperators.build(probs[1].system.A, probs[1].coefficient, coarse)
         snaps = empty_bases(dec)
         append_snapshot(snaps, dec, pou, prev_x)
         x0 = pou_snapshot_guess(snapshot_system(probs[1].system, dec, ops, snaps))
@@ -949,9 +950,10 @@ class TestSolveOne:
 
     def test_single_subdomain_converges_in_one_sweep(self):
         grid = Grid(10)
-        system = assemble(grid, build_coefficient(grid, ChannelGeometry.empty()))
+        field = build_coefficient(grid, ChannelGeometry.empty())
+        system = assemble(grid, field)
         dec = build_decomposition(grid, 1, 1)
-        ops = LocalOperators.build(system.A, empty_coarse(dec))
+        ops = empty_ops(system, field, dec)
         opts = SolverOptions(eps=1e-10, eps_loc=0.0)
         x, _, iters, corrections, history = lrbas_solve_one(ReducedSystem(system, dec, ops, empty_bases(dec)), ops, opts)
         assert iters == 1
@@ -1049,7 +1051,7 @@ class TestMpcgOracle:
         pou = build_partition_of_unity(dec)
         prob = problem_sequence(grid, geometry, DEFAULT_SCHEDULE)[0]
         coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
-        ops = LocalOperators.build(prob.system.A, coarse)
+        ops = LocalOperators.build(prob.system.A, prob.coefficient, coarse)
         opts = SolverOptions(eps_loc=eps_loc)
         rs = ReducedSystem(prob.system, dec, ops, empty_bases(dec))
         (_, _, iters, _, history), log = spy_solver(lrbas_solve_one, rs, ops, opts)
@@ -1279,6 +1281,6 @@ def _CONSTANT12():
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         coarse = build_geneo_coarse(dec, pou, system, field, 1e-6)
-        ops = LocalOperators.build(system.A, coarse)
+        ops = LocalOperators.build(system.A, field, coarse)
         _CACHE["c"] = (system, dec, pou, coarse, ops)
     return _CACHE["c"]
