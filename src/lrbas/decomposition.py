@@ -11,8 +11,9 @@ couples, from the pattern of S^T |A| S. Over those pairs the reduced
 system (``solver.ReducedSystem``) assembles its Galerkin matrix from
 dense local blocks. The coarse space collects, per subdomain, the
 weighted eigenvectors of the local Neumann-vs-weighted pencil with
-eigenvalues below a threshold. Pencils and local matrices computed
-from the same inputs are solved and factored once per sequence.
+eigenvalues below a threshold. Pencils whose inputs agree up to a
+symmetry of the square are solved once per sequence, and local
+matrices computed from the same inputs factored once.
 """
 from __future__ import annotations
 
@@ -262,35 +263,82 @@ class Coupling:
         return sp.csr_matrix((self._data(A, i)[keep], indices, indptr), shape=(n, n))
 
 
-def _input_digest(dec, coefficient, i):
-    """blake2b digest of what subdomain i's local matrices are computed from.
+def _inputs(dec, coefficient, i):
+    """Subdomain i's inputs, as two arrays over its extended block.
 
-    It takes the extended block's width and height, which of the four
-    grid edges clip it, and the conductivity of every element that
-    touches the index set: the block and a ring of one element, clipped
-    at the grid. Equal digests give bitwise-equal matrices, because equal
-    inputs go through the same arithmetic: ``K_neu`` is a function of the
-    conductivity on the block and of its Neumann plan, which the shape
-    and the Dirichlet edges fix, and ``A_i`` of the conductivity on the
-    window and of the node rectangle, the element stiffness ``K_REF``
-    being the same at every grid spacing. All four edge flags count:
-    blocks clipped at the top and at the bottom have windows of one
-    shape with the ring on opposite sides.
+    ``window`` holds the conductivity of every element that touches the
+    index set, ``[ey, ex]``: the block and a ring of one element, with 0
+    for ring elements outside the grid. ``at`` holds, on the block's
+    node rectangle ``[j, i]``, each node's position in the index set,
+    and -1 for the Dirichlet nodes it drops. The window's shape and its
+    zeros fix the block's shape and the grid edges that clip it, and so
+    ``at``.
     """
     m = dec.grid.m
     (c0, c1), (r0, r1) = dec.subdomains[i].extended
-    h = hashlib.blake2b(repr((c1 - c0, r1 - r0, c0 == 0, c1 == m - 1, r0 == 0, r1 == m - 1)).encode())
-    h.update(coefficient.values[max(r0 - 1, 0) : r1 + 2, max(c0 - 1, 0) : c1 + 2].tobytes())
-    return h.digest()
+    (y0, y1), (x0, x1) = (max(r0 - 1, 0), min(r1 + 2, m)), (max(c0 - 1, 0), min(c1 + 2, m))
+    window = np.zeros((r1 - r0 + 3, c1 - c0 + 3))
+    window[y0 - r0 + 1 : y1 - r0 + 1, x0 - c0 + 1 : x1 - c0 + 1] = coefficient.values[y0:y1, x0:x1]
+    a, b = max(c0, 1) - c0, min(c1 + 1, m - 1) - c0 + 1
+    at = np.full((r1 - r0 + 2, c1 - c0 + 2), -1, dtype=np.int64)
+    at[:, a:b] = np.arange(len(dec.subdomains[i].indices)).reshape(r1 - r0 + 2, b - a)
+    return window, at
+
+
+def _input_digest(dec, coefficient, i):
+    """blake2b digest of what subdomain i's local matrix A_i is computed from.
+
+    It takes the window of ``_inputs`` as it lies on the grid. Equal
+    digests give bitwise-equal matrices, because equal inputs go through
+    the same arithmetic: ``A_i`` is a function of the conductivity on
+    the window and of the node rectangle, the element stiffness
+    ``K_REF`` being the same at every grid spacing.
+    """
+    window, _ = _inputs(dec, coefficient, i)
+    return hashlib.blake2b(repr(window.shape).encode() + window.tobytes()).digest()
+
+
+def _symmetries(a):
+    """``a`` under the 8 symmetries of the square: transpose, then flip y, then flip x."""
+    for t in (a, a.T):
+        for u in (t, t[::-1]):
+            yield u
+            yield u[:, ::-1]
+
+
+def _pencil_key(dec, coefficient, D, i):
+    """Subdomain i's GenEO pencil up to a symmetry of the square: its digest and node order.
+
+    The inputs of ``_inputs``, with the weights D on the node rectangle
+    (0 at dropped nodes), are taken under each symmetry g of the square;
+    the least ``(shape, window, weights)`` bytes, the first g to reach
+    them, make the digest. ``K_neu`` is a function of the conductivity on
+    the block and of its free nodes, ``D A_i D + delta I`` of the window
+    and of D, and ``K_REF`` is invariant under g. So two subdomains with
+    one digest have pencils ``P K P^T`` and ``P B P^T`` of each other in
+    exact arithmetic. ``perm`` lists the index-set positions in the
+    order g takes the nodes to: ``V[perm]`` is V in that common frame.
+    """
+    window, at = _inputs(dec, coefficient, i)
+    weights = np.append(D, 0.0)[at]
+    best = None
+    for w, d, p in zip(_symmetries(window), _symmetries(weights), _symmetries(at)):
+        key = (w.shape, w.tobytes(), d.tobytes())
+        if best is None or key < best[0]:
+            best = key, p
+    (shape, w, d), p = best
+    perm = p.ravel()
+    return hashlib.blake2b(repr(shape).encode() + w + d).digest(), perm[perm >= 0]
 
 
 class CoarseSpace:
     """Per-subdomain coarse vector blocks, concatenated column-wise.
 
-    ``pencils`` maps each GenEO pencil solved so far, by tau, the
-    ``_input_digest`` of its subdomain and its weights, to its kept
-    eigenvectors before weighting; ``build_geneo_coarse`` hands it on to
-    the next coarse space it builds from this one.
+    ``pencils`` maps each GenEO pencil solved so far, by tau and the
+    ``_pencil_key`` digest of its subdomain, to its kept eigenvectors
+    before weighting, in the digest's common node order;
+    ``build_geneo_coarse`` hands it on to the next coarse space it builds
+    from this one.
     """
 
     def __init__(self, dec, blocks, pencils=None):
@@ -318,15 +366,17 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
     either path. With ``previous`` given, blocks outside ``recompute``
     are carried over.
 
-    Each distinct pencil is solved once per chain of coarse spaces: the
-    kept vectors are stored under tau, the subdomain's ``_input_digest``
-    and the bytes of D_i, and reused by every later subdomain, in this
-    build or one passed ``previous``, whose pencil has the same inputs
-    (interior subdomains that see the same coefficient pattern, shifted,
-    and port states a sequence visits again). A reused pencil is not
-    assembled. Equal inputs give bitwise-equal matrices, which go into
-    the same deterministic solve, so the blocks are those of solving
-    every pencil.
+    Each pencil is solved once per chain of coarse spaces and symmetry
+    of the square: the kept vectors are stored under tau and the
+    subdomain's ``_pencil_key`` digest, in its common node order, and
+    reused by every later subdomain, in this build or one passed
+    ``previous``, whose inputs are the same up to a reflection or
+    rotation (interior subdomains that see the same coefficient pattern,
+    shifted or mirrored, and port states a sequence visits again). A
+    reused pencil is not assembled. Its pencil is the solved one,
+    permuted, in exact arithmetic, so the vectors it reads back are
+    B-orthonormal eigenvectors of its own pencil up to roundoff; the
+    subdomain that solved a pencil reads its own solve back bitwise.
     """
     if recompute is None:
         recompute = np.arange(dec.n_subdomains)
@@ -340,7 +390,8 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
             blocks.append(previous.blocks[i])
             continue
         D = pou.local[i]
-        key = (tau, _input_digest(dec, coefficient, i), D.tobytes())
+        digest, perm = _pencil_key(dec, coefficient, D, i)
+        key = (tau, digest)
         if key not in pencils:
             K_neu, _ = assemble_local_neumann(dec.grid, coefficient, dec.neumann_plans[i])
             B = dec.coupling.principal(system.A, i)  # fresh values, scaled in place to D A_i D + delta I
@@ -351,9 +402,12 @@ def build_geneo_coarse(dec, pou, system, coefficient, tau, previous=None, recomp
             B.data[diag] += 1e-12 * max(B.data[diag].max(), 0.0)
             w, P = sym_gen_eig(K_neu, B, upper=tau)
             w = np.maximum(w, 0.0)  # SPSD pencil: negative values are roundoff
-            # boolean indexing copies, so eigh's n x n work array is not kept
-            pencils[key] = P[:, w < tau]
-        blocks.append(D[:, None] * pencils[key])
+            # indexing copies, so eigh's n x n work array is not kept
+            pencils[key] = P[np.ix_(perm, w < tau)]
+        # in P's Fortran order: the layout sets the roundoff of every later product
+        V = np.empty(pencils[key].shape, order="F")
+        V[perm] = pencils[key]
+        blocks.append(D[:, None] * V)
     coarse = CoarseSpace(dec, blocks, pencils)
     if coarse.n0 == 0:
         warnings.warn("GenEO selected no vectors; coarse space is empty", stacklevel=2)

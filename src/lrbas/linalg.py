@@ -11,10 +11,16 @@ upper band of L^T, so that both halves of a solve run LAPACK's upper band
 kernels.
 The generalized eigensolver uses the banded Cholesky factor too: on a
 large sparse pencil it runs ARPACK through one factor of ``A + s B``.
+``one_blas_thread`` pins the bundled OpenBLAS libraries to one thread.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -499,3 +505,51 @@ def _lowest_by_arpack(low_A, low_B, B, upper):
             return lam[keep], back(Y)[:, keep] / np.sqrt(nu[keep])
         k *= 2
     return None
+
+
+# numpy and scipy each bundle an OpenBLAS, with its own thread count. A
+# symbol looked up on an extension module's shared object is also sought
+# in the libraries it links, so these two modules find them.
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath", "scipy_openblas_{}_num_threads64_"),
+    ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
+)
+
+
+@cache
+def _openblas():
+    """The ``(get, set)`` thread-count functions of each bundled OpenBLAS that exports them."""
+    found = []
+    for module, name in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get, set_threads = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        found.append((get, set_threads))
+    return tuple(found)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with the bundled OpenBLAS libraries at one thread.
+
+    The solvers' dense kernels are small: threaded level-2 and small
+    level-3 calls cost more than they save, and a threaded reduction
+    sums in another order, which moves the reduced solver's counts. A
+    count the user sets through ``OPENBLAS_NUM_THREADS`` is kept; without
+    it, the earlier counts come back when the body ends. Where the
+    libraries export no thread-count functions, as with another BLAS,
+    nothing changes.
+    """
+    libs = () if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
+    before = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(libs, before):
+            set_threads(n)

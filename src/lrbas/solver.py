@@ -32,7 +32,7 @@ from .decomposition import (
     build_partition_of_unity,
     detect_changed_subdomains,
 )
-from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize
+from .linalg import ConvergenceFailure, IndefiniteMatrixError, factorize, one_blas_thread
 
 STRATEGIES = ("pcg", "pcg-guess", "lrbas")
 # Drop tolerances of the reduced factorizations, relative to each column's
@@ -612,6 +612,7 @@ def pou_snapshot_guess(rs):
     return x0
 
 
+@one_blas_thread()
 def run_sequence(problems, dec, pou=None, opts=None):
     """Drive a strategy over a sequence of locally modified systems.
 
@@ -624,7 +625,8 @@ def run_sequence(problems, dec, pou=None, opts=None):
     system. A numerical failure anywhere in a step
     (stalled iteration, indefinite matrix, LAPACK error) is raised as
     ConvergenceFailure naming the step, with the report of the steps
-    completed before it.
+    completed before it. Unless ``OPENBLAS_NUM_THREADS`` is set, OpenBLAS
+    runs one thread meanwhile (``one_blas_thread``).
     """
     if opts is None:
         opts = SolverOptions()

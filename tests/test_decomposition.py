@@ -108,8 +108,26 @@ def csr_bytes(*matrices):
     return tuple((M.shape, M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()) for M in matrices)
 
 
-def distinct_pencils(dec, pou, system, field):
-    return len({csr_bytes(*pencil(dec, pou, system, field, i)[:2]) for i in range(dec.n_subdomains)})
+def pencil_classes(dec, pou, field, subdomains=None):
+    """The subdomains grouped by ``_pencil_key`` digest, each group and the groups in
+    subdomain order: a fresh coarse space solves the pencil of each group's first."""
+    classes = {}
+    for i in range(dec.n_subdomains) if subdomains is None else subdomains:
+        classes.setdefault(lrbas.decomposition._pencil_key(dec, field, pou.local[i], i)[0], []).append(int(i))
+    return list(classes.values())
+
+
+def own_pencil_gaps(block, K, B, D):
+    """How far a coarse block D V is from the kept eigenvectors P of its own
+    pencil: the kept counts of V and of P, the B-orthonormality error of V and
+    the largest entry of the difference of the B-orthogonal projectors onto the
+    two spans."""
+    w, P = sym_gen_eig(K, B, upper=0.5)
+    P = P[:, np.maximum(w, 0.0) < 0.5]
+    V = block / D[:, None]
+    orth = np.abs(V.T @ (B @ V) - np.eye(V.shape[1])).max(initial=0.0)
+    proj = np.abs(V @ (B @ V).T - P @ (B @ P).T).max(initial=0.0) if V.shape == P.shape else np.inf
+    return V.shape[1], P.shape[1], orth, proj
 
 
 def input_key(dec, field, i):
@@ -526,16 +544,25 @@ class TestGeneoCoarse:
         cs2 = build_geneo_coarse(
             dec, pou, probs[1].system, probs[1].coefficient, 0.5, previous=cs1, recompute=changed
         )
+        # every subdomain recomputed from the same solved pencils: bitwise the partial build
+        again = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5, previous=cs1)
+        for a, b in zip(cs2.blocks, again.blocks, strict=True):
+            assert np.array_equal(a, b)
+        # a fresh build may solve a class through another member: the same spans up to roundoff
         full2 = build_geneo_coarse(dec, pou, probs[1].system, probs[1].coefficient, 0.5)
         assert np.array_equal(cs2.counts, full2.counts)
-        assert np.allclose(dense_coarse(dec, cs2) - dense_coarse(dec, full2), 0, atol=1e-12)
+        for i, (a, b) in enumerate(zip(cs2.blocks, full2.blocks, strict=True)):
+            K, B, D = pencil(dec, pou, probs[1].system, probs[1].coefficient, i)
+            V, W = a / D[:, None], b / D[:, None]
+            assert np.abs(V @ (B @ V).T - W @ (B @ W).T).max(initial=0.0) <= 1e-12
         unchanged = np.setdiff1d(np.arange(dec.n_subdomains), changed)
         for i in unchanged:
             assert cs2.blocks[i] is cs1.blocks[i]
 
     def test_weighted_local_matrix_matches_dense_formula(self):
         # the weighted pencil matrix D A_i D is formed from the sparse
-        # block; the coarse vectors must be bitwise those of the dense one
+        # block; the coarse vectors of each subdomain that solves its
+        # pencil must be bitwise those of the dense one
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         pou = build_partition_of_unity(dec)
@@ -543,8 +570,8 @@ class TestGeneoCoarse:
         system = assemble(grid, field)
         cs = build_geneo_coarse(dec, pou, system, field, 0.5)
         A = system.A.to_scipy()
-        for i, idx in enumerate(dec.index_sets):
-            D = pou.local[i]
+        for i, *_ in pencil_classes(dec, pou, field):
+            idx, D = dec.index_sets[i], pou.local[i]
             B = A[idx][:, idx].toarray() * D[:, None] * D[None, :]
             B[np.diag_indices_from(B)] += 1e-12 * max(B.diagonal().max(), 0.0)
             K, _ = assemble_local_neumann(grid, field, dec.extended_elements(i))
@@ -558,7 +585,7 @@ class TestGeneoCoarse:
         solve, weighted = lrbas.decomposition.sym_gen_eig, []
         monkeypatch.setattr(lrbas.decomposition, "sym_gen_eig", lambda K, B, upper: weighted.append(B) or solve(K, B, upper))
         # a digest per subdomain, so that every pencil is formed
-        monkeypatch.setattr(lrbas.decomposition, "_input_digest", lambda dec, coefficient, i: i)
+        monkeypatch.setattr(lrbas.decomposition, "_pencil_key", lambda dec, coefficient, D, i: (i, np.arange(len(D))))
         build_geneo_coarse(dec, pou, system, field, 0.5)
         # every subdomain, the 12 clipped at the boundary included
         assert len(weighted) == dec.n_subdomains == 16
@@ -576,8 +603,8 @@ class TestGeneoCoarse:
         dense = build_geneo_coarse(dec, pou, system, field, 0.5)
         attempts = request.getfixturevalue("force_arpack")
         arpack = build_geneo_coarse(dec, pou, system, field, 0.5)
-        # each distinct pencil is solved once (12 of the 16)
-        assert len(attempts) == distinct_pencils(dec, pou, system, field) < dec.n_subdomains
+        # one pencil is solved per class (4 of the 16)
+        assert len(attempts) == len(pencil_classes(dec, pou, field)) == 4
         assert all(a is not None for a in attempts)
         assert np.array_equal(arpack.counts, dense.counts)
         for i in range(dec.n_subdomains):
@@ -610,7 +637,7 @@ class TestGeneoCoarse:
 
         monkeypatch.setattr(lrbas.linalg, "eigsh", stalled)
         fallen = build_geneo_coarse(dec, pou, system, field, 0.5)
-        assert attempts == [None] * distinct_pencils(dec, pou, system, field)
+        assert attempts == [None] * len(pencil_classes(dec, pou, field))
         for a, b in zip(fallen.blocks, dense.blocks):
             assert np.array_equal(a, b)
 
@@ -663,14 +690,21 @@ class TestPencilReuse:
         seen = set()
         for prob, (coarse, recompute, calls) in zip(probs, builds):
             for i in range(dec.n_subdomains):
-                K, B, D = pencil(dec, pou, prob.system, prob.coefficient, i)
-                w, P = sym_gen_eig(K, B, upper=0.5)
-                assert np.array_equal(coarse.blocks[i], D[:, None] * P[:, np.maximum(w, 0.0) < 0.5])
-            keys = {csr_bytes(*pencil(dec, pou, prob.system, prob.coefficient, i)[:2]) for i in recompute}
+                kept, own, orth, proj = own_pencil_gaps(coarse.blocks[i], *pencil(dec, pou, prob.system, prob.coefficient, i))
+                assert kept == own and orth <= 1e-10 and proj <= 1e-8
+            keys = {lrbas.decomposition._pencil_key(dec, prob.coefficient, pou.local[i], i)[0] for i in recompute}
             assert calls == len(keys - seen)
             seen |= keys
-        # ports {2, 5} again: every recomputed pencil was solved for system 1
+        # system 1 solves the pencil of each class's first subdomain
+        for i, *_ in pencil_classes(dec, pou, probs[0].coefficient):
+            K, B, D = pencil(dec, pou, probs[0].system, probs[0].coefficient, i)
+            w, P = sym_gen_eig(K, B, upper=0.5)
+            assert np.array_equal(builds[0][0].blocks[i], D[:, None] * P[:, np.maximum(w, 0.0) < 0.5])
+        # ports {2, 5} again: every recomputed pencil was solved for system 1,
+        # and every subdomain reads back system 1's vectors
         assert len(builds[2][1]) > 0 and builds[2][2] == 0
+        for a, b in zip(builds[0][0].blocks, builds[2][0].blocks, strict=True):
+            assert np.array_equal(a, b)
         recomputed = sum(len(recompute) for _, recompute, _ in builds)
         assert sum(calls for _, _, calls in builds) == len(seen) < recomputed
 
@@ -685,8 +719,9 @@ class TestPencilReuse:
 
 
 def solved_pencils(monkeypatch, grid, layout, overlap, schedule):
-    """Every pencil GenEO at tau 0.5 solves along a sequence, each distinct
-    one once, with what ``sym_gen_eig`` returned for it: [(K, B, w, P)]."""
+    """Every pencil GenEO at tau 0.5 solves along a sequence, one per class of
+    pencils equal up to a symmetry of the square, with what ``sym_gen_eig``
+    returned for it: [(K, B, w, P)]."""
     dec = build_decomposition(grid, layout, overlap)
     pou = build_partition_of_unity(dec)
     solved, solve = [], lrbas.decomposition.sym_gen_eig
@@ -730,8 +765,8 @@ class TestArpackAccuracy:
     @pytest.mark.parametrize(
         "m, layout, overlap, schedule, n_pencils",
         [
-            (200, 10, 4, ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1]), 35),  # paper system 1
-            (100, 10, 2, ModificationSchedule(({2, 5}, {2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 5, 6})), 47),
+            (200, 10, 4, ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1]), 17),  # paper system 1
+            (100, 10, 2, ModificationSchedule(({2, 5}, {2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 5, 6})), 34),
         ],
         ids=["paper", "toggle"],
     )
@@ -750,10 +785,10 @@ class TestArpackAccuracy:
 
     def test_shift_next_to_the_wanted_end_needs_fewer_operator_applications(self, monkeypatch, eigsh_calls):
         # ARPACK on nu = 1 / (lambda + s): a shift of 1 squeezes the wanted
-        # lambda <= tau together (1926 against 2795 applications measured)
+        # lambda <= tau together (966 against 1396 applications measured)
         schedule = ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1])
         solved = solved_pencils(monkeypatch, Grid(200), 10, 4, schedule)
-        assert len(solved) == 35 and min(K.shape[0] for K, *_ in solved) >= lrbas.linalg._ARPACK_MIN_N
+        assert len(solved) == 17 and min(K.shape[0] for K, *_ in solved) >= lrbas.linalg._ARPACK_MIN_N
         shifted = sum(call["applications"] for call in eigsh_calls)
         del eigsh_calls[:]
         monkeypatch.setattr(lrbas.linalg, "_ARPACK_SHIFT", 1.0)
@@ -839,14 +874,16 @@ class TestInputDigest:
 
     def test_pencils_of_equal_inputs_and_other_weights_are_solved_apart(self):
         # blocks 4 elements wide at overlap 3: a node can lie in three
-        # extended blocks, so subdomains 1 and 2 have one digest and other weights
-        grid = Grid(16)
-        dec = build_decomposition(grid, 4, 3)
+        # extended blocks, so subdomains 1 and 2 have one digest and other
+        # weights, which no symmetry of the square maps onto each other
+        grid = Grid(20)
+        dec = build_decomposition(grid, 5, 3)
         pou = build_partition_of_unity(dec)
         field = build_coefficient(grid, ChannelGeometry.empty())
         system = assemble(grid, field)
         assert lrbas.decomposition._input_digest(dec, field, 1) == lrbas.decomposition._input_digest(dec, field, 2)
         assert not np.array_equal(pou.local[1], pou.local[2])
+        assert pencil_classes(dec, pou, field, [1, 2]) == [[1], [2]]
         coarse = build_geneo_coarse(dec, pou, system, field, 0.5)
         for i in (1, 2):
             K, B, D = pencil(dec, pou, system, field, i)
@@ -868,8 +905,9 @@ class TestInputDigest:
         assert len(assembled) == solved < sum(len(recompute) for _, recompute, _ in builds)
 
     def test_tables_hold_one_entry_per_distinct_input(self):
-        # along the small paper sequence, the pencils solved and the local
-        # matrices factored: one per distinct input of a recomputed subdomain
+        # along the small paper sequence, the local matrices factored: one per
+        # distinct input of a recomputed subdomain; the pencils solved: one
+        # per class of inputs and weights equal up to a symmetry of the square
         grid = Grid(40)
         dec = build_decomposition(grid, 4, 2)
         pou = build_partition_of_unity(dec)
@@ -886,7 +924,123 @@ class TestInputDigest:
             keys = [input_key(dec, prob.coefficient, i) for i in changed]
             factored |= set(keys)
             pencils |= {(key, pou.local[i].tobytes()) for key, i in zip(keys, changed)}
-        assert len(ops.shared) == len(factored) and len(coarse.pencils) == len(pencils) < recomputed
+        assert len(ops.shared) == len(factored) and len(coarse.pencils) == 6 < len(pencils) == 17 < recomputed
+
+
+def symmetric_orders(dec, i):
+    """Subdomain i's node coordinates and index-set order under each of the 8
+    symmetries g of the square applied to its extended block: per g, the
+    coordinates ``(y, x)`` of the nodes in the block's frame after g, sorted
+    row by row, and the index-set positions of the nodes in that order."""
+    m = dec.grid.m
+    idx = dec.index_sets[i]
+    (c0, c1), (r0, r1) = dec.subdomains[i].extended
+    x, y, width, height = idx % (m - 1) + 1 - c0, idx // (m - 1) - r0, c1 - c0 + 1, r1 - r0 + 1
+    for transpose in (False, True):
+        for flip_y in (False, True):
+            for flip_x in (False, True):
+                u, v, w, h = (y, x, height, width) if transpose else (x, y, width, height)
+                u, v = (w - u if flip_x else u), (h - v if flip_y else v)
+                order = np.lexsort((u, v))
+                yield np.stack([v[order], u[order]]).tobytes(), order
+
+
+class TestSymmetryClasses:
+    # one GenEO pencil is solved per class of subdomains whose inputs agree
+    # up to a reflection or rotation; every other member reads the solved
+    # vectors back in its own node order
+
+    def test_classes_are_the_pencils_equal_up_to_a_symmetry(self):
+        # a reference found from the assembled pencils alone: two subdomains
+        # share a class when some symmetry of the square maps one's K and B
+        # onto the other's, to 12 digits relative to the largest entry
+        dec, pou, probs = revisiting_sequence()
+        for prob in probs:
+            pencils = [[M.toarray() for M in pencil(dec, pou, prob.system, prob.coefficient, i)[:2]] for i in range(dec.n_subdomains)]
+            frames = [list(symmetric_orders(dec, i)) for i in range(dec.n_subdomains)]
+            reference = []
+            for j in range(dec.n_subdomains):
+                nodes = frames[j][0][0]  # j's own frame, g the identity
+                for group in reference:
+                    if any(
+                        frame == nodes and all(
+                            np.abs(a[np.ix_(order, order)] - b).max() <= 1e-12 * np.abs(b).max()
+                            for a, b in zip(pencils[group[0]], pencils[j])
+                        )
+                        for frame, order in frames[group[0]]
+                    ):
+                        group.append(j)
+                        break
+                else:
+                    reference.append([j])
+            assert pencil_classes(dec, pou, prob.coefficient) == reference
+            assert len(reference) < dec.n_subdomains
+
+    @pytest.mark.parametrize("path", ["dense", "arpack"])
+    def test_members_solve_their_own_pencils(self, request, path):
+        # a member's vectors are those of the class's solve, permuted: B-orthonormal
+        # under its own pencil to roundoff, the span of its own solve within
+        # ARPACK's tolerance, and as many as its own solve keeps
+        if path == "arpack":
+            request.getfixturevalue("force_arpack")
+        grid = Grid(40)
+        dec = build_decomposition(grid, 4, 2)
+        pou = build_partition_of_unity(dec)
+        coarse, members = None, 0
+        for k, prob in enumerate(problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)):
+            changed = None if k == 0 else detect_changed_subdomains(prob.changed_elements, dec)
+            coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5, previous=coarse, recompute=changed)
+            for group in pencil_classes(dec, pou, prob.coefficient):
+                for i in group:
+                    kept, own, orth, proj = own_pencil_gaps(coarse.blocks[i], *pencil(dec, pou, prob.system, prob.coefficient, i))
+                    assert kept == own and orth <= 1e-10 and proj <= 1e-8
+                members += len(group) - 1
+        assert members > 0
+
+    def test_members_of_the_paper_pencils_solve_their_own(self):
+        # paper system 1: the 83 members of the 17 classes, on ARPACK's path
+        grid = Grid(200)
+        dec = build_decomposition(grid, 10, 4)
+        pou = build_partition_of_unity(dec)
+        prob = problem_sequence(grid, ChannelGeometry(), ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1]))[0]
+        coarse = build_geneo_coarse(dec, pou, prob.system, prob.coefficient, 0.5)
+        classes = pencil_classes(dec, pou, prob.coefficient)
+        assert len(classes) == 17 and min(len(dec.index_sets[i]) for i, *_ in classes) >= lrbas.linalg._ARPACK_MIN_N
+        for group in classes:
+            for i in group[1:]:
+                kept, own, orth, proj = own_pencil_gaps(coarse.blocks[i], *pencil(dec, pou, prob.system, prob.coefficient, i))
+                assert kept == own and orth <= 1e-10 and proj <= 1e-8
+
+    @pytest.mark.parametrize("path", ["dense", "arpack"])
+    def test_first_of_a_class_reads_its_own_solve_bitwise(self, request, path):
+        if path == "arpack":
+            request.getfixturevalue("force_arpack")
+        dec, pou, system, field = small_geneo_problem()
+        coarse = build_geneo_coarse(dec, pou, system, field, 0.5)
+        for i, *_ in pencil_classes(dec, pou, field):
+            K, B, D = pencil(dec, pou, system, field, i)
+            w, P = sym_gen_eig(K, B, upper=0.5)
+            block = D[:, None] * P[:, np.maximum(w, 0.0) < 0.5]
+            assert np.array_equal(coarse.blocks[i], block)
+            assert coarse.blocks[i].flags.f_contiguous == block.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "m, layout, overlap, schedule, n_classes",
+        [
+            (200, 10, 4, ModificationSchedule(DEFAULT_SCHEDULE.open_ports[:1]), 17),  # paper system 1
+            (200, 10, 4, DEFAULT_SCHEDULE, 25),  # the paper sequence
+            (100, 10, 2, ModificationSchedule(({2, 5}, {2, 3, 5}, {1, 2, 3, 5}, {1, 2, 3, 5, 6})), 34),
+        ],
+        ids=["paper-system-1", "paper", "toggle"],
+    )
+    def test_class_counts(self, m, layout, overlap, schedule, n_classes):
+        grid = Grid(m)
+        dec = build_decomposition(grid, layout, overlap)
+        pou = build_partition_of_unity(dec)
+        keys = set()
+        for prob in problem_sequence(grid, ChannelGeometry(), schedule):
+            keys |= {lrbas.decomposition._pencil_key(dec, prob.coefficient, pou.local[i], i)[0] for i in range(dec.n_subdomains)}
+        assert len(keys) == n_classes
 
 
 class TestLocalOperators:
@@ -1099,13 +1253,16 @@ print(json.dumps([[e.iterations, [float(h) for h in e.residual_history]] for e i
 
 
 def printed_at_one_and_two_blas_threads(script):
-    """The JSON that ``script`` prints, run in a subprocess at OpenBLAS 1 and at 2 threads."""
+    """The JSON that ``script`` prints, run in a subprocess at OpenBLAS 1 and at
+    2 threads; the subprocess asserts that every bundled OpenBLAS runs that
+    many threads once the script is done."""
     root = Path(__file__).parents[1]
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     printed = []
     for threads in ("1", "2"):
+        check = f"from lrbas.linalg import _openblas\nassert {{get() for get, _ in _openblas()}} == {{{threads}}}\n"
         run = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script + check],
             cwd=root,
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
             capture_output=True,

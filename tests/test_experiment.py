@@ -736,3 +736,83 @@ class TestLongWalkScript:
         assert all(0 < b - a <= 16 for a, b in zip(dims, dims[1:]))
         assert lines[8].startswith("total ") and f"{sum(int(r[3]) for r in rows)} iterations" in lines[8]
         assert lines[9].startswith("peak_rss_mb ") and float(lines[9].split()[1]) > 0
+
+
+# What bench/run.py printed on paper-pcg with --seconds 0, trimmed to a few metrics
+BENCH_ENVIRONMENT = '# environment {"nproc": 2, "openblas_threads": 1, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}'
+BENCH_UNTRACED = f"""{BENCH_ENVIRONMENT}
+# pass 1 pcg: setup 0.078 s, solve 0.984 s (system 1 0.358 s), write 0.004 s; iterations/local/coarse [95, 9500, 95] (as recorded)
+# pass 1 pcg system seconds: [0.358, 0.1754, 0.1459, 0.1456, 0.1587]
+# end-to-end {{"write_s": 0.0043, "passes": 1, "setup_samples": 6, "next_system_samples": 4, "tail_percentile": [50], "tail_samples_beyond": [2]}}
+# first_system_s                     0.35801 s
+# iterations                         95 count
+# failed_fraction 0 (0 of 5 systems)
+{{"correct": true, "attempted": 5, "failed": 0, "metrics": {{"first_system_s": {{"value": 0.35801, "unit": "s"}}, "iterations": {{"value": 95, "unit": "count"}}}}}}
+"""
+BENCH_TRACED = f"""{BENCH_ENVIRONMENT}
+# pass 1 pcg: setup 0.078 s, solve 0.984 s (system 1 0.358 s), write 0.004 s; iterations/local/coarse [95, 9500, 95] (as recorded)
+# pass 1 pcg system seconds: [0.358, 0.1754, 0.1459, 0.1456, 0.1587]
+# largest self-time shares of pcg: linalg.solve.precond 0.313, decomposition.precond 0.160, linalg.eig 0.148
+# spans written to .bench_out/spans-paper-pcg-seed1.json
+# pass 1 pcg: setup 0.065 s, solve 1.058 s (system 1 0.393 s), write 0.004 s; iterations/local/coarse [95, 9500, 95] (as recorded)
+# pass 1 pcg system seconds: [0.3927, 0.1805, 0.1387, 0.1466, 0.1989]
+# linalg.eig.calls                   25 count
+# failed_fraction 0 (0 of 10 systems)
+{{"correct": true, "attempted": 10, "failed": 0, "metrics": {{"linalg.eig.calls": {{"value": 25, "unit": "count"}}}}}}
+"""
+
+
+class TestRecordBenchScript:
+    # scripts/record_bench.py on captured bench/run.py output; no benchmark runs
+
+    @pytest.fixture
+    def script(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "record_bench.py"
+        spec = importlib.util.spec_from_file_location("record_bench", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        return script
+
+    def test_output_is_parsed_line_by_line(self, script):
+        environment, passes, result = script.parse_output(BENCH_TRACED)
+        assert environment == {"nproc": 2, "openblas_threads": 1, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+        # the untraced pass and the traced one, each with its own system seconds
+        assert passes == [
+            {"pass": 1, "variant": "pcg", "setup_s": 0.078, "solve_s": 0.984, "first_system_s": 0.358, "write_s": 0.004,
+             "counts": [95, 9500, 95], "system_s": [0.358, 0.1754, 0.1459, 0.1456, 0.1587]},
+            {"pass": 1, "variant": "pcg", "setup_s": 0.065, "solve_s": 1.058, "first_system_s": 0.393, "write_s": 0.004,
+             "counts": [95, 9500, 95], "system_s": [0.3927, 0.1805, 0.1387, 0.1466, 0.1989]},
+        ]
+        assert result == {"correct": True, "attempted": 10, "failed": 0,
+                          "metrics": {"linalg.eig.calls": {"value": 25, "unit": "count"}}}
+
+    @pytest.mark.parametrize("text", [BENCH_UNTRACED.split("\n", 1)[1], BENCH_UNTRACED.rsplit("\n", 2)[0]],
+                             ids=["no-environment", "no-result"])
+    def test_incomplete_output_is_refused(self, script, text):
+        with pytest.raises(ValueError):
+            script.parse_output(text)
+
+    def test_record_holds_both_runs_of_each_workload(self, script, tmp_path, monkeypatch):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"command": ["python3", "bench/run.py"], "run_seconds": 40, "workloads": [{"name": "paper-pcg"}]}
+        ))
+        runs = []
+
+        def run_bench(workload, seconds, trace):
+            runs.append((workload, seconds, trace))
+            return script.parse_output(BENCH_TRACED if trace else BENCH_UNTRACED)
+
+        monkeypatch.setattr(script, "ROOT", tmp_path)
+        monkeypatch.setattr(script, "run_bench", run_bench)
+        monkeypatch.setattr(script, "commit", lambda: {"head": "0" * 40, "changed": False})
+        assert script.main(["BENCH_0.json"]) == 0
+        assert runs == [("paper-pcg", 40, 0), ("paper-pcg", 40, 1)]
+        record = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert record["environment"]["openblas_threads"] == 1 and record["commit"]["head"] == "0" * 40
+        entry = record["workloads"]["paper-pcg"]
+        assert entry["end_to_end"] == {"first_system_s": {"value": 0.35801, "unit": "s"},
+                                       "iterations": {"value": 95, "unit": "count"}}
+        assert entry["per_layer"] == {"linalg.eig.calls": {"value": 25, "unit": "count"}}
+        assert entry["counts"] == {"pcg": [95, 9500, 95]} and len(entry["passes"]) == 1
+        assert entry["runs"] == {"untraced": {"correct": True, "attempted": 5, "failed": 0},
+                                 "traced": {"correct": True, "attempted": 10, "failed": 0}}

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrbas.linalg
 import lrbas.solver
 from lrbas.decomposition import (
     CoarseSpace,
@@ -697,18 +698,86 @@ class TestCarriedSystem:
 
 
 def run_at_blas_threads(threads, tests):
-    """Run this file's ``tests`` in a pytest subprocess with OpenBLAS at ``threads``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    """Run this file's ``tests`` in a pytest subprocess with OpenBLAS at
+    ``threads``; the subprocess asserts that every bundled OpenBLAS runs
+    that many threads, before and after the tests."""
+    root = Path(__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys, pytest\n"
+        "from lrbas.linalg import _openblas\n"
+        f"assert {{get() for get, _ in _openblas()}} == {{{threads}}}, [get() for get, _ in _openblas()]\n"
+        f"code = pytest.main(['-q', '-p', 'no:cacheprovider', {f'{__file__}::{tests}'!r}])\n"
+        f"assert {{get() for get, _ in _openblas()}} == {{{threads}}}, [get() for get, _ in _openblas()]\n"
+        "sys.exit(code)\n"
+    )
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::{tests}"],
-        cwd=Path(__file__).parents[1],
-        env=env,
+        [sys.executable, "-c", script],
+        cwd=root,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
     assert f"OPENBLAS_NUM_THREADS={threads}" in run.stdout
+
+
+def openblas_threads():
+    """The thread count of each bundled OpenBLAS, numpy's first."""
+    return [get() for get, _ in lrbas.linalg._openblas()]
+
+
+class TestOneBlasThread:
+    """``run_sequence`` runs OpenBLAS at one thread unless ``OPENBLAS_NUM_THREADS`` is set."""
+
+    @pytest.fixture
+    def at_two_threads(self, monkeypatch):
+        # each bundled OpenBLAS at 2 threads for the test; GenEO's builds record the counts they run at
+        libs = lrbas.linalg._openblas()
+        assert len(libs) == 2
+        before = openblas_threads()
+        for _, set_threads in libs:
+            set_threads(2)
+        during, build = [], lrbas.solver.build_geneo_coarse
+        monkeypatch.setattr(
+            lrbas.solver, "build_geneo_coarse", lambda *a, **k: during.append([get() for get, _ in libs]) or build(*a, **k)
+        )
+        yield during
+        for (_, set_threads), n in zip(libs, before):
+            set_threads(n)
+
+    def run(self, strategy="lrbas"):
+        grid = Grid(20)
+        problems = problem_sequence(grid, SMALL_GEOMETRY, DEFAULT_SCHEDULE)
+        run_sequence(problems, build_decomposition(grid, 2, 1), opts=SolverOptions(strategy=strategy))
+
+    def test_unset_count_runs_one_thread_and_restores_the_earlier_ones(self, monkeypatch, at_two_threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        self.run()
+        assert at_two_threads == [[1, 1]] * len(DEFAULT_SCHEDULE.open_ports)
+        assert openblas_threads() == [2, 2]
+
+    def test_earlier_counts_come_back_after_a_failure(self, monkeypatch, at_two_threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        def fail(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(lrbas.solver, "pcg", fail)
+        with pytest.raises(RuntimeError, match="injected"):
+            self.run("pcg")
+        assert at_two_threads == [[1, 1]] and openblas_threads() == [2, 2]
+
+    def test_count_set_by_the_user_is_kept(self, monkeypatch, at_two_threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        self.run()
+        assert at_two_threads == [[2, 2]] * len(DEFAULT_SCHEDULE.open_ports)
+
+    def test_nothing_changes_without_thread_count_functions(self, monkeypatch, at_two_threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(lrbas.linalg, "_openblas", lambda: ())
+        self.run()
+        assert at_two_threads == [[2, 2]] * len(DEFAULT_SCHEDULE.open_ports)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
